@@ -89,8 +89,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_ring(path: str) -> ring_mod.FusionRing:
-    with open(path) as fh:
-        return ring_mod.FusionRing.from_json_dict(json.load(fh))
+    with open(path, "rb") as fh:
+        return ring_mod.FusionRing.loads(fh.read())
 
 
 def _print_ring(r: ring_mod.FusionRing, fmt: str) -> None:

@@ -215,21 +215,65 @@ class FusionRing:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FusionRing":
-        labels = tuple(data["labels"])
+        """Strict inverse of `to_json_dict`: a missing key or an entry of the
+        wrong type or range raises `MalformedInputError`, nothing is coerced.
+        Keys other than labels, dual, fusion and dims are ignored."""
+        if not isinstance(data, dict):
+            raise MalformedInputError("a ring must be a JSON object")
+        missing = [key for key in ("labels", "dual", "fusion") if key not in data]
+        if missing:
+            raise MalformedInputError(f"ring is missing key(s) {', '.join(missing)}")
+        labels = data["labels"]
+        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+            raise MalformedInputError("labels must be a list of strings")
         r = len(labels)
-        fusion = np.zeros((r, r, r), dtype=np.int64)
-        for i, j, k, m in data["fusion"]:
-            if not (0 <= i < r and 0 <= j < r and 0 <= k < r):
-                raise MalformedInputError(f"fusion entry index out of range: {(i, j, k)}")
-            fusion[i, j, k] = m
+        dual = _int_row(data["dual"], r, "dual")
+        rows = data["fusion"]
+        if not isinstance(rows, list):
+            raise MalformedInputError("fusion must be a list of [i, j, k, mult] rows")
+        flat = [x for row in rows if type(row) is list and len(row) == 4 for x in row]
+        if len(flat) != 4 * len(rows) or not set(map(type, flat)) <= {int}:
+            raise MalformedInputError("every fusion row must be 4 integers [i, j, k, mult]")
+        try:
+            entries = np.array(flat, dtype=np.int64).reshape(-1, 4)
+        except OverflowError:
+            raise MalformedInputError("a fusion entry lies outside the int64 range") from None
+        ijk, mult = entries[:, :3], entries[:, 3]
+        outside = np.any((ijk < 0) | (ijk >= r), axis=1)
+        if outside.any():
+            bad = tuple(map(int, ijk[outside][0]))
+            raise MalformedInputError(f"fusion entry index out of range: {bad}")
+        cells = np.ravel_multi_index(ijk.T, (r, r, r))
+        ordered = np.sort(cells)
+        if np.any(ordered[1:] == ordered[:-1]):
+            raise MalformedInputError("a fusion entry (i, j, k) is listed twice")
+        fusion = np.zeros(r**3, dtype=np.int64)
+        fusion[cells] = mult
+        fusion = fusion.reshape(r, r, r)
         dims = None
         if "dims" in data:
-            dims = tuple(AlgebraicReal.from_json(row) for row in data["dims"])
-        return cls(labels, tuple(data["dual"]), fusion, dims)
+            if not isinstance(data["dims"], list):
+                raise MalformedInputError("dims must be a list of five-integer rows")
+            rows = [_int_row(row, 5, "dims row") for row in data["dims"]]
+            if any(row[1] == 0 or row[3] == 0 for row in rows):
+                raise MalformedInputError("dims row has a zero denominator")
+            dims = tuple(AlgebraicReal.from_json(row) for row in rows)
+        return cls(labels, dual, fusion, dims)
 
     @classmethod
-    def loads(cls, text: str) -> "FusionRing":
-        return cls.from_json_dict(json.loads(text))
+    def loads(cls, text: str | bytes) -> "FusionRing":
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedInputError(f"ring is not valid JSON: {exc}") from None
+        return cls.from_json_dict(data)
+
+
+def _int_row(row, length: int, what: str) -> list[int]:
+    """`row` as a list of exactly `length` JSON integers (bools rejected)."""
+    if type(row) is not list or len(row) != length or not all(type(x) is int for x in row):
+        raise MalformedInputError(f"{what} must be a list of {length} integers, got {row!r:.80}")
+    return row
 
 
 @dataclass
@@ -268,21 +312,26 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
 
     # Frobenius reciprocity: N_{ij}^k = N_{i*k}^j = N_{kj*}^i
     d = np.asarray(dual)
-    if not np.array_equal(N, N[d][:, :, :].transpose(0, 2, 1)[:, :, :][:, :, :]):
-        # N_{i*k}^j as a tensor indexed (i, j, k)
-        alt = N[d].transpose(0, 2, 1)
-        for i, j, k in zip(*np.nonzero(N != alt)):
-            report.violations.append(("frobenius_left", (int(i), int(j), int(k))))
-    alt2 = N[:, d, :].transpose(2, 1, 0)  # N_{k j*}^i indexed (i, j, k)
-    if not np.array_equal(N, alt2):
-        for i, j, k in zip(*np.nonzero(N != alt2)):
-            report.violations.append(("frobenius_right", (int(i), int(j), int(k))))
+    alt = N[d].transpose(0, 2, 1)  # N_{i*k}^j indexed (i, j, k)
+    for i, j, k in zip(*np.nonzero(N != alt)):
+        report.violations.append(("frobenius_left", (int(i), int(j), int(k))))
+    alt = N[:, d, :].transpose(2, 1, 0)  # N_{k j*}^i indexed (i, j, k)
+    for i, j, k in zip(*np.nonzero(N != alt)):
+        report.violations.append(("frobenius_right", (int(i), int(j), int(k))))
 
-    # associativity: sum_m N_{ij}^m N_{mk}^l = sum_m N_{jk}^m N_{im}^l
-    lhs = np.einsum("ijm,mkl->ijkl", N, N)
-    rhs = np.einsum("jkm,iml->ijkl", N, N)
-    for i, j, k, l in zip(*np.nonzero(lhs != rhs)):
-        report.violations.append(("associativity", (int(i), int(j), int(k), int(l))))
+    # associativity: sum_m N_{ij}^m N_{mk}^l = sum_m N_{jk}^m N_{im}^l, one
+    # slice i at a time as two matrix products, so memory stays O(r^3).
+    # The entries are nonnegative, so every partial sum is bounded by
+    # r * max(N)^2; below 2^53 float64 BLAS is exact, above it the same
+    # products run on Python ints.
+    exact_in_float = r * int(N.max(initial=0)) ** 2 < 2**53
+    A = N.astype(np.float64 if exact_in_float else object)
+    left, right = A.reshape(r, r * r), A.reshape(r * r, r)
+    for i in range(r):
+        lhs = (A[i] @ left).reshape(r, r, r)  # N_{ij}^m N_{mk}^l indexed (j, k, l)
+        rhs = (right @ A[i]).reshape(r, r, r)  # N_{jk}^m N_{im}^l indexed (j, k, l)
+        for j, k, l in zip(*np.nonzero(lhs != rhs)):
+            report.violations.append(("associativity", (i, int(j), int(k), int(l))))
 
     return report
 
@@ -399,12 +448,8 @@ class InvertibleGroup:
         }
 
 
-def _dims_for(ring: FusionRing) -> np.ndarray:
-    return fp_dimensions(ring)
-
-
 def invertibles(ring: FusionRing) -> InvertibleGroup:
-    dims = _dims_for(ring)
+    dims = fp_dimensions(ring)
     elems = tuple(i for i in range(ring.rank) if dims[i] <= 1 + FP_TOL)
     product = {}
     for a in elems:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Each oracle deliberately uses a different algorithm from the production
-code: hom-space dimensions by divide-and-conquer multiset expansion,
+code: associativity by nested loops over Python ints,
+hom-space dimensions by divide-and-conquer multiset expansion,
 Z2-cohomology by direct evaluation of the inhomogeneous cochain
 differential, and quadratic-form classification on Z_N by exhaustive
 parametrization plus unit-permutation canonicalization.
@@ -12,6 +13,30 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+
+
+# ---------------------------------------------------------------------------
+# associativity
+
+
+def associativity_bruteforce(fusion):
+    """Every (i, j, k, l) with sum_m N_ij^m N_mk^l != sum_m N_jk^m N_im^l.
+
+    One loop per index over Python ints, so nothing can overflow; the
+    witnesses come out in lexicographic order.
+    """
+    N = [[[int(x) for x in row] for row in plane] for plane in fusion]
+    r = len(N)
+    out = []
+    for i in range(r):
+        for j in range(r):
+            for k in range(r):
+                for l in range(r):
+                    lhs = sum(N[i][j][m] * N[m][k][l] for m in range(r))
+                    rhs = sum(N[j][k][m] * N[i][m][l] for m in range(r))
+                    if lhs != rhs:
+                        out.append((i, j, k, l))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,31 @@ class TestExitCodes:
         bad.write_text(bad_ring.dumps())
         assert run(["verify", "--ring", str(bad)]) == EXIT_CHECK_FAILED
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"labels": ["1"], "dual": [0], "fusion": [[0, 0', id="malformed_json"),
+            pytest.param('{"dual": [0], "fusion": [[0, 0, 0, 1]]}', id="missing_labels"),
+            pytest.param('{"labels": ["1"], "fusion": [[0, 0, 0, 1]]}', id="missing_dual"),
+            pytest.param('{"labels": ["1"], "dual": [0]}', id="missing_fusion"),
+            pytest.param('{"labels": ["1"], "dual": [0], "fusion": [[0, 0, 1]]}',
+                         id="short_fusion_row"),
+            pytest.param('{"labels": ["1"], "dual": [0], "fusion": [[0, 0, 0, true]]}',
+                         id="bool_multiplicity"),
+            pytest.param('{"labels": ["1"], "dual": [0], "fusion": [[0, 0, 0, 1.7]]}',
+                         id="float_multiplicity"),
+            pytest.param('{"labels": ["1"], "dual": [0], "fusion": [[0, 0, 0, %d]]}' % 2**63,
+                         id="multiplicity_past_int64"),
+        ],
+    )
+    def test_malformed_ring_is_a_usage_error(self, tmp_path, capsys, text):
+        f = tmp_path / "ring.json"
+        f.write_text(text)
+        assert run(["verify", "--ring", str(f)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "Traceback" not in out.err
+
     def test_census_ok(self, capsys):
         assert run(["census", "--n", "12"]) == EXIT_OK
 

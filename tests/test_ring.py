@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcat import (
     AlgebraicReal,
@@ -11,6 +13,7 @@ from modcat import (
     MalformedInputError,
     UnsupportedInputError,
     adjoint_subring,
+    build_so_n2,
     asymptotic_dim_ratio,
     fp_dimensions,
     global_fp_dim,
@@ -123,6 +126,34 @@ class TestAxioms:
         fusion[1, 1, 0] = 1
         bad = FusionRing(("1", "x"), (0, 1), fusion)
         assert any("unit" in n for n, _ in verify_axioms(bad).violations)
+
+    def test_associativity_exact_past_int64(self):
+        # products of 2**32 entries wrap to 0 in int64; the check must not
+        rng = np.random.default_rng(0)
+        fusion = (rng.random((3, 3, 3)) < 0.3) * 2**32
+        report = verify_axioms(FusionRing(("a", "b", "c"), (0, 1, 2), fusion))
+        witnesses = [w for name, w in report.violations if name == "associativity"]
+        assert len(witnesses) == 36
+        assert witnesses == oracles.associativity_bruteforce(fusion)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda r: st.lists(
+                st.sampled_from((0, 1, 2, 3, 2**32, 2**40)), min_size=r**3, max_size=r**3
+            ).map(lambda entries: np.array(entries, dtype=np.int64).reshape(r, r, r))
+        )
+    )
+    def test_associativity_matches_bruteforce_oracle(self, fusion):
+        r = len(fusion)
+        ring = FusionRing(tuple(map(str, range(r))), tuple(range(r)), fusion)
+        witnesses = [w for name, w in verify_axioms(ring).violations if name == "associativity"]
+        assert witnesses == oracles.associativity_bruteforce(fusion)
+
+    def test_large_rank_passes(self):
+        ring = build_so_n2(160)
+        assert ring.rank == 87
+        assert verify_axioms(ring).ok
 
 
 # ---------------------------------------------------------------------------
