@@ -19,7 +19,12 @@ import numpy as np
 from ._abelian import squarefree_part
 from .errors import InternalConsistencyError, ParameterError
 from .gauging import assemble_ring, count_gaugings_per_form, gauge_particle_hole
-from .metric import classify_forms, enumerate_cyclic_metric_groups, enumerate_forms
+from .metric import (
+    classify_forms,
+    enumerate_cyclic_metric_groups,
+    enumerate_forms,
+    standard_cyclic_metric_group,
+)
 from .modular import Phase, RibbonData, transparency_constraint
 from .ring import (
     FP_TOL,
@@ -95,21 +100,6 @@ def _build_four_divides(n: int) -> FusionRing:
             objects[(s, j)] = f"{s}{j}"
             dims[(s, j)] = AlgebraicReal.sqrt(h)
 
-    def xi(m: int) -> Counter:
-        # X-index m folds at the boundary: index r is the f + g fixed point
-        if m == r:
-            return Counter({("i", "f"): 1, ("i", "g"): 1})
-        if m > r:
-            m = 2 * r - m
-        return Counter({("X", m): 1})
-
-    def rho(m: int) -> int:
-        if m < 0:
-            return -m - 1
-        if m > r:
-            return 2 * r + 1 - m
-        return m
-
     all_x = Counter({("X", i): 1 for i in range(r)})
     all_y = Counter({("Y", i): 1 for i in range(r + 1)})
 
@@ -132,30 +122,10 @@ def _build_four_divides(n: int) -> FusionRing:
         order = {"X": 0, "Y": 1, "V": 2, "W": 2}
         if order[x[0]] > order[y[0]]:
             x, y = y, x
+        # X/Y times X/Y is the bulk block
         if x[0] == "X":
-            if y[0] == "X":
-                i, j = sorted((x[1], y[1]))
-                out = xi(i + j + 1)
-                if i == j:
-                    out.update({("i", "1"): 1, ("i", "fg"): 1})
-                else:
-                    out[("X", j - i - 1)] += 1
-                return out
-            if y[0] == "Y":
-                i, j = x[1], y[1]
-                return Counter({("Y", rho(j - i - 1)): 1}) + Counter(
-                    {("Y", rho(i + j + 1)): 1}
-                )
             return Counter({(y[0], 1): 1, (y[0], 2): 1})
         if x[0] == "Y":
-            if y[0] == "Y":
-                i, j = sorted((x[1], y[1]))
-                out = xi(i + j)
-                if i == j:
-                    out.update({("i", "1"): 1, ("i", "fg"): 1})
-                else:
-                    out[("X", j - i - 1)] += 1
-                return out
             other = "W" if y[0] == "V" else "V"
             return Counter({(other, 1): 1, (other, 2): 1})
         # V/W products
@@ -169,7 +139,60 @@ def _build_four_divides(n: int) -> FusionRing:
             return out
         return all_y.copy()
 
-    return assemble_ring(objects, dims, prod, unit=("i", "1"))
+    return assemble_ring(objects, dims, prod, unit=("i", "1"), bulk=_xy_block(r))
+
+
+def _xy_block(r: int) -> tuple:
+    """The X/Y x X/Y products of the 4|N ring as the bulk block of
+    `assemble_ring`, in key numbers: 1, f, g, fg are 0..3, X_m is 4 + m and
+    Y_m is 4 + r + m."""
+    one, f, g, fg = range(4)
+    i, j, k = [], [], []
+
+    def emit(left, right, key, mask=Ellipsis):
+        i.append(left[mask])
+        j.append(right[mask])
+        k.append(np.broadcast_to(key, left.shape)[mask])
+
+    def square(size, shift):
+        """Index pairs (p, q) of a size x size grid with lo = min, hi = max."""
+        p, q = (x.ravel() for x in np.meshgrid(np.arange(size), np.arange(size),
+                                               indexing="ij"))
+        return p + shift, q + shift, np.minimum(p, q), np.maximum(p, q)
+
+    def xi(left, right, m):
+        # X-index m folds at the boundary: index r is the f + g fixed point
+        at = m == r
+        emit(left, right, f, at)
+        emit(left, right, g, at)
+        emit(left, right, 4 + np.where(m > r, 2 * r - m, m), ~at)
+
+    def diagonal_or_x(left, right, lo, hi):
+        # X_i X_i and Y_i Y_i contain 1 + fg; otherwise X_{|i - j| - 1}
+        same = lo == hi
+        emit(left, right, one, same)
+        emit(left, right, fg, same)
+        emit(left, right, 4 + hi - lo - 1, ~same)
+
+    def rho(m):
+        return np.where(m < 0, -m - 1, np.where(m > r, 2 * r + 1 - m, m))
+
+    # X_i X_j = xi(i + j + 1) + (1 + fg if i = j, else X_{|i - j| - 1})
+    left, right, lo, hi = square(r, 4)
+    xi(left, right, lo + hi + 1)
+    diagonal_or_x(left, right, lo, hi)
+    # Y_i Y_j = xi(i + j) + the same second term
+    left, right, lo, hi = square(r + 1, 4 + r)
+    xi(left, right, lo + hi)
+    diagonal_or_x(left, right, lo, hi)
+    # X_p Y_q = Y_{rho(q - p - 1)} + Y_{rho(p + q + 1)}, and Y_q X_p alike
+    p, q = (x.ravel() for x in np.meshgrid(np.arange(r), np.arange(r + 1), indexing="ij"))
+    for m in (q - p - 1, p + q + 1):
+        key = 4 + r + rho(m)
+        emit(4 + p, 4 + r + q, key)
+        emit(4 + r + q, 4 + p, key)
+    block = range(4, 5 + 2 * r)
+    return block, np.concatenate(i), np.concatenate(j), np.concatenate(k)
 
 
 _RELABEL_ODD = {"z": "Z", "s1": "V+", "s2": "V-"}
@@ -185,7 +208,7 @@ def build_so_n2(n: int) -> FusionRing:
         raise ParameterError("SO(N)_2 needs N >= 2")
     if n % 4 == 0:
         return _build_four_divides(n)
-    base = gauge_particle_hole(enumerate_cyclic_metric_groups(n)[0])
+    base = gauge_particle_hole(standard_cyclic_metric_group(n))
     table = _RELABEL_ODD if n % 2 else _RELABEL_EVEN
     labels = tuple(
         table.get(lab, lab.replace("O", "X")) for lab in base.labels
@@ -352,7 +375,6 @@ def ising_squared_data(p: IsingParams) -> RibbonData:
     """Ribbon data of Ising^{nu1} x Ising^{nu2}: factor twists multiply,
     with theta_sig = e^{pi i nu / 8}."""
     ring = _ising_squared_ring()
-    names = ("1", "psi", "sig")
     factor_twists = {
         "1": Fraction(0),
         "psi": Fraction(1, 2),
@@ -364,7 +386,6 @@ def ising_squared_data(p: IsingParams) -> RibbonData:
         for part, nu in ((a, p.nu1), (b, p.nu2)):
             t += factor_twists.get(part, Fraction(nu, 16))
         twists.append(Phase(t))
-    assert set(names) == {"1", "psi", "sig"}
     return RibbonData(ring, ring.exact_dims, tuple(twists))
 
 

@@ -1,16 +1,14 @@
 """Command-line front end: build, verify and classify metaplectic data.
 
 Exit codes: 0 = success / all checks pass, 1 = a check failed,
-2 = usage error.  MODCAT_TOLERANCE overrides the default numeric tolerance.
+2 = usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,16 +18,6 @@ from .errors import ModcatError, ParameterError
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
-
-
-@dataclass
-class Config:
-    tolerance: float = 1e-6
-    fmt: str = "table"
-
-    def __post_init__(self):
-        if not 0 < self.tolerance < 1e-3:
-            raise ParameterError(f"tolerance {self.tolerance} outside (0, 1e-3)")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -110,11 +98,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        cfg = Config(
-            tolerance=float(os.environ.get("MODCAT_TOLERANCE", "1e-6")),
-            fmt=args.format,
-        )
-        return _dispatch(args, cfg)
+        return _dispatch(args)
     except ModcatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -123,9 +107,10 @@ def run(argv) -> int:
         return EXIT_USAGE
 
 
-def _dispatch(args, cfg: Config) -> int:
+def _dispatch(args) -> int:
+    fmt = args.format
     if args.cmd == "so2":
-        _print_ring(catalog.build_so_n2(args.n), cfg.fmt)
+        _print_ring(catalog.build_so_n2(args.n), fmt)
         return EXIT_OK
 
     if args.cmd == "census":
@@ -138,12 +123,12 @@ def _dispatch(args, cfg: Config) -> int:
             "spinor_dim": str(census.spinor_dim),
             "mismatches": census.mismatches,
         }
-        print(json.dumps(payload) if cfg.fmt == "json" else payload)
+        print(json.dumps(payload) if fmt == "json" else payload)
         return EXIT_OK if census.ok else EXIT_CHECK_FAILED
 
     if args.cmd == "verify":
         report = ring_mod.verify_axioms(_load_ring(args.ring))
-        if cfg.fmt == "json":
+        if fmt == "json":
             print(json.dumps({"violations": [list(map(str, v)) for v in report.violations]}))
         else:
             for name, where in report.violations:
@@ -154,7 +139,7 @@ def _dispatch(args, cfg: Config) -> int:
     if args.cmd == "dims":
         r = _load_ring(args.ring) if args.ring else catalog.build_so_n2(args.n)
         dims = ring_mod.fp_dimensions(r)
-        if cfg.fmt == "json":
+        if fmt == "json":
             print(json.dumps({"labels": list(r.labels), "dims": list(map(float, dims))}))
         else:
             for lab, d in zip(r.labels, dims):
@@ -169,7 +154,7 @@ def _dispatch(args, cfg: Config) -> int:
             for k, v in sorted(g.components().items())
         }
         payload = {"group": list(g.group), "components": comps}
-        print(json.dumps(payload) if cfg.fmt == "json" else payload)
+        print(json.dumps(payload) if fmt == "json" else payload)
         return EXIT_OK
 
     if args.cmd == "metric":
@@ -177,7 +162,7 @@ def _dispatch(args, cfg: Config) -> int:
             if args.n is None:
                 raise ParameterError("metric enumerate needs --n")
             forms = metric.enumerate_cyclic_metric_groups(args.n)
-            if cfg.fmt == "json":
+            if fmt == "json":
                 print(json.dumps([m.to_json_dict() for m in forms]))
             else:
                 print(f"{len(forms)} classes")
@@ -186,17 +171,17 @@ def _dispatch(args, cfg: Config) -> int:
         else:
             if args.file is None:
                 raise ParameterError("metric autos needs --file")
-            with open(args.file) as fh:
-                mg = metric.MetricGroup.from_json_dict(json.load(fh))
+            with open(args.file, "rb") as fh:
+                mg = metric.MetricGroup.loads(fh.read())
             autos = metric.form_preserving_autos(mg)
-            print(json.dumps([list(a) for a in autos]) if cfg.fmt == "json"
+            print(json.dumps([list(a) for a in autos]) if fmt == "json"
                   else f"{len(autos)} automorphisms: {autos}")
         return EXIT_OK
 
     if args.cmd == "gauge":
-        mg = metric.enumerate_cyclic_metric_groups(args.n)[0]
+        mg = metric.standard_cyclic_metric_group(args.n)
         datum = gauging.GaugingDatum(args.n, alpha=args.alpha)
-        _print_ring(gauging.gauge_particle_hole(mg, datum), cfg.fmt)
+        _print_ring(gauging.gauge_particle_hole(mg, datum), fmt)
         return EXIT_OK
 
     if args.cmd == "condense":
@@ -217,10 +202,10 @@ def _dispatch(args, cfg: Config) -> int:
             payload = {"histogram": e["histogram"], "total": e["count"]}
             if args.orbits:
                 payload["orbits"] = [[list(p) for p in o] for o in e["orbits"]]
-            print(json.dumps(payload) if cfg.fmt == "json" else payload)
+            print(json.dumps(payload) if fmt == "json" else payload)
             return EXIT_OK
         rd = catalog.ising_squared_data(catalog.IsingParams(*args.data))
-        if cfg.fmt == "json":
+        if fmt == "json":
             print(rd.dumps())
         else:
             S = modular.s_matrix(rd).entries
@@ -241,7 +226,7 @@ def _dispatch(args, cfg: Config) -> int:
             "twist_pairing": report["twist_pairing"],
             "ok": report["ok"],
         }
-        print(json.dumps(payload) if cfg.fmt == "json" else payload)
+        print(json.dumps(payload) if fmt == "json" else payload)
         return EXIT_OK if report["ok"] else EXIT_CHECK_FAILED
 
     raise ParameterError(f"unknown command {args.cmd!r}")  # pragma: no cover

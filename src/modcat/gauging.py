@@ -162,13 +162,17 @@ class GaugingDatum:
 # ring assembly from an abstract object algebra
 
 
-def assemble_ring(objects: dict, dims: dict, prod, unit=None) -> FusionRing:
+def assemble_ring(objects: dict, dims: dict, prod, unit=None, bulk=None) -> FusionRing:
     """Build a FusionRing from an object-key algebra.
 
-    objects: key -> label; dims: key -> AlgebraicReal; prod(k1, k2) ->
-    Counter of keys; unit: the unit key (defaults to the key labeled '1').
-    Objects are put in canonical order (unit, then invertibles by label,
-    then the rest by (dim, label)).
+    objects: key -> label; dims: key -> AlgebraicReal; unit: the unit key
+    (defaults to the key labeled '1').  Keys are numbered in the order of
+    `objects`.  bulk: None, or (block, i, j, k) with `block` a range of key
+    numbers and i, j, k equal-length integer arrays of key numbers, each
+    row adding one to N[i, j, k]; together the rows give every product of
+    two keys in the block.  prod(k1, k2) -> Counter of keys gives every
+    other product.  Objects are put in canonical order (unit, then
+    invertibles by label, then the rest by (dim, label)).
     """
     keys = list(objects)
     if unit is None:
@@ -182,18 +186,33 @@ def assemble_ring(objects: dict, dims: dict, prod, unit=None) -> FusionRing:
         key=lambda k: (float(dims[k]), objects[k]),
     )
     order = [unit] + invs + rest
-    pos = {k: i for i, k in enumerate(order)}
     r = len(order)
-    fusion = np.zeros((r, r, r), dtype=np.int64)
-    for k1 in order:
-        for k2 in order:
-            for k3, mult in prod(k1, k2).items():
-                fusion[pos[k1], pos[k2], pos[k3]] = mult
+    number = {k: n for n, k in enumerate(keys)}
+    pos = np.empty(r, dtype=np.int64)
+    pos[[number[k] for k in order]] = np.arange(r)
+
+    block, *bulk_ijk = bulk if bulk is not None else (range(0), (), (), ())
+    outside = [n for n in range(r) if n not in block]
+    rows = [
+        (n1, n2, number[k3], mult)
+        for n1 in range(r)
+        for n2 in (range(r) if n1 not in block else outside)
+        for k3, mult in prod(keys[n1], keys[n2]).items()
+    ]
+    coo = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    ijk = [
+        pos[np.concatenate([np.asarray(a, dtype=np.int64), coo[:, c]])]
+        for c, a in enumerate(bulk_ijk)
+    ]
+    mult = np.concatenate([np.ones(len(ijk[0]) - len(coo), dtype=np.int64), coo[:, 3]])
+    fusion = np.zeros(r**3, dtype=np.int64)
+    np.add.at(fusion, np.ravel_multi_index(ijk, (r, r, r)), mult)
+    fusion = fusion.reshape(r, r, r)
     dual = []
-    for i in range(r):
-        partners = np.nonzero(fusion[i, :, 0])[0]
+    for x in range(r):
+        partners = np.nonzero(fusion[x, :, 0])[0]
         if len(partners) != 1:
-            raise MalformedInputError(f"object {i} has no unique dual")
+            raise MalformedInputError(f"object {x} has no unique dual")
         dual.append(int(partners[0]))
     return FusionRing(
         tuple(objects[k] for k in order),
@@ -226,9 +245,33 @@ def gauge_particle_hole(mg: MetricGroup, datum: GaugingDatum | None = None) -> F
     return _gauge_even(n, datum)
 
 
-def _reflect(c: int, n: int) -> int:
-    c %= n
-    return min(c, n - c)
+def _orbit_block(n: int, first: int, fixed: dict) -> tuple:
+    """The orbit x orbit products <a> (x) <b> = [a + b] + [a - b] as the bulk
+    block of `assemble_ring`.
+
+    The orbit <c>, 0 < c < N/2, has key number first + c - 1; [c] is the
+    orbit of c, or the two invertible key numbers fixed[c] when c is fixed
+    by negation.
+    """
+    m = (n - 1) // 2
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(1, m + 1), np.arange(1, m + 1),
+                                           indexing="ij"))
+    i, j, k = [], [], []
+
+    def emit(mask, key):
+        i.append(a[mask] + first - 1)
+        j.append(b[mask] + first - 1)
+        k.append(np.broadcast_to(key, a.shape)[mask])
+
+    for c in (a + b, a - b):
+        c = np.minimum(c % n, -c % n)
+        split = np.isin(c, list(fixed))
+        emit(~split, c + first - 1)
+        for point, pair in fixed.items():
+            for key in pair:
+                emit(c == point, key)
+    block = range(first, first + m)
+    return block, np.concatenate(i), np.concatenate(j), np.concatenate(k)
 
 
 def _gauge_odd(n: int) -> FusionRing:
@@ -243,10 +286,6 @@ def _gauge_odd(n: int) -> FusionRing:
         objects[("def", j)] = f"s{j}"
         dims[("def", j)] = AlgebraicReal.sqrt(n)
 
-    def bracket(c: int) -> Counter:
-        c = _reflect(c, n)
-        return Counter({("inv", 0): 1, ("inv", 1): 1}) if c == 0 else Counter({("orb", c): 1})
-
     def prod(x, y) -> Counter:
         if x[0] != "inv" and y[0] == "inv":
             x, y = y, x
@@ -257,13 +296,8 @@ def _gauge_odd(n: int) -> FusionRing:
             if y[0] == "orb":
                 return Counter({y: 1})
             return Counter({("def", y[1] if g == 0 else 3 - y[1]): 1})
-        if x[0] == "def" and y[0] == "orb":
-            x, y = y, x
-        if x[0] == "orb":
-            if y[0] == "orb":
-                out = bracket(x[1] + y[1])
-                out.update(bracket(x[1] - y[1]))
-                return out
+        if x[0] == "orb" or y[0] == "orb":
+            # orbit times defect; orbit times orbit is the bulk block
             return Counter({("def", 1): 1, ("def", 2): 1})
         # defect times defect
         out = Counter({("inv", 0 if x[1] == y[1] else 1): 1})
@@ -271,7 +305,7 @@ def _gauge_odd(n: int) -> FusionRing:
             out[("orb", a)] += 1
         return out
 
-    return assemble_ring(objects, dims, prod)
+    return assemble_ring(objects, dims, prod, bulk=_orbit_block(n, 2, {0: (0, 1)}))
 
 
 def _gauge_even(n: int, datum: GaugingDatum) -> FusionRing:
@@ -343,14 +377,6 @@ def _gauge_even(n: int, datum: GaugingDatum) -> FusionRing:
         _, s2, j2 = act_on_defect("u1", s, j)
         return ("def", s2, 3 - j2)
 
-    def bracket(c: int) -> Counter:
-        c = _reflect(c, n)
-        if c == 0:
-            return Counter({("inv", "1"): 1, ("inv", "z"): 1})
-        if c == h:
-            return Counter({("inv", "u1"): 1, ("inv", "u2"): 1})
-        return Counter({("orb", c): 1})
-
     def orbit_sum(parity: int) -> Counter:
         return Counter({("orb", a): 1 for a in orbit_reps if a % 2 == parity})
 
@@ -391,22 +417,20 @@ def _gauge_even(n: int, datum: GaugingDatum) -> FusionRing:
             if y[0] == "inv":
                 return Counter({("inv", gmul(g, y[1])): 1})
             if y[0] == "orb":
-                if g in ("1", "z"):
-                    return Counter({y: 1})
-                return bracket(y[1] + h)
+                # u1 and u2 shift by N/2: <a> -> <h - a>, never a fixed point
+                return Counter({y if g in ("1", "z") else ("orb", h - y[1]): 1})
             return Counter({act_on_defect(g, y[1], y[2]): 1})
         if x[0] == "def" and y[0] == "orb":
             x, y = y, x
         if x[0] == "orb":
-            if y[0] == "orb":
-                out = bracket(x[1] + y[1])
-                out.update(bracket(x[1] - y[1]))
-                return out
+            # orbit times defect; orbit times orbit is the bulk block
             s = y[1] if x[1] % 2 == 0 else ("w" if y[1] == "v" else "v")
             return Counter({("def", s, 1): 1, ("def", s, 2): 1})
         return defect_product(x[1], x[2], y[1], y[2])
 
-    return assemble_ring(objects, dims, prod)
+    # key numbers: 1, u1, u2, z are 0..3 and the orbits start at 4
+    bulk = _orbit_block(n, 4, {0: (0, 3), h: (1, 2)})
+    return assemble_ring(objects, dims, prod, bulk=bulk)
 
 
 # ---------------------------------------------------------------------------

@@ -44,11 +44,11 @@ class MetricGroup:
         facs = tuple(int(d) for d in self.facs)
         object.__setattr__(self, "facs", facs)
         object.__setattr__(self, "q", tuple(Fraction(x) % 1 for x in self.q))
+        if any(d < 1 for d in facs):
+            raise MalformedInputError("invariant factors must be positive")
         for a, b in zip(facs, facs[1:]):
             if b % a:
                 raise MalformedInputError("invariant factors must form a divisor chain")
-        if any(d < 1 for d in facs):
-            raise MalformedInputError("invariant factors must be positive")
         if len(self.q) != self.order:
             raise MalformedInputError("q table length does not match group order")
         if self.q[0] != 0:
@@ -150,18 +150,48 @@ class MetricGroup:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetricGroup":
-        facs = tuple(data["group"])
+        """Strict inverse of `to_json_dict`: a missing key or an entry of the
+        wrong type or range raises `MalformedInputError`, nothing is coerced.
+        Keys other than group and q are ignored."""
+        if not isinstance(data, dict):
+            raise MalformedInputError("a metric group must be a JSON object")
+        missing = [key for key in ("group", "q") if key not in data]
+        if missing:
+            raise MalformedInputError(
+                f"metric group is missing key(s) {', '.join(missing)}"
+            )
+        facs = data["group"]
+        if type(facs) is not list or not all(type(d) is int for d in facs):
+            raise MalformedInputError("group must be a list of integers")
         order = 1
         for d in facs:
             order *= d
+        rows = data["q"]
+        if type(rows) is not list or not all(
+            type(row) is list and len(row) == 3 and all(type(x) is int for x in row)
+            for row in rows
+        ):
+            raise MalformedInputError("q must be a list of [index, num, den] integer rows")
         q = [Fraction(0)] * order
-        for i, num, den in data["q"]:
+        seen = set()
+        for i, num, den in rows:
+            if not 0 <= i < order:
+                raise MalformedInputError(f"q index {i} out of range for order {order}")
+            if den == 0:
+                raise MalformedInputError(f"q entry at index {i} has a zero denominator")
+            if i in seen:
+                raise MalformedInputError(f"q index {i} is listed twice")
+            seen.add(i)
             q[i] = Fraction(num, den)
-        return cls(facs, tuple(q))
+        return cls(tuple(facs), tuple(q))
 
     @classmethod
-    def loads(cls, text: str) -> "MetricGroup":
-        return cls.from_json_dict(json.loads(text))
+    def loads(cls, text: str | bytes) -> "MetricGroup":
+        try:
+            data = json.loads(text)
+        except (ValueError, RecursionError) as exc:
+            raise MalformedInputError(f"metric group is not valid JSON: {exc}") from None
+        return cls.from_json_dict(data)
 
 
 def cyclic_metric_group(n: int, coeff: Fraction) -> MetricGroup:
@@ -226,6 +256,22 @@ def enumerate_cyclic_metric_groups(n: int) -> list[MetricGroup]:
     for combo in product(*per_factor):
         out.append(_crt_product(list(combo), n))
     return out
+
+
+def standard_cyclic_metric_group(n: int) -> MetricGroup:
+    """The first class of `enumerate_cyclic_metric_groups(n)`, built alone.
+
+    Every prime-power part takes the unit u = 1, and the CRT product of the
+    forms a^2 / p^k (odd p) and a^2 / 2^{k+1} (p = 2) is q(a) = c a^2, with c
+    the sum of their coefficients.
+    """
+    if n < 1:
+        raise ParameterError("n must be positive")
+    c = sum(
+        (Fraction(1, 2 * p**k if p == 2 else p**k) for p, k in factorint(n).items()),
+        Fraction(0),
+    )
+    return cyclic_metric_group(n, c)
 
 
 def _isomorphisms(m1: MetricGroup, m2: MetricGroup):

@@ -175,7 +175,7 @@ class FusionRing:
             raise MalformedInputError("dual must be a permutation of the indices")
         if any(self.dual[self.dual[i]] != i for i in range(r)):
             raise MalformedInputError("dual must be an involution")
-        if np.any(fusion < 0):
+        if fusion.min(initial=0) < 0:
             raise MalformedInputError("fusion multiplicities must be nonnegative")
         if len(set(self.labels)) != r:
             raise MalformedInputError("labels must be distinct")

@@ -1,12 +1,12 @@
-"""CLI: dispatch, exit codes, JSON round trips, tolerance configuration."""
+"""CLI: dispatch, exit codes, JSON round trips, malformed input files."""
 
 import json
 
 import numpy as np
 import pytest
 
-from modcat import FusionRing, ParameterError, build_so_n2
-from modcat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, Config, run
+from modcat import FusionRing, build_so_n2
+from modcat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, run
 
 
 @pytest.fixture()
@@ -16,27 +16,16 @@ def ring_file(tmp_path):
     return str(path)
 
 
-class TestConfig:
-    def test_tolerance_window(self):
-        Config(tolerance=1e-9)
-        with pytest.raises(ParameterError):
-            Config(tolerance=0.0)
-        with pytest.raises(ParameterError):
-            Config(tolerance=1e-2)
-
-    def test_env_override(self, monkeypatch, capsys):
-        monkeypatch.setenv("MODCAT_TOLERANCE", "1e-2")
-        assert run(["count", "--n", "16"]) == EXIT_USAGE
-        monkeypatch.setenv("MODCAT_TOLERANCE", "1e-8")
-        assert run(["count", "--n", "16"]) == EXIT_OK
-
-
 class TestExitCodes:
     def test_usage_errors(self, capsys):
         assert run([]) == EXIT_USAGE
         assert run(["bogus"]) == EXIT_USAGE
         assert run(["so2"]) == EXIT_USAGE
         assert run(["so2", "--n", "1"]) == EXIT_USAGE
+
+    def test_tolerance_environment_is_not_read(self, monkeypatch, capsys):
+        monkeypatch.setenv("MODCAT_TOLERANCE", "abc")
+        assert run(["count", "--n", "6"]) == EXIT_OK
 
     def test_missing_file(self, capsys):
         assert run(["verify", "--ring", "/nonexistent.json"]) == EXIT_USAGE
@@ -75,6 +64,26 @@ class TestExitCodes:
         f = tmp_path / "ring.json"
         f.write_text(text)
         assert run(["verify", "--ring", str(f)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "Traceback" not in out.err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"group": [5], "q": [[1', id="malformed_json"),
+            pytest.param('{"q": [[1, 1, 5]]}', id="missing_group"),
+            pytest.param('{"group": [5]}', id="missing_q"),
+            pytest.param('{"group": [5.0], "q": [[1, 1, 5]]}', id="float_factor"),
+            pytest.param('{"group": [2], "q": [[1, true, 4]]}', id="bool_numerator"),
+            pytest.param('{"group": [5], "q": [[1, 1, 0]]}', id="zero_denominator"),
+            pytest.param('{"group": [5], "q": [[5, 1, 5]]}', id="index_out_of_range"),
+        ],
+    )
+    def test_malformed_metric_group_is_a_usage_error(self, tmp_path, capsys, text):
+        f = tmp_path / "form.json"
+        f.write_text(text)
+        assert run(["metric", "autos", "--file", str(f)]) == EXIT_USAGE
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ") and "Traceback" not in out.err

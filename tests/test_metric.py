@@ -15,6 +15,7 @@ from modcat.metric import (
     form_preserving_autos,
     negation_auto,
     pointed_ribbon_data,
+    standard_cyclic_metric_group,
 )
 
 import oracles
@@ -50,6 +51,10 @@ class TestConstruction:
                                 mg.sigma(a, c) + mg.sigma(b, c)
                             ) % 1
 
+    def test_rejects_zero_factor(self):
+        with pytest.raises(MalformedInputError):
+            MetricGroup((0, 5), ())
+
     def test_json_round_trip(self):
         mg = cyclic_form(9, 2)
         again = MetricGroup.loads(mg.dumps())
@@ -58,6 +63,10 @@ class TestConstruction:
 
 
 class TestCyclicForms:
+    def test_standard_group_is_the_first_class(self):
+        for n in [*range(1, 100), 720]:
+            assert standard_cyclic_metric_group(n) == enumerate_cyclic_metric_groups(n)[0], n
+
     def test_odd_prime_power_units(self):
         assert cyclic_form(5, 1).q_of((1,)) == Fraction(1, 5)
         assert cyclic_form(5, 2).q_of((1,)) == Fraction(2, 5)
