@@ -6,7 +6,6 @@ from .errors import (
     InternalConsistencyError,
     MalformedInputError,
     ModcatError,
-    NumericalError,
     ParameterError,
     PreconditionError,
     RedirectError,
@@ -21,6 +20,7 @@ from .ring import (
     InvertibleGroup,
     adjoint_subring,
     asymptotic_dim_ratio,
+    exact_dimensions,
     fixing_group,
     fp_dimensions,
     global_fp_dim,

@@ -18,18 +18,13 @@ import numpy as np
 
 from ._abelian import squarefree_part
 from .errors import InternalConsistencyError, ParameterError
-from .gauging import assemble_ring, count_gaugings_per_form, gauge_particle_hole
-from .metric import (
-    classify_forms,
-    enumerate_cyclic_metric_groups,
-    enumerate_forms,
-    standard_cyclic_metric_group,
-)
-from .modular import Phase, RibbonData, transparency_constraint
+from .gauging import GaugingDatum, assemble_ring, count_gaugings_per_form, particle_hole_rules
+from .metric import classify_forms, enumerate_cyclic_metric_groups, enumerate_forms
+from .modular import FLOAT_TOL, Phase, RibbonData, transparency_constraint
 from .ring import (
-    FP_TOL,
     AlgebraicReal,
     FusionRing,
+    exact_dimensions,
     fp_dimensions,
     universal_grading,
 )
@@ -208,12 +203,12 @@ def build_so_n2(n: int) -> FusionRing:
         raise ParameterError("SO(N)_2 needs N >= 2")
     if n % 4 == 0:
         return _build_four_divides(n)
-    base = gauge_particle_hole(standard_cyclic_metric_group(n))
+    # the particle-hole gauging, assembled once under the SO(N)_2 labels,
+    # which keep the canonical order of `assemble_ring`
+    objects, dims, prod, bulk = particle_hole_rules(GaugingDatum(n))
     table = _RELABEL_ODD if n % 2 else _RELABEL_EVEN
-    labels = tuple(
-        table.get(lab, lab.replace("O", "X")) for lab in base.labels
-    )
-    return FusionRing(labels, base.dual, base.fusion, base.exact_dims)
+    objects = {k: table.get(lab, lab.replace("O", "X")) for k, lab in objects.items()}
+    return assemble_ring(objects, dims, prod, bulk=bulk)
 
 
 # ---------------------------------------------------------------------------
@@ -236,34 +231,31 @@ class MetaplecticCensus:
         return not self.mismatches
 
 
-def _sector_of(label: str, d: float) -> str:
+def _sector_of(label: str, d: AlgebraicReal) -> str:
     # dimension classifies except in the degenerate cases N = 2 and N = 8,
     # where the defect dimension collides with 1 or 2; there the V/W labels
     # carried by every constructed metaplectic ring decide
     if label[0] in ("V", "W"):
         return "spinor"
-    if abs(d - 1) < FP_TOL:
+    if d == 1:
         return "invertible"
-    if abs(d - 2) < FP_TOL:
+    if d == 2:
         return "dim2"
     return "spinor"
 
 
 def structure_census(ring: FusionRing, n: int | None = None) -> MetaplecticCensus:
     """Count sectors of a metaplectic ring against the three-case table."""
-    dims = fp_dimensions(ring)
+    fp_dimensions(ring)  # the exact Perron check of attached dims
+    dims = exact_dimensions(ring)
+    total = sum((d * d for d in dims), AlgebraicReal.of(0))
     if n is None:
-        total = float(np.sum(dims**2))
-        n = round(total / 4)
+        n = round(float(total) / 4)
     sectors = [_sector_of(lab, d) for lab, d in zip(ring.labels, dims)]
     inv = sectors.count("invertible")
     dim2 = sectors.count("dim2")
     spin = sectors.count("spinor")
-    spinor_dims = {
-        ring.exact_dims[i] if ring.exact_dims else None
-        for i, s in enumerate(sectors)
-        if s == "spinor"
-    }
+    spinor_dims = {d for d, s in zip(dims, sectors) if s == "spinor"}
     spinor_dim = spinor_dims.pop() if len(spinor_dims) == 1 else None
     self_dual = tuple(ring.dual[i] == i for i in range(ring.rank))
 
@@ -288,8 +280,7 @@ def structure_census(ring: FusionRing, n: int | None = None) -> MetaplecticCensu
         )
     if len(spinor_dims) > 1:
         census.mismatches.append("spinor dimensions are not all equal")
-    total = float(np.sum(dims**2))
-    if abs(total - 4 * n) >= 1e-6:
+    if total != 4 * n:
         census.mismatches.append(f"global dimension {total} != 4N = {4 * n}")
     non_self_dual = [i for i in range(ring.rank) if ring.dual[i] != i]
     if n % 4 == 2 and n > 2:
@@ -438,7 +429,8 @@ def sixteen_m_component_census(m: int) -> dict:
         raise ParameterError("m must be odd, square-free and > 1")
     n = 4 * m
     ring = build_so_n2(n)
-    dims = fp_dimensions(ring)
+    fp_dimensions(ring)  # the exact Perron check of the attached dims
+    dims = ring.exact_dims
     grading = universal_grading(ring)
     if grading.group != (2, 2):
         raise InternalConsistencyError("universal grading is not Z2 x Z2")
@@ -451,8 +443,8 @@ def sixteen_m_component_census(m: int) -> dict:
         if not cond:
             report["ok"] = False
 
-    inv0 = [i for i in trivial if abs(dims[i] - 1) < FP_TOL]
-    dim2_0 = [i for i in trivial if abs(dims[i] - 2) < FP_TOL]
+    inv0 = [i for i in trivial if dims[i] == 1]
+    dim2_0 = [i for i in trivial if dims[i] == 2]
     check("C0 has 4 invertibles", len(inv0) == 4)
     check("C0 has m-1 objects of dimension 2", len(dim2_0) == m - 1)
     bf = boson_fermion_census(n)
@@ -460,7 +452,7 @@ def sixteen_m_component_census(m: int) -> dict:
           sorted(bf.values()) == ["boson", "fermion", "fermion"])
 
     others = [comps[g] for g in comps if g != (0, 0)]
-    dim2_comps = [c for c in others if all(abs(dims[i] - 2) < FP_TOL for i in c)]
+    dim2_comps = [c for c in others if all(dims[i] == 2 for i in c)]
     spinor_comps = [c for c in others if c not in dim2_comps]
     check("one component of m dimension-2 objects",
           len(dim2_comps) == 1 and len(dim2_comps[0]) == m)
@@ -470,7 +462,7 @@ def sixteen_m_component_census(m: int) -> dict:
         len(spinor_comps) == 2
         and all(
             len(c) == 2
-            and all(ring.exact_dims[i] == target for i in c)
+            and all(dims[i] == target for i in c)
             for c in spinor_comps
         ),
     )
@@ -495,7 +487,7 @@ def based_ring_isomorphism(r1: FusionRing, r2: FusionRing):
     d2 = fp_dimensions(r2)
     rank = r1.rank
     candidates = [
-        [j for j in range(rank) if abs(d1[i] - d2[j]) < 1e-6] for i in range(rank)
+        [j for j in range(rank) if abs(d1[i] - d2[j]) < FLOAT_TOL] for i in range(rank)
     ]
     candidates[0] = [0]  # the unit must map to the unit
     if any(not c for c in candidates):

@@ -30,10 +30,6 @@ class ResourceLimitError(ModcatError):
     """Requested brute-force computation exceeds the configured size limit."""
 
 
-class NumericalError(ModcatError):
-    """An iterative numerical procedure failed to converge."""
-
-
 class InternalConsistencyError(ModcatError):
     """Derived data contradicts itself; indicates invalid input slipped through."""
 

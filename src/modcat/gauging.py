@@ -27,7 +27,7 @@ from .errors import (
 )
 from .metric import MetricGroup
 from .modular import transparency_constraint
-from .ring import FP_TOL, AlgebraicReal, FusionRing, fp_dimensions
+from .ring import AlgebraicReal, FusionRing, exact_dimensions
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +178,7 @@ def assemble_ring(objects: dict, dims: dict, prod, unit=None, bulk=None) -> Fusi
     if unit is None:
         unit = next(k for k in keys if objects[k] == "1")
     invs = sorted(
-        (k for k in keys if k != unit and abs(float(dims[k]) - 1) < FP_TOL),
+        (k for k in keys if k != unit and dims[k] == 1),
         key=lambda k: objects[k],
     )
     rest = sorted(
@@ -239,10 +239,16 @@ def gauge_particle_hole(mg: MetricGroup, datum: GaugingDatum | None = None) -> F
         datum = GaugingDatum(n)
     elif datum.n != n:
         raise ParameterError("datum built for a different N")
+    objects, dims, prod, bulk = particle_hole_rules(datum)
+    return assemble_ring(objects, dims, prod, bulk=bulk)
 
-    if n % 2:
-        return _gauge_odd(n)
-    return _gauge_even(n, datum)
+
+def particle_hole_rules(datum: GaugingDatum) -> tuple:
+    """The gauged object algebra as `assemble_ring` arguments
+    (objects, dims, prod, bulk); it depends on N and the datum only."""
+    if datum.n % 2:
+        return _gauge_odd(datum.n)
+    return _gauge_even(datum.n, datum)
 
 
 def _orbit_block(n: int, first: int, fixed: dict) -> tuple:
@@ -274,7 +280,7 @@ def _orbit_block(n: int, first: int, fixed: dict) -> tuple:
     return block, np.concatenate(i), np.concatenate(j), np.concatenate(k)
 
 
-def _gauge_odd(n: int) -> FusionRing:
+def _gauge_odd(n: int) -> tuple:
     orbit_reps = list(range(1, (n + 1) // 2))
     width = len(str(max(orbit_reps, default=1)))
     objects = {("inv", 0): "1", ("inv", 1): "z"}
@@ -305,10 +311,10 @@ def _gauge_odd(n: int) -> FusionRing:
             out[("orb", a)] += 1
         return out
 
-    return assemble_ring(objects, dims, prod, bulk=_orbit_block(n, 2, {0: (0, 1)}))
+    return objects, dims, prod, _orbit_block(n, 2, {0: (0, 1)})
 
 
-def _gauge_even(n: int, datum: GaugingDatum) -> FusionRing:
+def _gauge_even(n: int, datum: GaugingDatum) -> tuple:
     h = n // 2
     # defect parity: the orbit part of a defect square runs over this parity
     # class.  Base convention: even for 4|N (the sigma+ (x) sigma+ rule), odd
@@ -429,8 +435,7 @@ def _gauge_even(n: int, datum: GaugingDatum) -> FusionRing:
         return defect_product(x[1], x[2], y[1], y[2])
 
     # key numbers: 1, u1, u2, z are 0..3 and the orbits start at 4
-    bulk = _orbit_block(n, 4, {0: (0, 3), h: (1, 2)})
-    return assemble_ring(objects, dims, prod, bulk=bulk)
+    return objects, dims, prod, _orbit_block(n, 4, {0: (0, 3), h: (1, 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -476,17 +481,7 @@ class CondensationReport:
         return out
 
 
-def _exact_dims(ring: FusionRing, dims) -> tuple[AlgebraicReal, ...]:
-    if dims is not None:
-        return tuple(AlgebraicReal.of(d) for d in dims)
-    if ring.exact_dims is not None:
-        return ring.exact_dims
-    from .modular import _to_exact
-
-    return tuple(_to_exact(x) for x in fp_dimensions(ring))
-
-
-def condense_boson(ring: FusionRing, b: int, dims=None) -> CondensationReport:
+def condense_boson(ring: FusionRing, b: int) -> CondensationReport:
     """De-equivariantize by the order-2 invertible boson b.
 
     Free (x)b-orbits map to one simple of the same dimension; objects fixed
@@ -495,9 +490,9 @@ def condense_boson(ring: FusionRing, b: int, dims=None) -> CondensationReport:
     invertibles in the trivial component is probed for cyclicity by the
     inductive generator walk; otherwise only orbit data is reported.
     """
-    dims = _exact_dims(ring, dims)
+    dims = exact_dimensions(ring)
     r = ring.rank
-    if b == 0 or abs(float(dims[b]) - 1) >= FP_TOL:
+    if b == 0 or dims[b] != 1:
         raise PreconditionError("condensation object must be a nontrivial invertible")
     if ring.fusion[b, b, 0] != 1:
         raise PreconditionError("condensation object must have order 2")
@@ -541,11 +536,11 @@ def condense_boson(ring: FusionRing, b: int, dims=None) -> CondensationReport:
         total_dim=total,
     )
 
-    if all(abs(float(dims[x]) - 1) < FP_TOL for x in range(r)):
+    if all(d == 1 for d in dims):
         _condense_pointed(ring, free, report)
         return report
 
-    if fixed and all(abs(float(dims[x]) - 2) < FP_TOL for x in fixed):
+    if fixed and all(dims[x] == 2 for x in fixed):
         _probe_cyclicity(ring, dims, b, fixed, free, report)
         return report
 
@@ -584,13 +579,10 @@ def _condense_pointed(ring: FusionRing, free, report: CondensationReport) -> Non
 
 
 def _probe_cyclicity(ring, dims, b, fixed, free, report: CondensationReport) -> None:
-    inv_pairs = [p for p in free if abs(float(dims[p[0]]) - 1) < FP_TOL]
+    inv_pairs = [p for p in free if dims[p[0]] == 1]
     n_inv = 2 * len(fixed) + len(inv_pairs)
     report.group_order = n_inv
-    trivial = []
-    for x, y in free:
-        if abs(float(dims[x]) - 1) < FP_TOL:
-            trivial.append(ring.labels[x])
+    trivial = [ring.labels[x] for x, _ in inv_pairs]
     for x in fixed:
         trivial.append(f"{ring.labels[x]}^(1)")
         trivial.append(f"{ring.labels[x]}^(2)")

@@ -18,9 +18,11 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MalformedInputError, PreconditionError
-from .ring import FP_TOL, AlgebraicReal, FusionRing, fp_dimensions
+from .ring import ONE, AlgebraicReal, FusionRing, _encode, _int_row, _parse_json, exact_dimensions
 
-S_TOL = 1e-6
+# the one float tolerance: complex S-matrix numerics and the dimension
+# pruning of based_ring_isomorphism; dimension questions are decided exactly
+FLOAT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,13 @@ class RibbonData:
                 raise MalformedInputError(f"twist of dual differs at index {i}")
             if self.dims[dual[i]] != self.dims[i]:
                 raise MalformedInputError(f"dimension of dual differs at index {i}")
-        d = np.array([float(x) for x in self.dims])
-        lhs = np.outer(d, d)
-        rhs = np.einsum("ijk,k->ij", self.ring.fusion.astype(float), d)
-        if np.max(np.abs(lhs - rhs)) >= FP_TOL:
+        # d_i d_j = sum_k N[i, j, k] d_k, in integers over one denominator
+        A, B, D, t = _encode(self.dims, int(self.ring.fusion.max(initial=0)))
+        N = self.ring.fusion.astype(A.dtype)
+        if not (
+            np.array_equal(np.outer(A, A) + t * np.outer(B, B), D * (N @ A))
+            and np.array_equal(np.outer(A, B) + np.outer(B, A), D * (N @ B))
+        ):
             raise MalformedInputError("dims do not satisfy the fusion homomorphism")
 
     @property
@@ -98,14 +103,20 @@ class RibbonData:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RibbonData":
+        """Strict like `FusionRing.from_json_dict`, which reads the dims;
+        twists are one [num, den] row of integers per label."""
         ring = FusionRing.from_json_dict(data)
-        dims = tuple(AlgebraicReal.from_json(row) for row in data["dims"])
-        twists = tuple(Phase(Fraction(n, d)) for n, d in data["twists"])
-        return cls(ring, dims, twists)
+        rows = data.get("twists")
+        if ring.exact_dims is None or type(rows) is not list or len(rows) != ring.rank:
+            raise MalformedInputError("ribbon data needs dims and one twists row per label")
+        rows = [_int_row(row, 2, "twists row") for row in rows]
+        if any(den == 0 for _, den in rows):
+            raise MalformedInputError("twists row has a zero denominator")
+        return cls(ring, ring.exact_dims, tuple(Phase(Fraction(*row)) for row in rows))
 
     @classmethod
-    def loads(cls, text: str) -> "RibbonData":
-        return cls.from_json_dict(json.loads(text))
+    def loads(cls, text: str | bytes) -> "RibbonData":
+        return cls.from_json_dict(_parse_json(text, "ribbon data"))
 
 
 @dataclass(frozen=True)
@@ -115,7 +126,7 @@ class SMatrix:
     def __post_init__(self):
         entries = np.asarray(self.entries, dtype=complex)
         object.__setattr__(self, "entries", entries)
-        if np.max(np.abs(entries - entries.T)) >= FP_TOL:
+        if np.max(np.abs(entries - entries.T)) >= FLOAT_TOL:
             raise MalformedInputError("S-matrix is not symmetric")
 
     @property
@@ -159,7 +170,7 @@ def centralizer(rd: RibbonData, sub) -> tuple[int, ...]:
     out = [
         i
         for i in range(rd.ring.rank)
-        if all(abs(S[i, j] - d[i] * d[j]) < S_TOL for j in sub)
+        if all(abs(S[i, j] - d[i] * d[j]) < FLOAT_TOL for j in sub)
     ]
     return tuple(out)
 
@@ -170,7 +181,7 @@ def muger_center(rd: RibbonData) -> tuple[int, ...]:
 
 def classify_invertible(rd: RibbonData, i: int) -> tuple[str, Phase]:
     """Verdict ('boson' | 'fermion' | 'not-order-2') plus the twist."""
-    if not (rd.dims[i] == AlgebraicReal.of(1)) and abs(float(rd.dims[i]) - 1) >= FP_TOL:
+    if rd.dims[i] != ONE:
         raise PreconditionError(f"object {rd.ring.labels[i]} is not invertible")
     t = rd.twists[i]
     if rd.ring.fusion[i, i, 0] == 1:
@@ -188,8 +199,7 @@ def transparency_constraint(ring: FusionRing, dims, g: int, x: int) -> Phase:
     S[x, g] = d_x / theta_g independently of theta_x, so S[x, g] = d_x d_g
     forces theta_g = 1.
     """
-    dims = tuple(AlgebraicReal.of(d) for d in dims)
-    if abs(float(dims[g]) - 1) >= FP_TOL:
+    if AlgebraicReal.of(dims[g]) != ONE:
         raise PreconditionError(f"object {ring.labels[g]} is not invertible")
     if ring.fusion[g, x, x] != 1:
         raise PreconditionError(
@@ -213,27 +223,14 @@ def gauss_sums(rd: RibbonData) -> tuple[complex, complex]:
 
 def ribbon_from_ring(ring: FusionRing, twists) -> RibbonData:
     """Attach twists to a ring whose exact dims are known (or computable)."""
-    if ring.exact_dims is not None:
-        dims = ring.exact_dims
-    else:
-        dims = tuple(_to_exact(x) for x in fp_dimensions(ring))
-    return RibbonData(ring, dims, tuple(twists))
+    return RibbonData(ring, exact_dimensions(ring), tuple(twists))
 
 
-def _to_exact(x: float) -> AlgebraicReal:
-    if abs(x - round(x)) < FP_TOL:
-        return AlgebraicReal(Fraction(round(x)))
-    sq = x * x
-    if abs(sq - round(sq)) < FP_TOL:
-        return AlgebraicReal.sqrt(round(sq))
-    raise MalformedInputError(f"dimension {x} is not a supported quadratic integer")
-
-
-def format_complex(z: complex, tol: float = FP_TOL) -> str:
+def format_complex(z: complex) -> str:
     """Exact-looking string when z rounds to a Gaussian rational, else decimals."""
     for den in (1, 2, 4, 8):
         re, im = round(z.real * den), round(z.imag * den)
-        if abs(z.real - re / den) < tol and abs(z.imag - im / den) < tol:
+        if abs(z.real - re / den) < FLOAT_TOL and abs(z.imag - im / den) < FLOAT_TOL:
             re_s = str(Fraction(re, den))
             im_s = str(Fraction(im, den))
             if im == 0:

@@ -11,27 +11,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 
-from ._abelian import (
-    assignment,
-    element_order,
-    invariant_factors,
-    squarefree_part,
-)
+from ._abelian import assignment, invariant_factors, squarefree_part
 from .errors import (
     DegenerateInputError,
     InternalConsistencyError,
     MalformedInputError,
-    NumericalError,
     UnsupportedInputError,
 )
-
-FP_TOL = 1e-9
-FP_CONVERGENCE = 1e-12
-FP_MAX_ITER = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +180,6 @@ class FusionRing:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def fusion_matrix(self, i: int) -> np.ndarray:
-        """Left-multiplication matrix (N_i)_{k,j} = N[i, j, k]."""
-        return self.fusion[i].T
-
     # -- JSON wire format: only nonzero entries are listed --
 
     def to_json_dict(self) -> dict:
@@ -262,11 +248,14 @@ class FusionRing:
 
     @classmethod
     def loads(cls, text: str | bytes) -> "FusionRing":
-        try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:
-            raise MalformedInputError(f"ring is not valid JSON: {exc}") from None
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(_parse_json(text, "ring"))
+
+
+def _parse_json(text: str | bytes, what: str):
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInputError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _int_row(row, length: int, what: str) -> list[int]:
@@ -340,33 +329,79 @@ def is_commutative(ring: FusionRing) -> bool:
     return bool(np.array_equal(ring.fusion, ring.fusion.transpose(1, 0, 2)))
 
 
-def fp_dimensions(ring: FusionRing) -> np.ndarray:
-    """Frobenius-Perron dimension of every simple object.
-
-    Power iteration on M = sum_i N_i (strictly positive for a fusion ring);
-    the common Perron eigenvector normalized to d_0 = 1 carries every d_i
-    at once.
-    """
+def _sum_matrix(ring: FusionRing) -> np.ndarray:
+    """M[j, k] = sum_i N[i, j, k]: symmetric by Frobenius reciprocity, and
+    positive for a commutative fusion ring, whose dimensions are then its
+    Perron vector, M d = (sum_i d_i) d."""
     if not is_commutative(ring):
         raise UnsupportedInputError("fp_dimensions requires a commutative fusion ring")
-    M = ring.fusion.sum(axis=0).T.astype(float)
-    v = np.ones(ring.rank)
-    for it in range(FP_MAX_ITER):
-        w = M @ v
-        w /= np.max(w)
-        if np.max(np.abs(w - v)) < FP_CONVERGENCE:
-            v = w
-            break
-        v = w
-    else:
-        raise NumericalError(f"power iteration did not converge in {FP_MAX_ITER} steps")
-    dims = v / v[0]
+    M = ring.fusion.sum(axis=0)
+    if not np.array_equal(M, M.T) or M.min() <= 0:
+        raise MalformedInputError("sum of the fusion matrices is not symmetric and positive")
+    return M
+
+
+def _encode(dims, m: int):
+    """dims as (A + B sqrt(t)) / D with integer vectors A, B and D > 0.
+
+    The exact checks multiply A and B by each other and by an integer array
+    of entries in [0, m]; every such value is at most
+    r * max|A, B| * (D m + (1 + t) max|A, B|).  Below 2**53 A and B are
+    float64, exact in BLAS, and Python ints otherwise.
+    """
+    t = max(d.t for d in dims)
+    if any(d.t not in (1, t) for d in dims):
+        raise UnsupportedInputError("dimensions leave one quadratic field")
+    D = lcm(*(x.denominator for d in dims for x in (d.a, d.b)))
+    A = [d.a.numerator * (D // d.a.denominator) for d in dims]
+    B = [d.b.numerator * (D // d.b.denominator) for d in dims]
+    top = max(map(abs, A + B))
+    dtype = np.float64 if len(dims) * top * (D * m + (1 + t) * top) < 2**53 else object
+    return np.array(A, dtype=dtype), np.array(B, dtype=dtype), D, t
+
+
+def _is_perron_vector(M: np.ndarray, dims) -> bool:
+    """Exactly: d_0 = 1, every d_i > 0 and M d = (sum_i d_i) d.  A positive
+    eigenvector of the positive M is its Perron vector (the Galois conjugates
+    of the dimensions pass the rest but not positivity)."""
+    A, B, D, t = _encode(dims, int(M.max()))
+    M, SA, SB = M.astype(A.dtype), A.sum(), B.sum()
+    # A + B sqrt(t) takes the sign of whichever of A^2, t B^2 is larger
+    positive = np.where(A * A > t * B * B, A > 0, B > 0)
+    return (
+        dims[0] == ONE
+        and positive.all()
+        and np.array_equal(D * (M @ A), SA * A + t * SB * B)
+        and np.array_equal(D * (M @ B), SA * B + SB * A)
+    )
+
+
+def _eigh_dims(M: np.ndarray) -> np.ndarray:
+    top = np.abs(np.linalg.eigh(M.astype(np.float64))[1][:, -1])
+    return top / top[0]
+
+
+def fp_dimensions(ring: FusionRing) -> np.ndarray:
+    """Frobenius-Perron dimension of every simple object: the attached exact
+    dims after the exact Perron check, or else the top eigenvector of M from
+    one `eigh`, normalized to d_0 = 1."""
+    M = _sum_matrix(ring)
+    if ring.exact_dims is None:
+        return _eigh_dims(M)
+    if not _is_perron_vector(M, ring.exact_dims):
+        raise InternalConsistencyError("exact dimensions are not the Perron vector of the ring")
+    return np.array([float(d) for d in ring.exact_dims])
+
+
+def exact_dimensions(ring: FusionRing) -> tuple[AlgebraicReal, ...]:
+    """The attached exact dims as they are; without them, sqrt(round(d^2))
+    of the eigenvector, kept only if it passes the exact Perron check."""
     if ring.exact_dims is not None:
-        for i, d in enumerate(ring.exact_dims):
-            if abs(float(d) - dims[i]) >= FP_TOL:
-                raise InternalConsistencyError(
-                    f"exact dimension of {ring.labels[i]} disagrees with eigenvector"
-                )
+        return ring.exact_dims
+    M = _sum_matrix(ring)
+    dims = tuple(AlgebraicReal.sqrt(round(x * x)) for x in _eigh_dims(M))
+    if not _is_perron_vector(M, dims):
+        raise UnsupportedInputError("ring is not weakly integral")
     return dims
 
 
@@ -441,16 +476,11 @@ class InvertibleGroup:
         table, e = self._table()
         return invariant_factors(table, e)
 
-    def element_orders(self) -> dict[int, int]:
-        table, e = self._table()
-        return {
-            g: element_order(table, e, n) for n, g in enumerate(self.elements)
-        }
-
 
 def invertibles(ring: FusionRing) -> InvertibleGroup:
-    dims = fp_dimensions(ring)
-    elems = tuple(i for i in range(ring.rank) if dims[i] <= 1 + FP_TOL)
+    """The objects X with X (x) X* = 1, and their group law."""
+    ones = ring.fusion[np.arange(ring.rank), list(ring.dual)].sum(axis=1) == 1
+    elems = tuple(int(i) for i in np.nonzero(ones)[0])
     product = {}
     for a in elems:
         for b in elems:
@@ -587,18 +617,11 @@ def universal_grading(ring: FusionRing) -> Grading:
 def gn_grading(ring: FusionRing) -> Grading:
     """Grading by square-free parts of squared dimensions (elementary 2-group)."""
     parts = []
-    if ring.exact_dims is not None:
-        for d in ring.exact_dims:
-            sq = d.squared()
-            if not sq.is_rational or sq.a.denominator != 1:
-                raise UnsupportedInputError("ring is not weakly integral")
-            parts.append(squarefree_part(int(sq.a)))
-    else:
-        dims = fp_dimensions(ring)
-        for x in dims**2:
-            if abs(x - round(x)) >= FP_TOL:
-                raise UnsupportedInputError("ring is not weakly integral")
-            parts.append(squarefree_part(int(round(x))))
+    for d in exact_dimensions(ring):
+        sq = d.squared()
+        if not sq.is_rational or sq.a.denominator != 1:
+            raise UnsupportedInputError("ring is not weakly integral")
+        parts.append(squarefree_part(int(sq.a)))
 
     values = sorted(set(parts))
     pos = {t: n for n, t in enumerate(values)}

@@ -14,6 +14,8 @@ from collections import Counter
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
+
 
 # ---------------------------------------------------------------------------
 # associativity
@@ -227,6 +229,41 @@ def _polarization_bilinear(q, n):
         (sig[(a + b) % n] - sig[a] - sig[b]) % 1 == 0
         for a in range(n)
         for b in range(n)
+    )
+
+
+def cyclic_bilinear_dense(q):
+    """Polarization of q on Z_N bilinear, by the full N x N additivity table
+    of sigma(., 1) over one common denominator (the construction check
+    before it became O(N))."""
+    n = len(q)
+    denom = 1
+    for x in q:
+        denom = denom * x.denominator // _gcd(denom, x.denominator)
+    qi = np.array([x.numerator * (denom // x.denominator) for x in q])
+    idx = np.arange(n)
+    s1 = (qi[(idx + 1) % n] - qi - qi[1]) % denom
+    defect = (s1[(idx[:, None] + idx[None, :]) % n] - s1[:, None] - s1[None, :]) % denom
+    return not np.any(defect)
+
+
+def bilinear_bruteforce(facs, q):
+    """sigma(a + b, c) = sigma(a, c) + sigma(b, c) for all a, b, c of the
+    group with invariant factors facs; q is indexed in lexicographic order."""
+    elems = list(product(*(range(d) for d in facs)))
+    index = {a: i for i, a in enumerate(elems)}
+
+    def add(a, b):
+        return tuple((x + y) % d for x, y, d in zip(a, b, facs))
+
+    def sigma(a, b):
+        return (q[index[add(a, b)]] - q[index[a]] - q[index[b]]) % 1
+
+    return all(
+        sigma(add(a, b), c) == (sigma(a, c) + sigma(b, c)) % 1
+        for a in elems
+        for b in elems
+        for c in elems
     )
 
 

@@ -32,12 +32,7 @@ from modcat import (
     z2_cohomology,
 )
 from modcat.catalog import IsingParams, fibonacci_ring, ising_ring
-from modcat.metric import (
-    enumerate_cyclic_metric_groups,
-    enumerate_forms,
-    form_preserving_autos,
-    pointed_ribbon_data,
-)
+from modcat.metric import enumerate_cyclic_metric_groups, form_preserving_autos
 from modcat.modular import Phase
 from modcat.ring import (
     asymptotic_dim_ratio,
@@ -176,13 +171,7 @@ def test_10_metric_groups():
             assert autos <= {tuple((u * a) % n for a in range(n)) for u in square_roots}
             if prime_power:
                 assert autos == {ident, neg}
-    # modular iff nondegenerate, cyclic |A| <= 32 plus small product groups
-    for n in range(2, 33):
-        for mg in enumerate_forms((n,), nondegenerate_only=False):
-            assert is_modular(pointed_ribbon_data(mg)) == mg.is_nondegenerate
-    for facs in [(2, 2), (2, 4), (2, 6), (2, 8), (3, 3), (4, 4), (2, 2, 2)]:
-        for mg in enumerate_forms(facs, nondegenerate_only=False):
-            assert is_modular(pointed_ribbon_data(mg)) == mg.is_nondegenerate
+    # modular iff nondegenerate: tests/test_modular.py::TestModularity
     # brute-force classification matches the enumerated class counts
     for n in range(2, 17):
         assert len(oracles.classify_forms_bruteforce(n)) == len(

@@ -75,6 +75,12 @@ class TestBuild:
             spin = max(range(r.rank), key=lambda i: d[i])
             assert d[spin] ** 2 == pytest.approx(n if n % 2 else n / 2, abs=1e-6)
 
+    @pytest.mark.parametrize("n", [433, 501, 603, 1000])
+    def test_fp_dimensions_are_the_exact_dims_at_large_n(self, n):
+        ring = build_so_n2(n)
+        assert fp_dimensions(ring).tolist() == [float(d) for d in ring.exact_dims]
+        assert structure_census(ring, n).ok
+
     def test_rejects_bad_n(self):
         with pytest.raises(ParameterError):
             build_so_n2(1)

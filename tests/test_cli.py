@@ -88,8 +88,19 @@ class TestExitCodes:
         assert out.out == ""
         assert out.err.startswith("error: ") and "Traceback" not in out.err
 
+    def test_huge_metric_group_is_a_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "form.json"
+        f.write_text('{"group": [1000000000000], "q": []}')
+        assert run(["metric", "autos", "--file", str(f)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and "Traceback" not in out.err
+
     def test_census_ok(self, capsys):
         assert run(["census", "--n", "12"]) == EXIT_OK
+
+    def test_dims_and_census_near_n_600(self, capsys):
+        assert run(["dims", "--n", "501"]) == EXIT_OK
+        assert run(["census", "--n", "599"]) == EXIT_OK
 
     def test_count_redirect_for_four(self, capsys):
         assert run(["count", "--n", "4"]) == EXIT_USAGE

@@ -1,10 +1,14 @@
 """Metric groups: forms, enumeration, equivalence, automorphisms."""
 
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from modcat import MalformedInputError, MetricGroup, ParameterError
+from modcat import MalformedInputError, MetricGroup, ParameterError, ResourceLimitError
 from modcat.metric import (
     classify_forms,
     cyclic_form,
@@ -13,6 +17,7 @@ from modcat.metric import (
     enumerate_forms,
     equivalence_test,
     form_preserving_autos,
+    ORDER_LIMIT,
     negation_auto,
     pointed_ribbon_data,
     standard_cyclic_metric_group,
@@ -55,11 +60,69 @@ class TestConstruction:
         with pytest.raises(MalformedInputError):
             MetricGroup((0, 5), ())
 
+    def test_loader_caps_the_order_before_allocating(self):
+        for facs in ([ORDER_LIMIT + 1], [10**12], [1000, 1000, 2]):
+            with pytest.raises(ResourceLimitError):
+                MetricGroup.from_json_dict({"group": facs, "q": []})
+
     def test_json_round_trip(self):
         mg = cyclic_form(9, 2)
         again = MetricGroup.loads(mg.dumps())
         assert again.facs == mg.facs and again.q == mg.q
         assert again.dumps() == mg.dumps()
+
+
+@cache
+def _forms(facs):
+    return enumerate_forms(facs, nondegenerate_only=False)
+
+
+@st.composite
+def symmetric_tables(draw, facs_options):
+    """A table with q(0) = 0 and q(-a) = q(a): a quadratic form or random
+    multiples of 1/den, then perhaps with one pair {a, -a} moved."""
+    facs = draw(st.sampled_from(facs_options))
+    elems = list(product(*(range(d) for d in facs)))
+    index = {a: i for i, a in enumerate(elems)}
+    neg = [index[tuple((-x) % d for x, d in zip(a, facs))] for a in elems]
+    den = draw(st.integers(1, 4 * len(elems)))
+    if draw(st.booleans()):
+        q = list(draw(st.sampled_from(_forms(facs))).q)
+    else:
+        q = [Fraction(0)] * len(elems)
+        for i in range(1, len(elems)):
+            q[i] = q[neg[i]] if neg[i] < i else Fraction(draw(st.integers(0, den - 1)), den)
+    if draw(st.booleans()):
+        i = draw(st.integers(1, len(elems) - 1))
+        q[i] = q[neg[i]] = (q[i] + Fraction(draw(st.integers(1, den)), den)) % 1
+    return facs, tuple(q)
+
+
+def accepted(facs, q) -> bool:
+    try:
+        MetricGroup(facs, q)
+    except MalformedInputError:
+        return False
+    return True
+
+
+class TestBilinearityCheck:
+    def test_dense_check_accepts_every_cyclic_form(self):
+        for n in range(2, 41):
+            for mg in enumerate_forms((n,), nondegenerate_only=False):
+                assert oracles.cyclic_bilinear_dense(mg.q), (n, mg.q)
+
+    @settings(max_examples=250, deadline=None)
+    @given(symmetric_tables([(n,) for n in range(2, 41)]))
+    def test_cyclic_check_matches_dense_check(self, table):
+        facs, q = table
+        assert accepted(facs, q) == oracles.cyclic_bilinear_dense(q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_tables([(2, 2), (2, 4), (2, 6), (3, 3), (4, 4), (2, 2, 2)]))
+    def test_product_check_matches_bruteforce(self, table):
+        facs, q = table
+        assert accepted(facs, q) == oracles.bilinear_bruteforce(facs, q)
 
 
 class TestCyclicForms:

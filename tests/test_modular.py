@@ -84,6 +84,32 @@ class TestRibbonData:
         assert again.dumps() == rd.dumps()
         assert again.twists == rd.twists
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            pytest.param("dims", None, id="missing_dims"),
+            pytest.param("twists", None, id="missing_twists"),
+            pytest.param("twists", [[0, 1], [1, 2]], id="too_few_twists"),
+            pytest.param("twists", [[0, 1], [1, 2], [1]], id="short_twist_row"),
+            pytest.param("twists", [[0, 1], [1, 2], [1.5, 4]], id="float_twist"),
+            pytest.param("twists", [[0, 1], [1, 2], [1, 0]], id="zero_denominator"),
+            pytest.param("dims", [[1, 1, 0, 1, 1]] * 2 + [[0, 1, 1, 0, 2]], id="zero_dims_denominator"),
+        ],
+    )
+    def test_strict_loader(self, key, value):
+        data = {**catalog.ising_ring().to_json_dict(), "twists": [[0, 1], [1, 2], [1, 16]]}
+        assert RibbonData.from_json_dict(data).ring.rank == 3
+        if value is None:
+            del data[key]
+        else:
+            data[key] = value
+        with pytest.raises(MalformedInputError):
+            RibbonData.from_json_dict(data)
+
+    def test_loads_rejects_invalid_json(self):
+        with pytest.raises(MalformedInputError):
+            RibbonData.loads('{"labels": ["1"], "dual": [0')
+
 
 class TestSMatrix:
     def test_row_zero_is_the_dim_vector(self):

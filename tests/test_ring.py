@@ -1,5 +1,7 @@
 """Fusion-ring core: axioms, dimensions, gradings, hom spaces."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from modcat import (
     adjoint_subring,
     build_so_n2,
     asymptotic_dim_ratio,
+    exact_dimensions,
     fp_dimensions,
     global_fp_dim,
     gn_grading,
@@ -24,7 +27,8 @@ from modcat import (
     universal_grading,
     verify_axioms,
 )
-from modcat.ring import FP_TOL, is_commutative
+from modcat.modular import FLOAT_TOL
+from modcat.ring import is_commutative
 
 import oracles
 
@@ -179,7 +183,7 @@ class TestDimensions:
     def test_dims_at_least_one_and_dual_invariant(self, fibonacci, ising, so_rings):
         for r in (fibonacci, ising, so_rings(9), so_rings(10), so_rings(16)):
             d = fp_dimensions(r)
-            assert np.all(d >= 1 - FP_TOL)
+            assert np.all(d >= 1 - FLOAT_TOL)
             assert np.max(np.abs(d[list(r.dual)] - d)) < 1e-9
 
     def test_global_dim(self, ising):
@@ -190,6 +194,51 @@ class TestDimensions:
         bad = FusionRing(ising.labels, ising.dual, ising.fusion, exact_dims=wrong)
         with pytest.raises(InternalConsistencyError):
             fp_dimensions(bad)
+
+    def test_galois_conjugate_dims_rejected(self, fibonacci):
+        # (1 - sqrt 5) / 2 satisfies every fusion rule but is not positive
+        conjugate = (AlgebraicReal.of(1), AlgebraicReal(Fraction(1, 2), Fraction(-1, 2), 5))
+        bad = FusionRing(fibonacci.labels, fibonacci.dual, fibonacci.fusion, conjugate)
+        with pytest.raises(InternalConsistencyError):
+            fp_dimensions(bad)
+
+    def test_exact_check_past_float_precision(self):
+        # X (x) X = 1 + m X has d = (m + sqrt(m^2 + 4)) / 2; at m = 2**14 the
+        # products of the check pass 2**53 and run on Python ints
+        m = 2**14
+        fusion = np.zeros((2, 2, 2), dtype=np.int64)
+        fusion[0, 0, 0] = fusion[0, 1, 1] = fusion[1, 0, 1] = fusion[1, 1, 0] = 1
+        fusion[1, 1, 1] = m
+        d = AlgebraicReal.sqrt(m * m + 4) * Fraction(1, 2) + Fraction(m, 2)
+        ring = FusionRing(("1", "x"), (0, 1), fusion, (AlgebraicReal.of(1), d))
+        assert fp_dimensions(ring)[1] == pytest.approx(float(d), rel=1e-15)
+        off = FusionRing(ring.labels, ring.dual, fusion, (AlgebraicReal.of(1), d + Fraction(1, 2**40)))
+        with pytest.raises(InternalConsistencyError):
+            fp_dimensions(off)
+
+    def test_vanishing_square_is_malformed(self):
+        # x (x) x = 0: the sum of the fusion matrices has a zero entry
+        fusion = np.zeros((2, 2, 2), dtype=np.int64)
+        fusion[0, 0, 0] = fusion[0, 1, 1] = fusion[1, 0, 1] = 1
+        with pytest.raises(MalformedInputError):
+            fp_dimensions(FusionRing(("1", "x"), (0, 1), fusion))
+
+    def test_exact_dimensions_rebuilt_without_attached_dims(self):
+        ring = build_so_n2(12)
+        data = ring.to_json_dict()
+        del data["dims"]
+        bare = FusionRing.from_json_dict(data)
+        assert bare.exact_dims is None
+        assert exact_dimensions(bare) == ring.exact_dims
+        assert gn_grading(bare) == gn_grading(ring)
+
+    def test_fibonacci_without_dims(self, fibonacci):
+        bare = FusionRing(fibonacci.labels, fibonacci.dual, fibonacci.fusion)
+        assert fp_dimensions(bare)[1] == pytest.approx((1 + 5**0.5) / 2, abs=1e-12)
+        with pytest.raises(UnsupportedInputError):
+            exact_dimensions(bare)
+        with pytest.raises(UnsupportedInputError):
+            gn_grading(bare)
 
     def test_noncommutative_rejected(self):
         # left-regular representation of S3 is not a valid commutative input;
@@ -253,7 +302,7 @@ class TestStructure:
             d = fp_dimensions(r)
             grp = invertibles(r)
             assert set(grp.elements) == {
-                i for i in range(r.rank) if d[i] <= 1 + FP_TOL
+                i for i in range(r.rank) if d[i] <= 1 + FLOAT_TOL
             }
             # closure under fusion
             for a in grp.elements:
