@@ -315,9 +315,7 @@ def boson_fermion_census(n: int) -> dict[str, str]:
         raise InternalConsistencyError("parity bookkeeping broke")
     if r % 2 == 0:
         mid = ring.index(f"Y{r // 2:0{len(str(r))}d}")
-        hits = {
-            ring.labels[int(k)] for k in np.nonzero(ring.fusion[mid, mid])[0]
-        }
+        hits = {ring.labels[k] for k in ring.row(mid, mid)[0].tolist()}
         if not {"1", "f", "g", "fg"} <= hits:
             raise InternalConsistencyError(
                 "middle Y square does not reach all invertibles"
@@ -354,9 +352,9 @@ def _ising_squared_ring() -> FusionRing:
 
     def prod(x, y) -> Counter:
         out = Counter()
-        for k1 in np.nonzero(ising.fusion[x[0], y[0]])[0]:
-            for k2 in np.nonzero(ising.fusion[x[1], y[1]])[0]:
-                out[(int(k1), int(k2))] += 1
+        for k1 in ising.row(x[0], y[0])[0].tolist():
+            for k2 in ising.row(x[1], y[1])[0].tolist():
+                out[(k1, k2)] += 1
         return out
 
     return assemble_ring(objects, dims, prod, unit=(0, 0))

@@ -200,24 +200,27 @@ def assemble_ring(objects: dict, dims: dict, prod, unit=None, bulk=None) -> Fusi
         for k3, mult in prod(keys[n1], keys[n2]).items()
     ]
     coo = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    ijk = [
-        pos[np.concatenate([np.asarray(a, dtype=np.int64), coo[:, c]])]
-        for c, a in enumerate(bulk_ijk)
-    ]
-    mult = np.concatenate([np.ones(len(ijk[0]) - len(coo), dtype=np.int64), coo[:, 3]])
-    fusion = np.zeros(r**3, dtype=np.int64)
-    np.add.at(fusion, np.ravel_multi_index(ijk, (r, r, r)), mult)
-    fusion = fusion.reshape(r, r, r)
-    dual = []
-    for x in range(r):
-        partners = np.nonzero(fusion[x, :, 0])[0]
-        if len(partners) != 1:
-            raise MalformedInputError(f"object {x} has no unique dual")
-        dual.append(int(partners[0]))
-    return FusionRing(
+    # the raveled cells (i * r + j) * r + k of all rows in canonical numbers,
+    # sorted once, with the repeated ones summed in int64
+    cells = np.zeros(len(bulk_ijk[0]) + len(coo), dtype=np.int64)
+    for c, a in enumerate(bulk_ijk):
+        cells *= r
+        cells += pos[np.concatenate([np.asarray(a, dtype=np.int64), coo[:, c]])]
+    mult = np.concatenate([np.ones(len(cells) - len(coo), dtype=np.int64), coo[:, 3]])
+    by_cell = np.argsort(cells)
+    cells = cells[by_cell]
+    first = np.flatnonzero(np.concatenate([[True], cells[1:] != cells[:-1]]))
+    cells, mult = cells[first], np.add.reduceat(mult[by_cell], first)
+    # X (x) Y contains the unit for exactly one Y, the dual of X
+    x, y = np.divmod(cells[cells % r == 0] // r, r)
+    once = np.bincount(x, minlength=r) == 1
+    if not once.all():
+        raise MalformedInputError(f"object {int(np.flatnonzero(~once)[0])} has no unique dual")
+    return FusionRing.from_nonzeros(
         tuple(objects[k] for k in order),
-        tuple(dual),
-        fusion,
+        tuple(y.tolist()),
+        cells,
+        mult,
         tuple(dims[k] for k in order),
     )
 
@@ -494,13 +497,14 @@ def condense_boson(ring: FusionRing, b: int) -> CondensationReport:
     r = ring.rank
     if b == 0 or dims[b] != 1:
         raise PreconditionError("condensation object must be a nontrivial invertible")
-    if ring.fusion[b, b, 0] != 1:
+    ks, ms = ring.row(b, b)
+    if ms[ks == 0].tolist() != [1]:
         raise PreconditionError("condensation object must have order 2")
 
     partner = []
     for x in range(r):
-        ks = np.nonzero(ring.fusion[b, x])[0]
-        if len(ks) != 1 or ring.fusion[b, x, ks[0]] != 1:
+        ks, ms = ring.row(b, x)
+        if len(ks) != 1 or ms[0] != 1:
             raise PreconditionError("boson action does not permute the basis")
         partner.append(int(ks[0]))
 
@@ -567,7 +571,7 @@ def _condense_pointed(ring: FusionRing, free, report: CondensationReport) -> Non
     table = [[0] * m for _ in range(m)]
     for i, x in enumerate(reps):
         for j, y in enumerate(reps):
-            k = image(int(np.nonzero(ring.fusion[x, y])[0][0]))
+            k = image(int(ring.row(x, y)[0][0]))
             fusion[i, j, k] = 1
             table[i][j] = k
     report.fusion = fusion
@@ -588,9 +592,11 @@ def _probe_cyclicity(ring, dims, b, fixed, free, report: CondensationReport) -> 
         trivial.append(f"{ring.labels[x]}^(2)")
     report.trivial_component = tuple(sorted(trivial))
 
-    candidates = [
-        y for y in fixed if ring.fusion[y, y, 0] == 1 and ring.fusion[y, y, b] == 1
-    ]
+    def squares_to_one_and_b(y) -> bool:
+        square = dict(zip(*(x.tolist() for x in ring.row(y, y))))
+        return square.get(0) == 1 and square.get(b) == 1
+
+    candidates = [y for y in fixed if squares_to_one_and_b(y)]
     fixed_set = set(fixed)
     inv_pair_set = {frozenset(p) for p in inv_pairs}
     best = None
@@ -634,8 +640,7 @@ def _generator_walk(ring, b, start, fixed_set, inv_pair_set):
     m = 1
     while True:
         m += 1
-        row = ring.fusion[start, cur]
-        rest = Counter({int(k): int(row[k]) for k in np.nonzero(row)[0]})
+        rest = Counter(dict(zip(*(x.tolist() for x in ring.row(start, cur)))))
         if m == 2:
             if rest[0] != 1 or rest[b] != 1:
                 return None

@@ -78,7 +78,7 @@ class RibbonData:
             if self.dims[dual[i]] != self.dims[i]:
                 raise MalformedInputError(f"dimension of dual differs at index {i}")
         # d_i d_j = sum_k N[i, j, k] d_k, in integers over one denominator
-        A, B, D, t = _encode(self.dims, int(self.ring.fusion.max(initial=0)))
+        A, B, D, t = _encode(self.dims, int(self.ring.mults.max(initial=0)))
         N = self.ring.fusion.astype(A.dtype)
         if not (
             np.array_equal(np.outer(A, A) + t * np.outer(B, B), D * (N @ A))
@@ -137,15 +137,11 @@ class SMatrix:
 def s_matrix(rd: RibbonData) -> SMatrix:
     """Balancing-relation S-matrix in complex doubles."""
     rd.validate()
-    r = rd.ring.rank
-    dual = rd.ring.dual
     d = np.array([float(x) for x in rd.dims])
     th = np.array([complex(t) for t in rd.twists])
-    dt = d * th
-    S = np.empty((r, r), dtype=complex)
-    for i in range(r):
-        for j in range(r):
-            S[i, j] = (rd.ring.fusion[dual[i], j] @ dt) / (th[i] * th[j])
+    # sum_k N[i*, j, k] d_k theta_k: contract over k, then take rows i*;
+    # einsum casts the int64 tensor in buffered chunks, not as a complex copy
+    S = np.einsum("ijk,k->ij", rd.ring.fusion, d * th)[list(rd.ring.dual)] / np.outer(th, th)
     return SMatrix(S)
 
 
@@ -159,12 +155,11 @@ def is_modular(rd: RibbonData) -> bool:
 def centralizer(rd: RibbonData, sub) -> tuple[int, ...]:
     """Indices i with S[i, j] = d_i d_j for every j in the sub-basis."""
     sub = sorted(set(sub))
-    N = rd.ring.fusion
-    for i in sub:
-        for j in sub:
-            for k in np.nonzero(N[i, j])[0]:
-                if int(k) not in sub:
-                    raise MalformedInputError("sub-basis is not fusion-closed")
+    inside = np.zeros(rd.ring.rank, dtype=bool)
+    inside[sub] = True
+    i, j, k = rd.ring.nonzero()
+    if not inside[k[inside[i] & inside[j]]].all():
+        raise MalformedInputError("sub-basis is not fusion-closed")
     S = s_matrix(rd).entries
     d = np.array([float(x) for x in rd.dims])
     out = [
@@ -201,13 +196,14 @@ def transparency_constraint(ring: FusionRing, dims, g: int, x: int) -> Phase:
     """
     if AlgebraicReal.of(dims[g]) != ONE:
         raise PreconditionError(f"object {ring.labels[g]} is not invertible")
-    if ring.fusion[g, x, x] != 1:
+    ks, ms = ring.row(g, x)
+    if ms[ks == x].tolist() != [1]:
         raise PreconditionError(
             f"{ring.labels[g]} does not fix {ring.labels[x]}"
         )
     xd = ring.dual[x]
-    col = ring.fusion[xd, g]
-    if col[xd] != 1 or col.sum() != 1:
+    ks, ms = ring.row(xd, g)
+    if ks.tolist() != [xd] or ms.tolist() != [1]:
         raise PreconditionError("fixing relation fails on the dual object")
     return Phase(Fraction(0))
 

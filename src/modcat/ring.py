@@ -1,9 +1,10 @@
 """Fusion ring core: exact quadratic irrationals, axiom verification,
 Frobenius-Perron dimensions, subrings and gradings.
 
-A fusion ring is stored as an ordered basis (index 0 = unit), a dual
-involution and the integer tensor N[i, j, k] = multiplicity of X_k in
-X_i (x) X_j.
+A fusion ring is an ordered basis (index 0 = unit), a dual involution and
+the multiplicities N[i, j, k] of X_k in X_i (x) X_j, stored as the sorted
+nonzeros of that tensor.  Everything but the associativity check and the
+S-matrix numerics reads the nonzeros; the dense tensor is a lazy view.
 """
 
 from __future__ import annotations
@@ -20,8 +21,11 @@ from .errors import (
     DegenerateInputError,
     InternalConsistencyError,
     MalformedInputError,
+    ResourceLimitError,
     UnsupportedInputError,
 )
+
+DENSE_LIMIT = 2**30  # bytes: the largest dense fusion tensor built (rank 512)
 
 
 # ---------------------------------------------------------------------------
@@ -144,38 +148,112 @@ ONE = AlgebraicReal(Fraction(1))
 # the ring itself
 
 
-@dataclass(frozen=True)
 class FusionRing:
-    labels: tuple[str, ...]
-    dual: tuple[int, ...]
-    fusion: np.ndarray  # shape (r, r, r), N[i, j, k]
-    exact_dims: tuple[AlgebraicReal, ...] | None = None
+    """A based ring stored as its nonzeros.
 
-    def __post_init__(self):
-        r = len(self.labels)
-        fusion = np.asarray(self.fusion, dtype=np.int64)
-        object.__setattr__(self, "fusion", fusion)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "dual", tuple(self.dual))
+    `cells` holds the raveled index (i * r + j) * r + k of every nonzero
+    N[i, j, k], strictly increasing, and `mults` the multiplicities there.
+    The constructor takes the dense r x r x r tensor; `from_nonzeros` takes
+    the cells.  `fusion` is the dense tensor again, a read-only view built
+    from the nonzeros on first access and kept.
+    """
+
+    __slots__ = ("labels", "dual", "cells", "mults", "exact_dims", "_dense")
+
+    def __init__(self, labels, dual, fusion, exact_dims=None):
+        labels = tuple(labels)
+        r = len(labels)
+        fusion = np.asarray(fusion, dtype=np.int64)
         if fusion.shape != (r, r, r):
             raise MalformedInputError(
                 f"fusion tensor shape {fusion.shape} does not match rank {r}"
             )
-        if len(self.dual) != r or sorted(self.dual) != list(range(r)):
+        cells = np.flatnonzero(fusion)
+        self._set(labels, dual, cells, fusion.ravel()[cells], exact_dims)
+
+    @classmethod
+    def from_nonzeros(cls, labels, dual, cells, mults, exact_dims=None) -> "FusionRing":
+        """The ring with N = mults at the raveled `cells`, which must be
+        strictly increasing; zero multiplicities are dropped."""
+        ring = cls.__new__(cls)
+        ring._set(tuple(labels), dual, np.asarray(cells, dtype=np.int64),
+                  np.asarray(mults, dtype=np.int64), exact_dims)
+        return ring
+
+    def _set(self, labels, dual, cells, mults, exact_dims):
+        r = len(labels)
+        dual = tuple(dual)
+        if len(dual) != r or sorted(dual) != list(range(r)):
             raise MalformedInputError("dual must be a permutation of the indices")
-        if any(self.dual[self.dual[i]] != i for i in range(r)):
+        if any(dual[dual[i]] != i for i in range(r)):
             raise MalformedInputError("dual must be an involution")
-        if fusion.min(initial=0) < 0:
+        if mults.min(initial=0) < 0:
             raise MalformedInputError("fusion multiplicities must be nonnegative")
-        if len(set(self.labels)) != r:
+        if len(cells) != len(mults) or np.any(cells[1:] <= cells[:-1]) or (
+            len(cells) and (cells[0] < 0 or cells[-1] >= r**3)
+        ):
+            raise MalformedInputError("fusion cells must be strictly increasing and below r^3")
+        if len(set(labels)) != r:
             raise MalformedInputError("labels must be distinct")
-        if self.exact_dims is not None and len(self.exact_dims) != r:
+        if exact_dims is not None and len(exact_dims) != r:
             raise MalformedInputError("exact_dims length does not match rank")
-        fusion.setflags(write=False)
+        keep = mults != 0
+        cells, mults = (cells, mults) if keep.all() else (cells[keep], mults[keep])
+        cells.setflags(write=False)
+        mults.setflags(write=False)
+        for name, value in zip(self.__slots__, (labels, dual, cells, mults, exact_dims, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FusionRing is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FusionRing):
+            return NotImplemented
+        return (
+            (self.labels, self.dual, self.exact_dims) == (other.labels, other.dual, other.exact_dims)
+            and np.array_equal(self.cells, other.cells)
+            and np.array_equal(self.mults, other.mults)
+        )
+
+    def __repr__(self) -> str:
+        return f"FusionRing(labels={self.labels!r}, nonzeros={len(self.cells)})"
 
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @property
+    def fusion(self) -> np.ndarray:
+        """The dense tensor N[i, j, k]; `ResourceLimitError` before allocating
+        when it would take more than DENSE_LIMIT bytes."""
+        if self._dense is None:
+            r = self.rank
+            if 8 * r**3 > DENSE_LIMIT:
+                raise ResourceLimitError(
+                    f"the dense fusion tensor of rank {r} needs {8 * r**3 / 2**30:.1f} GiB, "
+                    f"above the limit of {DENSE_LIMIT / 2**30:g} GiB"
+                )
+            dense = np.zeros(r**3, dtype=np.int64)
+            dense[self.cells] = self.mults
+            dense = dense.reshape(r, r, r)
+            dense.setflags(write=False)
+            object.__setattr__(self, "_dense", dense)
+        return self._dense
+
+    def nonzero(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, j, k) of every nonzero, in the order of `cells` and `mults`."""
+        ij, k = np.divmod(self.cells, self.rank)
+        return (*np.divmod(ij, self.rank), k)
+
+    def row(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """X_i (x) X_j: the k with N[i, j, k] > 0, increasing, and their
+        multiplicities."""
+        if not (0 <= i < self.rank and 0 <= j < self.rank):
+            raise MalformedInputError(f"({i}, {j}) is not a pair of basis indices")
+        base = (i * self.rank + j) * self.rank
+        lo, hi = np.searchsorted(self.cells, (base, base + self.rank))
+        return self.cells[lo:hi] - base, self.mults[lo:hi]
 
     def index(self, label: str) -> int:
         return self.labels.index(label)
@@ -183,14 +261,10 @@ class FusionRing:
     # -- JSON wire format: only nonzero entries are listed --
 
     def to_json_dict(self) -> dict:
-        entries = [
-            [int(i), int(j), int(k), int(self.fusion[i, j, k])]
-            for i, j, k in zip(*np.nonzero(self.fusion))
-        ]
         out = {
             "labels": list(self.labels),
             "dual": list(self.dual),
-            "fusion": sorted(entries),
+            "fusion": np.stack([*self.nonzero(), self.mults], axis=1).tolist(),
         }
         if self.exact_dims is not None:
             out["dims"] = [d.to_json() for d in self.exact_dims]
@@ -213,6 +287,8 @@ class FusionRing:
         if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
             raise MalformedInputError("labels must be a list of strings")
         r = len(labels)
+        if r**3 > np.iinfo(np.int64).max:
+            raise ResourceLimitError(f"rank {r} is too large to index its fusion cells")
         dual = _int_row(data["dual"], r, "dual")
         rows = data["fusion"]
         if not isinstance(rows, list):
@@ -229,13 +305,11 @@ class FusionRing:
         if outside.any():
             bad = tuple(map(int, ijk[outside][0]))
             raise MalformedInputError(f"fusion entry index out of range: {bad}")
-        cells = np.ravel_multi_index(ijk.T, (r, r, r))
-        ordered = np.sort(cells)
-        if np.any(ordered[1:] == ordered[:-1]):
+        cells = (ijk[:, 0] * r + ijk[:, 1]) * r + ijk[:, 2]
+        order = np.argsort(cells)
+        cells = cells[order]
+        if np.any(cells[1:] == cells[:-1]):
             raise MalformedInputError("a fusion entry (i, j, k) is listed twice")
-        fusion = np.zeros(r**3, dtype=np.int64)
-        fusion[cells] = mult
-        fusion = fusion.reshape(r, r, r)
         dims = None
         if "dims" in data:
             if not isinstance(data["dims"], list):
@@ -244,7 +318,7 @@ class FusionRing:
             if any(row[1] == 0 or row[3] == 0 for row in rows):
                 raise MalformedInputError("dims row has a zero denominator")
             dims = tuple(AlgebraicReal.from_json(row) for row in rows)
-        return cls(labels, dual, fusion, dims)
+        return cls.from_nonzeros(labels, dual, cells, mult[order], dims)
 
     @classmethod
     def loads(cls, text: str | bytes) -> "FusionRing":
@@ -326,16 +400,31 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
 
 
 def is_commutative(ring: FusionRing) -> bool:
-    return bool(np.array_equal(ring.fusion, ring.fusion.transpose(1, 0, 2)))
+    """N[i, j, k] = N[j, i, k]: the nonzeros with i and j swapped, sorted,
+    are the nonzeros again."""
+    i, j, k = ring.nonzero()
+    swapped = (j * ring.rank + i) * ring.rank + k
+    order = np.argsort(swapped)
+    return bool(
+        np.array_equal(swapped[order], ring.cells) and np.array_equal(ring.mults[order], ring.mults)
+    )
 
 
 def _sum_matrix(ring: FusionRing) -> np.ndarray:
     """M[j, k] = sum_i N[i, j, k]: symmetric by Frobenius reciprocity, and
     positive for a commutative fusion ring, whose dimensions are then its
-    Perron vector, M d = (sum_i d_i) d."""
+    Perron vector, M d = (sum_i d_i) d.  Exact: every entry is at most
+    r * max(N), summed in float64 below 2**53 and in Python ints above."""
     if not is_commutative(ring):
         raise UnsupportedInputError("fp_dimensions requires a commutative fusion ring")
-    M = ring.fusion.sum(axis=0)
+    r = ring.rank
+    jk = ring.cells % (r * r)
+    if r * int(ring.mults.max(initial=0)) < 2**53:
+        M = np.bincount(jk, weights=ring.mults, minlength=r * r).astype(np.int64)
+    else:
+        M = np.zeros(r * r, dtype=object)
+        np.add.at(M, jk, ring.mults.astype(object))
+    M = M.reshape(r, r)
     if not np.array_equal(M, M.T) or M.min() <= 0:
         raise MalformedInputError("sum of the fusion matrices is not symmetric and positive")
     return M
@@ -415,18 +504,16 @@ def hom_space_dim(ring: FusionRing, word: list[int], target: int) -> int:
 
     Exact integer arithmetic (tensor powers overflow int64 quickly).
     """
-    if not word:
-        raise MalformedInputError("tensor word must be nonempty")
-    r = ring.rank
-    N = ring.fusion
-    v = [0] * r
-    v[word[0]] = 1
+    if not word or not all(0 <= x < ring.rank for x in (*word, target)):
+        raise MalformedInputError("tensor word and target must be basis indices, the word nonempty")
+    v = {word[0]: 1}
     for w in word[1:]:
-        v = [
-            sum(v[a] * int(N[a, w, k]) for a in range(r) if v[a])
-            for k in range(r)
-        ]
-    return v[target]
+        nxt: dict[int, int] = {}
+        for a, va in v.items():
+            for k, m in zip(*(x.tolist() for x in ring.row(a, w))):
+                nxt[k] = nxt.get(k, 0) + va * m
+        v = nxt
+    return v.get(target, 0)
 
 
 def asymptotic_dim_ratio(ring: FusionRing, i: int, n: int) -> float:
@@ -479,49 +566,60 @@ class InvertibleGroup:
 
 def invertibles(ring: FusionRing) -> InvertibleGroup:
     """The objects X with X (x) X* = 1, and their group law."""
-    ones = ring.fusion[np.arange(ring.rank), list(ring.dual)].sum(axis=1) == 1
-    elems = tuple(int(i) for i in np.nonzero(ones)[0])
-    product = {}
-    for a in elems:
-        for b in elems:
-            ks = np.nonzero(ring.fusion[a, b])[0]
-            if len(ks) != 1 or ring.fusion[a, b, ks[0]] != 1 or ks[0] not in elems:
-                raise InternalConsistencyError(
-                    "invertible objects are not closed under fusion"
-                )
-            product[(a, b)] = int(ks[0])
+    r = ring.rank
+    i, j, k = ring.nonzero()
+    pairing = j == np.asarray(ring.dual)[i]
+    # X (x) X* = 1 exactly when that product has one nonzero, of multiplicity 1
+    inv = (np.bincount(i[pairing], minlength=r) == 1) & (
+        np.bincount(i[pairing & (ring.mults == 1)], minlength=r) == 1
+    )
+    elems = tuple(np.flatnonzero(inv).tolist())
+    # a group law: every product of two invertibles is one invertible, once
+    among = inv[i] & inv[j]
+    pairs = (i * r + j)[among]
+    if (
+        len(pairs) != len(elems) ** 2
+        or np.any(pairs[1:] == pairs[:-1])
+        or np.any(ring.mults[among] != 1)
+        or not inv[k[among]].all()
+    ):
+        raise InternalConsistencyError("invertible objects are not closed under fusion")
+    product = {(a, b): c for a, b, c in zip(*(x[among].tolist() for x in (i, j, k)))}
     return InvertibleGroup(elems, product)
 
 
 def fixing_group(ring: FusionRing, i: int) -> InvertibleGroup:
     """Subgroup of invertibles Y with Y (x) X_i = X_i."""
     inv = invertibles(ring)
-    elems = tuple(g for g in inv.elements if ring.fusion[g, i, i] == 1)
+
+    def fixes(g) -> bool:
+        ks, ms = ring.row(g, i)
+        return ms[ks == i].tolist() == [1]
+
+    elems = tuple(g for g in inv.elements if fixes(g))
     product = {(a, b): inv.product[(a, b)] for a in elems for b in elems}
     return InvertibleGroup(elems, product)
 
 
 def subring_generated(ring: FusionRing, seeds) -> tuple[int, ...]:
     """Smallest fusion- and dual-closed sub-basis containing the unit and seeds."""
-    current = {0, *seeds}
-    current |= {ring.dual[i] for i in current}
+    i, j, k = ring.nonzero()
+    dual = np.asarray(ring.dual)
+    current = np.zeros(ring.rank, dtype=bool)
+    current[[0, *seeds]] = True
     while True:
-        new = set(current)
-        for i in current:
-            for j in current:
-                new |= {int(k) for k in np.nonzero(ring.fusion[i, j])[0]}
-        new |= {ring.dual[i] for i in new}
-        if new == current:
-            return tuple(sorted(current))
+        new = current.copy()
+        new[k[current[i] & current[j]]] = True
+        new |= new[dual]
+        if np.array_equal(new, current):
+            return tuple(np.flatnonzero(current).tolist())
         current = new
 
 
 def adjoint_subring(ring: FusionRing) -> tuple[int, ...]:
     """Sub-basis generated by all X (x) X*."""
-    seeds = set()
-    for i in range(ring.rank):
-        seeds |= {int(k) for k in np.nonzero(ring.fusion[i, ring.dual[i]])[0]}
-    return subring_generated(ring, seeds)
+    i, j, k = ring.nonzero()
+    return subring_generated(ring, np.unique(k[j == np.asarray(ring.dual)[i]]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -554,64 +652,52 @@ class Grading:
         return len(self.components()) == self.order
 
     def check_tensor_compatible(self, ring: FusionRing) -> bool:
-        for i, j, k in zip(*np.nonzero(ring.fusion)):
-            gi, gj, gk = (self.assignment[x] for x in (int(i), int(j), int(k)))
-            s = tuple((a + b) % d for a, b, d in zip(gi, gj, self.group))
-            if s != gk:
-                return False
-        return True
+        """deg X_k = deg X_i + deg X_j for every nonzero N[i, j, k]."""
+        g = np.array(self.assignment, dtype=np.int64).reshape(ring.rank, len(self.group))
+        i, j, k = ring.nonzero()
+        return bool(np.array_equal((g[i] + g[j]) % np.array(self.group, dtype=np.int64), g[k]))
 
 
 def universal_grading(ring: FusionRing) -> Grading:
     """Finest faithful grading; trivial component = adjoint subring."""
     r = ring.rank
     adj = adjoint_subring(ring)
+    i, j, k = ring.nonzero()
 
-    parent = list(range(r))
+    # X_i and X_k share a component when N[i, a, k] > 0 for an adjoint a;
+    # every object takes the least label it is joined to, until none moves
+    in_adj = np.zeros(r, dtype=bool)
+    in_adj[list(adj)] = True
+    left, right = i[in_adj[j]], k[in_adj[j]]
+    label = np.arange(r)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, left, label[right])
+        np.minimum.at(new, right, label[left])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    _, comp = np.unique(label, return_inverse=True)
+    n_comp = int(comp.max()) + 1
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent[find(x)] = find(y)
-
-    for j in range(r):
-        for a in adj:
-            for k in np.nonzero(ring.fusion[j, a])[0]:
-                union(j, int(k))
-
-    comp_of = [find(i) for i in range(r)]
-    roots = sorted(set(comp_of))
-    pos = {root: n for n, root in enumerate(roots)}
-    members = {n: [i for i in range(r) if pos[comp_of[i]] == n] for n in range(len(roots))}
-
-    if set(members[pos[comp_of[0]]]) != set(adj):
+    if not np.array_equal(np.flatnonzero(comp == comp[0]), adj):
         raise InternalConsistencyError("trivial component differs from adjoint subring")
 
-    n_comp = len(roots)
-    table = [[-1] * n_comp for _ in range(n_comp)]
-    for c1 in range(n_comp):
-        for c2 in range(n_comp):
-            targets = set()
-            for i in members[c1]:
-                for j in members[c2]:
-                    targets |= {pos[comp_of[int(k)]] for k in np.nonzero(ring.fusion[i, j])[0]}
-            if len(targets) != 1:
-                raise InternalConsistencyError(
-                    f"component product not well defined for components {c1}, {c2}"
-                )
-            table[c1][c2] = targets.pop()
+    # the component product table from the distinct (c_i, c_j, c_k)
+    triples = np.unique((comp[i] * n_comp + comp[j]) * n_comp + comp[k])
+    counts = np.bincount(triples // n_comp, minlength=n_comp * n_comp)
+    if np.any(counts != 1):
+        c1, c2 = divmod(int(np.flatnonzero(counts != 1)[0]), n_comp)
+        raise InternalConsistencyError(
+            f"component product not well defined for components {c1}, {c2}"
+        )
+    table = (triples % n_comp).reshape(n_comp, n_comp).tolist()
 
-    e = pos[comp_of[0]]
+    e = int(comp[0])
     invs = invariant_factors(table, e)
     comp_assign = assignment(table, e, invs)
-    return Grading(
-        group=tuple(invs),
-        assignment=tuple(comp_assign[pos[comp_of[i]]] for i in range(r)),
-    )
+    return Grading(group=tuple(invs), assignment=tuple(comp_assign[c] for c in comp.tolist()))
 
 
 def gn_grading(ring: FusionRing) -> Grading:

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Each oracle deliberately uses a different algorithm from the production
-code: associativity by nested loops over Python ints,
+code: associativity, commutativity, the sum of the fusion matrices and
+the invertibles by nested loops over the dense tensor in Python ints,
 hom-space dimensions by divide-and-conquer multiset expansion,
 Z2-cohomology by direct evaluation of the inhomogeneous cochain
 differential, and quadratic-form classification on Z_N by exhaustive
@@ -21,13 +22,18 @@ import numpy as np
 # associativity
 
 
+def _ints(fusion):
+    """The dense tensor as nested lists of Python ints."""
+    return [[[int(x) for x in row] for row in plane] for plane in fusion]
+
+
 def associativity_bruteforce(fusion):
     """Every (i, j, k, l) with sum_m N_ij^m N_mk^l != sum_m N_jk^m N_im^l.
 
     One loop per index over Python ints, so nothing can overflow; the
     witnesses come out in lexicographic order.
     """
-    N = [[[int(x) for x in row] for row in plane] for plane in fusion]
+    N = _ints(fusion)
     r = len(N)
     out = []
     for i in range(r):
@@ -39,6 +45,39 @@ def associativity_bruteforce(fusion):
                     if lhs != rhs:
                         out.append((i, j, k, l))
     return out
+
+
+# ---------------------------------------------------------------------------
+# scans of the dense tensor, entry by entry
+
+
+def commutative_bruteforce(fusion) -> bool:
+    N = _ints(fusion)
+    r = len(N)
+    return all(N[i][j][k] == N[j][i][k] for i in range(r) for j in range(r) for k in range(r))
+
+
+def sum_matrix_bruteforce(fusion):
+    """M[j][k] = sum_i N[i][j][k] in Python ints."""
+    N = _ints(fusion)
+    r = len(N)
+    return [[sum(N[i][j][k] for i in range(r)) for k in range(r)] for j in range(r)]
+
+
+def invertibles_bruteforce(fusion, dual):
+    """(elements, {(a, b): c}) for the X with X (x) X* = 1, or None when a
+    product of two of them is not a single one of them."""
+    N = _ints(fusion)
+    r = len(N)
+    elems = [i for i in range(r) if sum(N[i][dual[i]]) == 1]
+    product = {}
+    for a in elems:
+        for b in elems:
+            ks = [k for k in range(r) if N[a][b][k]]
+            if len(ks) != 1 or N[a][b][ks[0]] != 1 or ks[0] not in elems:
+                return None
+            product[(a, b)] = ks[0]
+    return tuple(elems), product
 
 
 # ---------------------------------------------------------------------------

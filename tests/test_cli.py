@@ -95,6 +95,16 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.err.startswith("error: ") and "Traceback" not in out.err
 
+    def test_oversized_dense_tensor_is_a_usage_error(self, tmp_path, capsys):
+        # verify reads the dense tensor, 201 GiB at rank 3000: refused before allocating
+        f = tmp_path / "ring.json"
+        r = 3000
+        f.write_text(json.dumps({"labels": [f"x{i}" for i in range(r)],
+                                 "dual": list(range(r)), "fusion": []}))
+        assert run(["verify", "--ring", str(f)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and "Traceback" not in out.err
+
     def test_census_ok(self, capsys):
         assert run(["census", "--n", "12"]) == EXIT_OK
 

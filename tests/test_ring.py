@@ -13,6 +13,7 @@ from modcat import (
     FusionRing,
     InternalConsistencyError,
     MalformedInputError,
+    ResourceLimitError,
     UnsupportedInputError,
     adjoint_subring,
     build_so_n2,
@@ -23,12 +24,14 @@ from modcat import (
     gn_grading,
     hom_space_dim,
     invertibles,
+    structure_census,
     subring_generated,
     universal_grading,
     verify_axioms,
 )
+import modcat.ring as ring_module
 from modcat.modular import FLOAT_TOL
-from modcat.ring import is_commutative
+from modcat.ring import _sum_matrix, is_commutative
 
 import oracles
 
@@ -109,6 +112,84 @@ class TestConstruction:
         assert again.dual == ising.dual
         assert np.array_equal(again.fusion, ising.fusion)
         assert again.dumps() == ising.dumps()
+
+
+class TestStorage:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda r: st.tuples(
+                st.lists(
+                    st.sampled_from((0, 1, 2, 2**32, 2**40)), min_size=r**3, max_size=r**3
+                ).map(lambda entries: np.array(entries, dtype=np.int64).reshape(r, r, r)),
+                st.booleans(),
+                st.booleans(),
+                st.booleans(),
+            )
+        )
+    )
+    def test_nonzeros_agree_with_dense_oracles(self, case):
+        fusion, symmetric, unital, swap = case
+        r = len(fusion)
+        if symmetric:
+            fusion = np.maximum(fusion, fusion.transpose(1, 0, 2))
+        if unital:
+            fusion[0] = fusion[:, 0] = np.eye(r, dtype=np.int64)
+        dual = (0, 2, 1, *range(3, r)) if swap and r >= 3 else tuple(range(r))
+        ring = FusionRing(tuple(map(str, range(r))), dual, fusion)
+
+        dense = ring.fusion
+        assert dense.dtype == np.int64 and dense.flags.c_contiguous and not dense.flags.writeable
+        assert np.array_equal(dense, fusion)
+        for i in range(r):
+            for j in range(r):
+                ks, ms = ring.row(i, j)
+                assert ks.tolist() == np.flatnonzero(fusion[i, j]).tolist()
+                assert ms.tolist() == fusion[i, j, ks].tolist()
+        assert FusionRing.loads(ring.dumps()) == ring
+
+        assert is_commutative(ring) == oracles.commutative_bruteforce(fusion)
+        M = oracles.sum_matrix_bruteforce(fusion)
+        if not is_commutative(ring):
+            with pytest.raises(UnsupportedInputError):
+                _sum_matrix(ring)
+        elif M == [list(col) for col in zip(*M)] and min(map(min, M)) > 0:
+            assert _sum_matrix(ring).tolist() == M
+        else:
+            with pytest.raises(MalformedInputError):
+                _sum_matrix(ring)
+
+        want = oracles.invertibles_bruteforce(fusion, dual)
+        if want is None:
+            with pytest.raises(InternalConsistencyError):
+                invertibles(ring)
+        else:
+            group = invertibles(ring)
+            assert (group.elements, group.product) == want
+
+    def test_large_ring_never_builds_the_dense_view(self, monkeypatch):
+        # with no room for a dense tensor, a layer that built one would raise
+        monkeypatch.setattr(ring_module, "DENSE_LIMIT", 0)
+        ring = build_so_n2(600)
+        assert structure_census(ring, 600).ok
+        assert gn_grading(ring).group == (2,)
+        assert universal_grading(ring).group == (2, 2)
+        assert FusionRing.loads(ring.dumps()) == ring
+        with pytest.raises(ResourceLimitError):
+            ring.fusion
+
+    def test_dense_view_is_read_only_and_kept(self, ising):
+        assert ising.fusion is ising.fusion
+        with pytest.raises(ValueError):
+            ising.fusion[0, 0, 0] = 2
+        with pytest.raises(AttributeError):
+            ising.labels = ()
+
+    def test_from_nonzeros_rejects_unsorted_cells(self):
+        with pytest.raises(MalformedInputError):
+            FusionRing.from_nonzeros(("1", "x"), (0, 1), [3, 0], [1, 1])
+        with pytest.raises(MalformedInputError):
+            FusionRing.from_nonzeros(("1", "x"), (0, 1), [0, 8], [1, 1])
 
 
 class TestAxioms:
@@ -216,6 +297,12 @@ class TestDimensions:
         with pytest.raises(InternalConsistencyError):
             fp_dimensions(off)
 
+    def test_sum_matrix_exact_past_int64(self):
+        # three multiplicities of 2**63 - 1 wrapped to 2**63 - 3 in int64
+        big = 2**63 - 1
+        ring = FusionRing(("a", "b", "c"), (0, 1, 2), np.full((3, 3, 3), big))
+        assert _sum_matrix(ring)[0, 0] == 3 * big
+
     def test_vanishing_square_is_malformed(self):
         # x (x) x = 0: the sum of the fusion matrices has a zero entry
         fusion = np.zeros((2, 2, 2), dtype=np.int64)
@@ -289,6 +376,11 @@ class TestHom:
     def test_too_small_power_rejected(self, ising):
         with pytest.raises(MalformedInputError):
             asymptotic_dim_ratio(ising, ising.index("sig"), 0)
+
+    @pytest.mark.parametrize("word, target", [([], 0), ([3], 0), ([0, 3], 0), ([2, 2], 3)])
+    def test_word_outside_the_basis_rejected(self, ising, word, target):
+        with pytest.raises(MalformedInputError):
+            hom_space_dim(ising, word, target)
 
 
 # ---------------------------------------------------------------------------
