@@ -411,7 +411,7 @@ def ising_squared_total_count() -> dict:
     with_fermion = [
         cls
         for cls in klein_classes
-        if any(x == Fraction(1, 2) for x in cls[0].q)
+        if np.any(2 * cls[0].num == cls[0].den)  # q takes the value 1/2
     ]
     klein = 2 * len(with_fermion)
     return {"cyclic-gauged": cyclic, "klein-gauged": klein, "total": cyclic + klein}

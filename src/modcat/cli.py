@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import catalog, gauging, metric, modular, ring as ring_mod
-from .errors import ModcatError, ParameterError
+from .errors import ModcatError, ParameterError, ResourceLimitError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -161,6 +161,12 @@ def _dispatch(args) -> int:
         if args.action == "enumerate":
             if args.n is None:
                 raise ParameterError("metric enumerate needs --n")
+            # refused before any table is built: classes x n q entries would be printed
+            entries = args.n * len(metric.cyclic_class_coefficients(args.n)[0])
+            if entries > metric.ORDER_LIMIT:
+                raise ResourceLimitError(
+                    f"metric enumerate --n {args.n} would print {entries} q entries, "
+                    f"above the limit {metric.ORDER_LIMIT}")
             forms = metric.enumerate_cyclic_metric_groups(args.n)
             if fmt == "json":
                 print(json.dumps([m.to_json_dict() for m in forms]))

@@ -5,115 +5,161 @@ sigma(a, b) = q(a+b) - q(a) - q(b) is bilinear; nondegeneracy of sigma is
 tracked as a property rather than required at construction, so that the
 "pointed data modular iff sigma nondegenerate" equivalence is testable in
 both directions.
+
+On Z_{d1} x ... x Z_{dk} with generators e_i, a form is fixed by its Gram
+values c_i = q(e_i), b_ij = sigma(e_i, e_j): q(a) = sum c_i a_i^2 +
+sum_{i<j} b_ij a_i a_j.  Tables are built from them, isomorphisms tested on them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 import numpy as np
 
 from ._abelian import factorint
-from .errors import (
-    MalformedInputError,
-    ParameterError,
-    ResourceLimitError,
-)
+from .errors import MalformedInputError, ParameterError, ResourceLimitError
 from .modular import Phase, RibbonData
 from .ring import AlgebraicReal, FusionRing, _parse_json
 
 BRUTE_FORCE_LIMIT = 10_000
-ORDER_LIMIT = 1_000_000  # largest group order the JSON loader accepts
+ORDER_LIMIT = 1_000_000  # largest group order the JSON loader and enumeration accept
 
 
-@dataclass(frozen=True)
+# -- index arithmetic on Z_{d1} x ... x Z_{dk}; the trivial group is Z_1 --
+
+
+def _coords(shape) -> np.ndarray:
+    """Coordinates of every element in index order, one row per factor."""
+    return np.indices(shape, dtype=np.int64).reshape(len(shape), -1)
+
+
+def _ravel(coords, shape) -> np.ndarray:
+    """Indices of the elements with these coordinates (first axis), mod the factors."""
+    return np.ravel_multi_index(tuple(coords), shape, mode="wrap")
+
+
+def _gram(num, den: int, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators over den of c_i = q(e_i) and of the matrix b_ij = sigma(e_i, e_j)."""
+    eye = np.eye(len(shape), dtype=np.int64)
+    c = num[_ravel(eye, shape)]
+    b = (num[_ravel(eye[:, :, None] + eye[:, None, :], shape)] - c[:, None] - c[None, :]) % den
+    return c, b
+
+
+def _tables(shape, coeffs, den: int) -> np.ndarray:
+    """Numerators over den of sum c_i a_i^2 + sum_{i<j} b_ij a_i a_j at every
+    element, one row per coefficient row (c_1, .., c_k, b_12, b_13, .., b_{k-1,k})."""
+    a, k = _coords(shape), len(shape)
+    iu, ju = np.triu_indices(k, 1)
+    mono = a[np.r_[:k, iu]] * a[np.r_[:k, ju]] % den
+    return np.asarray(coeffs, dtype=np.int64).reshape(-1, len(mono)) @ mono % den
+
+
+def _nondegenerate(nums, den: int, shape) -> np.ndarray:
+    """Per row of nums: no a != 0 has sigma(a, e_j) = 0 for every generator.
+    sigma(a, .) is a homomorphism, so that is the whole radical."""
+    a = _coords(shape)
+    radical = np.ones(nums.shape, dtype=bool)
+    for e in np.eye(len(shape), dtype=np.int64)[:, :, None]:
+        radical &= (nums[:, _ravel(a + e, shape)] - nums - nums[:, _ravel(e, shape)]) % den == 0
+    return radical.sum(axis=1) == 1
+
+
 class MetricGroup:
     """Group Z_{d1} x ... x Z_{dk} (d_i | d_{i+1}) with q: A -> Q/Z.
 
-    Elements are coordinate tuples, indexed in lexicographic product order;
-    q is stored as one reduced fraction per element index.
+    Elements are coordinate tuples, indexed in lexicographic product order.
+    The form is `num`, a read-only int64 vector, over the least common
+    denominator `den`: q(element i) = num[i] / den.  `q`, the same table as
+    reduced `Fraction`s, is built on first access.
     """
 
-    facs: tuple[int, ...]
-    q: tuple[Fraction, ...]
+    __slots__ = ("facs", "num", "den", "_q")
 
-    def __post_init__(self):
-        facs = tuple(int(d) for d in self.facs)
-        object.__setattr__(self, "facs", facs)
-        object.__setattr__(self, "q", tuple(Fraction(x) % 1 for x in self.q))
+    def __init__(self, facs, q):
+        facs = tuple(int(d) for d in facs)
+        q = [Fraction(x) % 1 for x in q]
         if any(d < 1 for d in facs):
             raise MalformedInputError("invariant factors must be positive")
-        for a, b in zip(facs, facs[1:]):
-            if b % a:
-                raise MalformedInputError("invariant factors must form a divisor chain")
-        if len(self.q) != self.order:
+        if any(b % a for a, b in zip(facs, facs[1:])):
+            raise MalformedInputError("invariant factors must form a divisor chain")
+        if len(q) != prod(facs):
             raise MalformedInputError("q table length does not match group order")
-        if self.q[0] != 0:
+        if q[0] != 0:
             raise MalformedInputError("q(0) must vanish")
+        # 2 e q(a) = e sigma(a, a) = 0 for a form on a group of exponent e
+        den = lcm(*(x.denominator for x in q))
+        if (2 * max(facs, default=1)) % den:
+            raise MalformedInputError("q takes a value outside (1/2e)Z, e the exponent")
+        self._set(facs, np.array([x.numerator * (den // x.denominator) for x in q]), den)
         self._validate()
 
-    def _validate(self) -> None:
-        # Checking additivity of the polarization against each generator
-        # suffices: the defect T(a, b, c) = sigma(a+b, c) - sigma(a, c)
-        # - sigma(b, c) is symmetric in all three slots and additive in the
-        # third once it vanishes there on generators.  By induction on b,
-        # sigma(., g) is additive once sigma(a + h, g) = sigma(a, g) +
-        # sigma(h, g) for every a and every generator h: O(n k^2) work.
-        n = self.order
-        if n == 1:
-            return
-        denom = 1
-        for x in self.q:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        qi = np.array([x.numerator * (denom // x.denominator) for x in self.q])
-        if len(self.facs) == 1:
-            idx = np.arange(n)
-            if not np.array_equal(qi[(-idx) % n], qi):
-                raise MalformedInputError("q(-a) != q(a)")
-            # the same with k = 1: sigma(a, 1) = a sigma(1, 1) for a < n and
-            # n sigma(1, 1) = 0, as sigma(a + 1, 1) = sigma(a, 1) + sigma(1, 1)
-            s1 = (qi[(idx + 1) % n] - qi - qi[1]) % denom
-            if np.any((np.roll(s1, -1) - s1 - s1[1]) % denom):
-                raise MalformedInputError("polarization is not bilinear")
-            return
-        elems = self.elements()
-        for a in elems:
-            if self.q_of(self.neg(a)) != self.q_of(a):
-                raise MalformedInputError(f"q(-a) != q(a) at {a}")
-        gens = [
-            tuple(1 if i == j else 0 for j in range(len(self.facs)))
-            for i in range(len(self.facs))
-        ]
-        for g in gens:
-            sig = {a: self.sigma(a, g) for a in elems}
-            for a in elems:
-                for b in gens:
-                    if sig[self.add(a, b)] != (sig[a] + sig[b]) % 1:
-                        raise MalformedInputError(
-                            f"polarization not bilinear at {(a, b, g)}"
-                        )
+    @classmethod
+    def _of(cls, facs, num, den: int) -> "MetricGroup":
+        """The form num / den (a quadratic form by construction), reduced."""
+        mg = cls.__new__(cls)
+        g = gcd(den, int(np.gcd.reduce(num)))
+        mg._set(facs, num // g, den // g)
+        return mg
 
-    # -- group structure --
+    def _set(self, facs, num, den) -> None:
+        num = np.ascontiguousarray(num, dtype=np.int64)
+        num.setflags(write=False)
+        for name, value in zip(self.__slots__, (facs, num, int(den), None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MetricGroup is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MetricGroup):
+            return NotImplemented
+        return (self.facs, self.den) == (other.facs, other.den) and np.array_equal(self.num, other.num)
+
+    def __hash__(self):
+        return hash((self.facs, self.den, self.num.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"MetricGroup(facs={self.facs}, num={self.num.tolist()}, den={self.den})"
+
+    @property
+    def q(self) -> tuple[Fraction, ...]:
+        if self._q is None:
+            object.__setattr__(self, "_q", tuple(Fraction(x, self.den) for x in self.num.tolist()))
+        return self._q
+
+    @property
+    def _shape(self) -> tuple[int, ...]:
+        return self.facs or (1,)
+
+    def _validate(self) -> None:
+        # q is a form iff it is the expansion of its Gram values and that is well
+        # defined on the group: 2 d_i c_i, d_i^2 c_i, gcd(d_i, d_j) b_ij in Z.  Both
+        # are necessary (q(m a) = m^2 q(a)); together they pull a form back from Z^k.
+        shape, den = self._shape, self.den
+        c, b = _gram(self.num, den, shape)
+        i, j = np.triu_indices(len(shape), 1)
+        if not np.array_equal(_tables(shape, np.concatenate([c, b[i, j]]), den)[0], self.num):
+            raise MalformedInputError("q is not the quadratic form of its Gram values")
+        d = np.array(shape, dtype=np.int64)
+        if np.any(np.r_[2 * d * c, d * d % den * c, np.gcd(d[i], d[j]) * b[i, j]] % den):
+            raise MalformedInputError("q is not well defined on the group")
+
+    # -- group structure (coordinate tuples) --
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.facs:
-            n *= d
-        return n
+        return len(self.num)
 
     def elements(self) -> list[tuple[int, ...]]:
-        return list(product(*(range(d) for d in self.facs)))
+        return list(product(*map(range, self.facs)))
 
     def index(self, a: tuple[int, ...]) -> int:
-        idx = 0
-        for c, d in zip(a, self.facs):
-            idx = idx * d + c % d
-        return idx
+        return int(np.ravel_multi_index(a, self.facs, mode="wrap"))
 
     def add(self, a, b) -> tuple[int, ...]:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.facs))
@@ -121,31 +167,23 @@ class MetricGroup:
     def neg(self, a) -> tuple[int, ...]:
         return tuple((-x) % d for x, d in zip(a, self.facs))
 
-    # -- the form --
-
     def q_of(self, a) -> Fraction:
-        return self.q[self.index(a)]
+        return Fraction(int(self.num[self.index(a)]), self.den)
 
     def sigma(self, a, b) -> Fraction:
         return (self.q_of(self.add(a, b)) - self.q_of(a) - self.q_of(b)) % 1
 
     @property
     def is_nondegenerate(self) -> bool:
-        elems = self.elements()
-        for a in elems[1:]:
-            if all(self.sigma(a, b) == 0 for b in elems):
-                return False
-        return True
+        return bool(_nondegenerate(self.num[None], self.den, self._shape)[0])
 
     # -- JSON --
 
     def to_json_dict(self) -> dict:
-        return {
-            "group": list(self.facs),
-            "q": [
-                [i, x.numerator, x.denominator] for i, x in enumerate(self.q) if x != 0
-            ],
-        }
+        idx = np.flatnonzero(self.num)
+        g = np.gcd(self.num[idx], self.den)
+        rows = np.column_stack([idx, self.num[idx] // g, self.den // g])
+        return {"group": list(self.facs), "q": rows.tolist()}
 
     def dumps(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -159,12 +197,12 @@ class MetricGroup:
             raise MalformedInputError("a metric group must be a JSON object")
         missing = [key for key in ("group", "q") if key not in data]
         if missing:
-            raise MalformedInputError(
-                f"metric group is missing key(s) {', '.join(missing)}"
-            )
+            raise MalformedInputError(f"metric group is missing key(s) {', '.join(missing)}")
         facs = data["group"]
         if type(facs) is not list or not all(type(d) is int for d in facs):
             raise MalformedInputError("group must be a list of integers")
+        if any(d < 1 for d in facs):
+            raise MalformedInputError("invariant factors must be positive")
         order = prod(facs)
         if order > ORDER_LIMIT:
             raise ResourceLimitError(f"group order {order} exceeds the limit {ORDER_LIMIT}")
@@ -174,28 +212,45 @@ class MetricGroup:
             for row in rows
         ):
             raise MalformedInputError("q must be a list of [index, num, den] integer rows")
-        q = [Fraction(0)] * order
-        seen = set()
+        q = [None] * order
         for i, num, den in rows:
             if not 0 <= i < order:
                 raise MalformedInputError(f"q index {i} out of range for order {order}")
             if den == 0:
                 raise MalformedInputError(f"q entry at index {i} has a zero denominator")
-            if i in seen:
+            if q[i] is not None:
                 raise MalformedInputError(f"q index {i} is listed twice")
-            seen.add(i)
             q[i] = Fraction(num, den)
-        return cls(tuple(facs), tuple(q))
+        return cls(tuple(facs), [x or 0 for x in q])
 
     @classmethod
     def loads(cls, text: str | bytes) -> "MetricGroup":
         return cls.from_json_dict(_parse_json(text, "metric group"))
 
 
+def _check_order(n: int) -> None:
+    # also keeps every numerator product below den^2 <= 4 ORDER_LIMIT^2 < 2^63
+    if n < 1:
+        raise ParameterError("n must be positive")
+    if n > ORDER_LIMIT:
+        raise ResourceLimitError(f"group order {n} exceeds the limit {ORDER_LIMIT}")
+
+
+def _cyclic(n: int, coeffs, den: int) -> list[MetricGroup]:
+    """The forms q(a) = c a^2 / den on Z_n, one per numerator c."""
+    sq = np.arange(n, dtype=np.int64) ** 2 % den
+    return [MetricGroup._of((n,) if n > 1 else (), c * sq % den, den) for c in coeffs]
+
+
 def cyclic_metric_group(n: int, coeff: Fraction) -> MetricGroup:
-    """Form q(a) = coeff * a^2 on Z_n (coeff a rational mod 1)."""
-    q = tuple(Fraction(coeff * a * a) % 1 for a in range(n))
-    return MetricGroup((n,) if n > 1 else (), q)
+    """Form q(a) = coeff * a^2 on Z_n (coeff a rational mod 1); it is well
+    defined when coeff * n is an integer (odd n) or coeff * 2n is (even n)."""
+    _check_order(n)
+    den = n if n % 2 else 2 * n
+    c = Fraction(coeff) * den
+    if n > 1 and c.denominator != 1:
+        raise MalformedInputError(f"q(a) = {Fraction(coeff)} a^2 is not well defined on Z_{n}")
+    return _cyclic(n, [int(c) % den], den)[0]
 
 
 def cyclic_form(p_power: int, u: int) -> MetricGroup:
@@ -205,94 +260,72 @@ def cyclic_form(p_power: int, u: int) -> MetricGroup:
     if len(fac) != 1:
         raise ParameterError(f"{p_power} is not a prime power")
     (p, k), = fac.items()
-    if p == 2:
-        if u % 2 == 0:
-            raise ParameterError(f"u = {u} is even; p = 2 needs an odd unit")
-        return cyclic_metric_group(p_power, Fraction(u, 2 * p_power))
     if gcd(u, p) != 1:
         raise ParameterError(f"u = {u} is not a unit modulo {p}")
-    return cyclic_metric_group(p_power, Fraction(u, p_power))
-
-
-def _crt_product(parts: list[MetricGroup], n: int) -> MetricGroup:
-    """Assemble a form on cyclic Z_n from forms on its coprime prime-power parts."""
-    q = []
-    for a in range(max(n, 1)):
-        total = Fraction(0)
-        for part in parts:
-            m = part.order
-            total += part.q_of((a % m,)) if part.facs else Fraction(0)
-        q.append(total % 1)
-    return MetricGroup((n,) if n > 1 else (), tuple(q) if n > 1 else (Fraction(0),))
+    return cyclic_metric_group(p_power, Fraction(u, 2 * p_power if p == 2 else p_power))
 
 
 def _least_nonresidue(p: int) -> int:
-    squares = {(x * x) % p for x in range(1, p)}
-    return next(u for u in range(2, p) if u % p not in squares)
+    return next(u for u in range(2, p) if pow(u, (p - 1) // 2, p) == p - 1)
+
+
+def cyclic_class_coefficients(n: int) -> tuple[list[int], int]:
+    """(numerators c, den) of the classes c a^2 / den of nondegenerate forms
+    on Z_n, in the order of `enumerate_cyclic_metric_groups`.  A class sums
+    its prime-power parts u / p^k (odd p; u = 1 or a non-residue) and
+    u / 2^{k+1} (p = 2; u in {1, 3}, or Z_8^* when k >= 2)."""
+    _check_order(n)
+    den = n if n % 2 else 2 * n
+    parts = []
+    for p, k in sorted(factorint(n).items()):
+        units = ([1, 3] if k == 1 else [1, 3, 5, 7]) if p == 2 else [1, _least_nonresidue(p)]
+        step = den // (2 * p**k if p == 2 else p**k)
+        parts.append([u * step for u in units])
+    return [sum(c) % den for c in product(*parts)], den
 
 
 def enumerate_cyclic_metric_groups(n: int) -> list[MetricGroup]:
-    """One representative per equivalence class of nondegenerate forms on Z_n.
-
-    Prime-power representatives: two unit classes for odd p (1 and a
-    non-residue), q(1) in {1/4, 3/4} for Z_2, and u in Z_8^* for Z_{2^k},
-    k >= 2; classes multiply over the coprime factorization.
-    """
-    if n < 1:
-        raise ParameterError("n must be positive")
-    if n == 1:
-        return [MetricGroup((), (Fraction(0),))]
-    per_factor = []
-    for p, k in sorted(factorint(n).items()):
-        pk = p**k
-        if p == 2:
-            units = [1, 3] if k == 1 else [1, 3, 5, 7]
-        else:
-            units = [1, _least_nonresidue(p)]
-        per_factor.append([cyclic_form(pk, u) for u in units])
-    out = []
-    for combo in product(*per_factor):
-        out.append(_crt_product(list(combo), n))
-    return out
+    """One representative per equivalence class of nondegenerate forms on Z_n."""
+    return _cyclic(n, *cyclic_class_coefficients(n))
 
 
 def standard_cyclic_metric_group(n: int) -> MetricGroup:
-    """The first class of `enumerate_cyclic_metric_groups(n)`, built alone.
-
-    Every prime-power part takes the unit u = 1, and the CRT product of the
-    forms a^2 / p^k (odd p) and a^2 / 2^{k+1} (p = 2) is q(a) = c a^2, with c
-    the sum of their coefficients.
-    """
-    if n < 1:
-        raise ParameterError("n must be positive")
-    c = sum(
-        (Fraction(1, 2 * p**k if p == 2 else p**k) for p, k in factorint(n).items()),
-        Fraction(0),
-    )
-    return cyclic_metric_group(n, c)
+    """The first class of `enumerate_cyclic_metric_groups(n)`, built alone (every u = 1)."""
+    coeffs, den = cyclic_class_coefficients(n)
+    return _cyclic(n, coeffs[:1], den)[0]
 
 
 def _isomorphisms(m1: MetricGroup, m2: MetricGroup):
-    """Yield every group isomorphism A1 -> A2 as an element map (dict)."""
-    if m1.facs != m2.facs:
+    """Yield the element map (index array) of every isomorphism A1 -> A2
+    carrying q1 to q2.  Each generator image x_i is chosen in turn among the
+    x with d_i x = 0, q2(x) = q1(e_i) and sigma2(x_j, x) = sigma1(e_j, e_i)
+    for the x_j already chosen: a homomorphism keeping these Gram values
+    keeps q, so only complete choices are expanded, and kept if bijective."""
+    if m1.facs != m2.facs or m1.den != m2.den:
         return
-    elems2 = m2.elements()
-    # generator images: any tuple of elements whose orders divide the factors
-    def order_divides(a, d):
-        return all((c * d) % f == 0 for c, f in zip(a, m2.facs))
+    shape, den, num = m1._shape, m2.den, m2.num
+    x = _coords(shape)
+    c, b = _gram(m1.num, den, shape)
+    cands = [
+        np.flatnonzero((num == c[i]) & ~np.any(x * d % np.array(shape)[:, None], axis=0))
+        for i, d in enumerate(shape)
+    ]
 
-    candidates = [[a for a in elems2 if order_divides(a, d)] for d in m1.facs]
-    elems1 = m1.elements()
-    for images in product(*candidates):
-        phi = {}
-        for a in elems1:
-            img = tuple(0 for _ in m2.facs)
-            for coord, gen_img in zip(a, images):
-                scaled = tuple((coord * x) % f for x, f in zip(gen_img, m2.facs))
-                img = m2.add(img, scaled)
-            phi[a] = img
-        if len(set(phi.values())) == len(elems1):
-            yield phi
+    def extend(images):
+        i = len(images)
+        if i == len(shape):
+            phi = _ravel(x[:, images] @ x, shape)
+            if np.all(np.bincount(phi, minlength=len(num))):
+                yield phi
+            return
+        ok = cands[i]
+        for j, y in enumerate(images):
+            s = (num[_ravel(x[:, ok] + x[:, [y]], shape)] - num[ok] - num[y]) % den
+            ok = ok[s == b[j, i]]
+        for y in ok.tolist():
+            yield from extend(images + [y])
+
+    yield from extend([])
 
 
 def equivalence_test(m1: MetricGroup, m2: MetricGroup) -> bool:
@@ -301,67 +334,35 @@ def equivalence_test(m1: MetricGroup, m2: MetricGroup) -> bool:
         return False
     if m1.order > BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(f"group order {m1.order} exceeds brute-force limit")
-    if m1.facs != m2.facs:
+    if (m1.facs, m1.den) != (m2.facs, m2.den) or not np.array_equal(np.sort(m1.num), np.sort(m2.num)):
         return False
-    if sorted(m1.q) != sorted(m2.q):
-        return False
-    for phi in _isomorphisms(m1, m2):
-        if all(m2.q_of(phi[a]) == m1.q_of(a) for a in m1.elements()):
-            return True
-    return False
+    return next(_isomorphisms(m1, m2), None) is not None
 
 
 def form_preserving_autos(mg: MetricGroup) -> list[tuple[int, ...]]:
     """All automorphisms preserving q, as index-permutation tuples, sorted."""
     if mg.order > BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(f"group order {mg.order} exceeds brute-force limit")
-    elems = mg.elements()
-    out = []
-    for phi in _isomorphisms(mg, mg):
-        if all(mg.q_of(phi[a]) == mg.q_of(a) for a in elems):
-            out.append(tuple(mg.index(phi[a]) for a in elems))
-    return sorted(set(out))
+    return sorted(tuple(phi.tolist()) for phi in _isomorphisms(mg, mg))
 
 
 def negation_auto(mg: MetricGroup) -> tuple[int, ...]:
-    return tuple(mg.index(mg.neg(a)) for a in mg.elements())
+    return tuple(_ravel(-_coords(mg._shape), mg._shape).tolist())
 
 
 def enumerate_forms(facs, nondegenerate_only: bool = True) -> list[MetricGroup]:
-    """Every quadratic form on the given group, by direct parametrization.
-
-    A form is determined by diagonal coefficients c_i (q on each cyclic
-    factor is c_i a^2 with 2 d_i c_i integral, and d_i c_i integral when d_i
-    is odd) and cross coefficients b_ij killed by gcd(d_i, d_j):
-    q(a) = sum c_i a_i^2 + sum_{i<j} b_ij a_i a_j.
-    """
+    """Every quadratic form on the given group, by its Gram values: c_i with
+    2 d_i c_i integral (d_i c_i when d_i is odd) and b_ij killed by gcd(d_i, d_j)."""
     facs = tuple(facs)
-    k = len(facs)
-    diag_choices = []
-    for d in facs:
-        if d % 2:
-            diag_choices.append([Fraction(m, d) for m in range(d)])
-        else:
-            diag_choices.append([Fraction(m, 2 * d) for m in range(2 * d)])
-    pairs = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    cross_choices = [
-        [Fraction(m, gcd(facs[i], facs[j])) for m in range(gcd(facs[i], facs[j]))]
-        for i, j in pairs
-    ]
-    elems = list(product(*(range(d) for d in facs)))
-    out = []
-    for cs in product(*diag_choices):
-        for bs in product(*cross_choices):
-            q = []
-            for a in elems:
-                val = sum((c * x * x for c, x in zip(cs, a)), Fraction(0))
-                for (i, j), b in zip(pairs, bs):
-                    val += b * a[i] * a[j]
-                q.append(val % 1)
-            mg = MetricGroup(facs, tuple(q))
-            if not nondegenerate_only or mg.is_nondegenerate:
-                out.append(mg)
-    return out
+    shape = facs or (1,)
+    i, j = np.triu_indices(len(shape), 1)
+    sizes = [d if d % 2 else 2 * d for d in shape] + [gcd(shape[x], shape[y]) for x, y in zip(i, j)]
+    den = lcm(*sizes)
+    coeffs = np.array(list(product(*map(range, sizes))), dtype=np.int64)
+    nums = _tables(shape, coeffs * (den // np.array(sizes)), den)
+    if nondegenerate_only:
+        nums = nums[_nondegenerate(nums, den, shape)]
+    return [MetricGroup._of(facs, row, den) for row in nums]
 
 
 def classify_forms(forms: list[MetricGroup]) -> list[list[MetricGroup]]:
@@ -379,16 +380,14 @@ def classify_forms(forms: list[MetricGroup]) -> list[list[MetricGroup]]:
 
 def pointed_ribbon_data(mg: MetricGroup) -> RibbonData:
     """Pointed ribbon data: fusion = group law, dims 1, twist of a = q(a)."""
-    elems = mg.elements()
-    n = len(elems)
+    n, shape = mg.order, mg._shape
     width = len(str(n - 1))
-    labels = tuple(f"g{mg.index(a):0{width}d}" for a in elems)
-    dual = tuple(mg.index(mg.neg(a)) for a in elems)
-    fusion = np.zeros((n, n, n), dtype=np.int64)
-    for a in elems:
-        for b in elems:
-            fusion[mg.index(a), mg.index(b), mg.index(mg.add(a, b))] = 1
-    one = AlgebraicReal(Fraction(1))
-    ring = FusionRing(labels, dual, fusion, tuple(one for _ in range(n)))
-    twists = tuple(Phase(mg.q_of(a)) for a in elems)
+    labels = tuple(f"g{i:0{width}d}" for i in range(n))
+    a = _coords(shape)
+    dual = _ravel(-a, shape).tolist()
+    idx = np.arange(n, dtype=np.int64)
+    cells = (idx[:, None] * n + idx[None, :]) * n + _ravel(a[:, :, None] + a[:, None, :], shape)
+    dims = (AlgebraicReal(Fraction(1)),) * n
+    ring = FusionRing.from_nonzeros(labels, dual, cells.ravel(), np.ones(n * n), dims)
+    twists = tuple(Phase(Fraction(x, mg.den)) for x in mg.num.tolist())
     return RibbonData(ring, ring.exact_dims, twists)

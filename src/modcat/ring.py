@@ -182,6 +182,8 @@ class FusionRing:
 
     def _set(self, labels, dual, cells, mults, exact_dims):
         r = len(labels)
+        if r == 0:
+            raise MalformedInputError("a fusion ring needs at least the unit object")
         dual = tuple(dual)
         if len(dual) != r or sorted(dual) != list(range(r)):
             raise MalformedInputError("dual must be a permutation of the indices")

@@ -5,8 +5,10 @@ code: associativity, commutativity, the sum of the fusion matrices and
 the invertibles by nested loops over the dense tensor in Python ints,
 hom-space dimensions by divide-and-conquer multiset expansion,
 Z2-cohomology by direct evaluation of the inhomogeneous cochain
-differential, and quadratic-form classification on Z_N by exhaustive
-parametrization plus unit-permutation canonicalization.
+differential, quadratic-form classification on Z_N by exhaustive
+parametrization plus unit-permutation canonicalization, cyclic classes by
+the per-element CRT product of prime-power forms, and automorphisms and
+equivalences of metric groups by checking whole element maps in Fractions.
 """
 
 from __future__ import annotations
@@ -306,9 +308,17 @@ def bilinear_bruteforce(facs, q):
     )
 
 
-def is_nondegenerate_bruteforce(q, n):
-    for a in range(1, n):
-        if all((q[(a + b) % n] - q[a] - q[b]) % 1 == 0 for b in range(n)):
+def is_nondegenerate_bruteforce(facs, q):
+    """No a != 0 has sigma(a, b) = 0 for every b, over all pairs."""
+    elems = list(product(*(range(d) for d in facs)))
+    index = {a: i for i, a in enumerate(elems)}
+
+    def q_of(a):
+        return q[index[tuple(x % d for x, d in zip(a, facs))]]
+
+    for a in elems[1:]:
+        if all((q_of(tuple(x + y for x, y in zip(a, b))) - q_of(a) - q_of(b)) % 1 == 0
+               for b in elems):
             return False
     return True
 
@@ -322,7 +332,7 @@ def classify_forms_bruteforce(n):
     units = [u for u in range(1, n) if _gcd(u, n) == 1] or [1]
     classes = set()
     for q in all_forms_bruteforce(n):
-        if not is_nondegenerate_bruteforce(q, n):
+        if not is_nondegenerate_bruteforce((n,), q):
             continue
         rep = min(tuple(q[(u * a) % n] for a in range(n)) for u in units)
         classes.add(rep)
@@ -333,3 +343,74 @@ def _gcd(a, b):
     from math import gcd
 
     return gcd(a, b)
+
+
+# ---------------------------------------------------------------------------
+# metric groups: per-element Fraction tables, whole element maps
+
+
+def cyclic_classes_bruteforce(n):
+    """The class tables of nondegenerate forms on Z_N, in class order: each
+    class is the per-element CRT sum of prime-power forms u a^2 / p^k (odd p,
+    u = 1 or the least non-residue) and u a^2 / 2^{k+1} (u = 1, 3, or
+    1, 3, 5, 7 when k >= 2), taken in the product order of the units."""
+    from modcat._abelian import factorint
+
+    parts = []
+    for p, k in sorted(factorint(n).items()):
+        pk = p**k
+        if p == 2:
+            units, den = ([1, 3] if k == 1 else [1, 3, 5, 7]), 2 * pk
+        else:
+            squares = {(x * x) % p for x in range(1, p)}
+            units, den = [1, next(u for u in range(2, p) if u not in squares)], pk
+        parts.append([(pk, [Fraction(u * a * a, den) % 1 for a in range(pk)]) for u in units])
+    return [
+        tuple(sum((table[a % m] for m, table in combo), Fraction(0)) % 1 for a in range(n))
+        for combo in product(*parts)
+    ]
+
+
+def _group(facs):
+    elems = list(product(*(range(d) for d in facs)))
+    return elems, {a: i for i, a in enumerate(elems)}
+
+
+def element_automorphisms(facs):
+    """Every group automorphism as an index tuple: all generator images whose
+    orders divide the factors, expanded over every element, kept when the
+    map is a bijection."""
+    elems, index = _group(facs)
+    cands = [[x for x in elems if all(c * d % f == 0 for c, f in zip(x, facs))] for d in facs]
+    for images in product(*cands):
+        phi = tuple(
+            index[tuple(sum(c * g[i] for c, g in zip(a, images)) % f for i, f in enumerate(facs))]
+            for a in elems
+        )
+        if len(set(phi)) == len(phi):
+            yield phi
+
+
+def autos_bruteforce(facs, q):
+    """Every automorphism phi with q(phi(a)) = q(a) for all a, sorted."""
+    return sorted(phi for phi in element_automorphisms(facs)
+                  if all(q[phi[i]] == q[i] for i in range(len(q))))
+
+
+def equivalent_bruteforce(facs1, q1, facs2, q2):
+    """Some isomorphism phi: A1 -> A2 has q2(phi(a)) = q1(a) for all a.
+    Groups in invariant factors are isomorphic iff the factors agree."""
+    return tuple(facs1) == tuple(facs2) and any(
+        all(q2[phi[i]] == q1[i] for i in range(len(q1))) for phi in element_automorphisms(facs1)
+    )
+
+
+def pointed_fusion_bruteforce(facs):
+    """The dense fusion tensor of the group ring: N[a, b, a + b] = 1."""
+    elems, index = _group(facs)
+    n = len(elems)
+    fusion = np.zeros((n, n, n), dtype=np.int64)
+    for a in elems:
+        for b in elems:
+            fusion[index[a], index[b], index[tuple((x + y) % d for x, y, d in zip(a, b, facs))]] = 1
+    return fusion

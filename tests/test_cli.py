@@ -1,10 +1,21 @@
 """CLI: dispatch, exit codes, JSON round trips, malformed input files."""
 
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import modcat
 from modcat import FusionRing, build_so_n2
 from modcat.cli import EXIT_CHECK_FAILED, EXIT_OK, EXIT_USAGE, run
 
@@ -58,6 +69,7 @@ class TestExitCodes:
                          id="float_multiplicity"),
             pytest.param('{"labels": ["1"], "dual": [0], "fusion": [[0, 0, 0, %d]]}' % 2**63,
                          id="multiplicity_past_int64"),
+            pytest.param('{"labels": [], "dual": [], "fusion": []}', id="empty_ring"),
         ],
     )
     def test_malformed_ring_is_a_usage_error(self, tmp_path, capsys, text):
@@ -78,6 +90,7 @@ class TestExitCodes:
             pytest.param('{"group": [2], "q": [[1, true, 4]]}', id="bool_numerator"),
             pytest.param('{"group": [5], "q": [[1, 1, 0]]}', id="zero_denominator"),
             pytest.param('{"group": [5], "q": [[5, 1, 5]]}', id="index_out_of_range"),
+            pytest.param('{"group": [2, %d], "q": []}' % -(2**63), id="negative_factor"),
         ],
     )
     def test_malformed_metric_group_is_a_usage_error(self, tmp_path, capsys, text):
@@ -103,6 +116,15 @@ class TestExitCodes:
                                  "dual": list(range(r)), "fusion": []}))
         assert run(["verify", "--ring", str(f)]) == EXIT_USAGE
         out = capsys.readouterr()
+        assert out.err.startswith("error: ") and "Traceback" not in out.err
+
+    def test_metric_enumerate_refuses_oversized_output(self, capsys):
+        # 128 classes of 720720 entries: refused from the factorization, before any table
+        start = time.perf_counter()
+        assert run(["metric", "enumerate", "--n", "720720"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
         assert out.err.startswith("error: ") and "Traceback" not in out.err
 
     def test_census_ok(self, capsys):
@@ -187,3 +209,65 @@ class TestOutputs:
         payload = json.loads(capsys.readouterr().out)
         assert payload["ok"] is True
         assert run(["sixteen-m", "--m", "4"]) == EXIT_USAGE
+
+
+# JSON-ish values, documents shaped like a metric group or a ring, and texts
+# cut short.  Groups have at most two factors: the zero form on Z_6^3 has
+# 1.9 million automorphisms, and `metric autos` would list every one.
+_ints = st.one_of(st.integers(-2, 12), st.sampled_from([2**63, -(2**63), 10**12, 10**6 + 1]))
+_scalars = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+                     _ints)
+_values = st.recursive(_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=2),
+    st.dictionaries(st.sampled_from(["group", "q", "labels", "dual", "fusion", "x"]), inner,
+                    max_size=3),
+), max_leaves=8)
+
+
+def _rows(width):
+    return st.lists(st.one_of(st.lists(_ints, min_size=width, max_size=width), _values),
+                    max_size=6)
+
+
+_documents = st.one_of(
+    _values,
+    st.fixed_dictionaries({"group": st.one_of(st.lists(_ints, max_size=2), _values),
+                           "q": st.one_of(_rows(3), _values)}),
+    st.fixed_dictionaries({"labels": st.one_of(st.lists(st.text(max_size=2), max_size=3), _values),
+                           "dual": st.one_of(st.lists(_ints, max_size=3), _values),
+                           "fusion": st.one_of(_rows(4), _values)}),
+)
+
+
+@st.composite
+def _json_texts(draw):
+    text = json.dumps(draw(_documents))
+    if draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(_json_texts(), st.sampled_from([["metric", "autos", "--file"], ["verify", "--ring"]]))
+    def test_any_text_exits_by_the_contract(self, text, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input.json")
+            with open(path, "w") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = run([*argv, path])
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE)
+        assert "Traceback" not in err.getvalue()
+
+
+def test_import_loads_no_heavy_optional_module():
+    # setup_s pays for every eager import; scipy, sympy and networkx stay lazy
+    src = str(Path(modcat.__file__).resolve().parents[1])
+    code = ("import sys, modcat; "
+            "print(','.join(m for m in ('scipy', 'sympy', 'networkx') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == ""

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcat import MalformedInputError, MetricGroup, ParameterError, ResourceLimitError
+from modcat import FusionRing, MalformedInputError, MetricGroup, ParameterError, ResourceLimitError
 from modcat.metric import (
     classify_forms,
+    cyclic_class_coefficients,
     cyclic_form,
     cyclic_metric_group,
     enumerate_cyclic_metric_groups,
@@ -247,3 +248,55 @@ class TestPointedData:
         mg = cyclic_form(5, 2)
         rd = pointed_ribbon_data(mg)
         assert [t.r for t in rd.twists] == [mg.q_of(a) for a in mg.elements()]
+
+
+class TestAgainstOracles:
+    """Class tables, automorphisms, equivalences, nondegeneracy and pointed
+    rings against the per-element Fraction oracles of `oracles`."""
+
+    GROUPS = [(2, 2), (2, 4), (3, 3), (2, 6), (4, 4), (2, 2, 2)] + [(n,) for n in range(1, 41)]
+
+    def test_cyclic_classes_match_the_crt_oracle(self):
+        for n in [*range(1, 151), 428, 795, 1973]:
+            forms = enumerate_cyclic_metric_groups(n)
+            assert [m.q for m in forms] == oracles.cyclic_classes_bruteforce(n), n
+            assert len(forms) == len(cyclic_class_coefficients(n)[0])
+
+    def test_enumeration_is_capped(self):
+        forms = enumerate_cyclic_metric_groups(30030)
+        assert len(forms) == 64 and len(set(forms)) == 64
+        assert forms[0] == standard_cyclic_metric_group(30030)
+        with pytest.raises(ResourceLimitError):
+            enumerate_cyclic_metric_groups(ORDER_LIMIT + 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(GROUPS), st.data())
+    def test_autos_nondegeneracy_and_pointed_ring(self, facs, data):
+        mg = data.draw(st.sampled_from(_forms(facs)))
+        assert form_preserving_autos(mg) == oracles.autos_bruteforce(facs, mg.q)
+        assert mg.is_nondegenerate == oracles.is_nondegenerate_bruteforce(facs, mg.q)
+        ring = pointed_ribbon_data(mg).ring
+        dense = FusionRing(ring.labels, ring.dual, oracles.pointed_fusion_bruteforce(facs),
+                           ring.exact_dims)
+        assert ring == dense
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(GROUPS), st.data())
+    def test_equivalence(self, facs, data):
+        forms = _forms(facs)
+        m1 = data.draw(st.sampled_from(forms))
+        # half of the time a relabelled copy of m1 under a random automorphism
+        if data.draw(st.booleans()):
+            phi = data.draw(st.sampled_from(list(oracles.element_automorphisms(facs))))
+            m2 = MetricGroup(facs, tuple(m1.q[phi[i]] for i in range(m1.order)))
+        else:
+            m2 = data.draw(st.sampled_from(forms))
+        want = oracles.equivalent_bruteforce(facs, m1.q, facs, m2.q)
+        assert equivalence_test(m1, m2) == want
+        assert equivalence_test(m2, m1) == want
+
+    def test_trivial_group(self):
+        mg = MetricGroup((), (Fraction(0),))
+        assert mg.is_nondegenerate and form_preserving_autos(mg) == [(0,)]
+        assert equivalence_test(mg, enumerate_cyclic_metric_groups(1)[0])
+        assert pointed_ribbon_data(mg).ring.rank == 1
