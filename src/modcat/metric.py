@@ -27,6 +27,10 @@ from .ring import AlgebraicReal, FusionRing, _parse_json
 
 BRUTE_FORCE_LIMIT = 10_000
 ORDER_LIMIT = 1_000_000  # largest group order the JSON loader and enumeration accept
+# largest product of the generator-image candidate counts `form_preserving_autos`
+# searches: (Z_2)^4 with the zero form (65 536, 20 160 automorphisms) takes 2 s
+# on a 2-vCPU VM; (Z_6)^3 with the zero form (10^7, 1.9 M automorphisms) is refused
+AUTOS_SEARCH_LIMIT = 100_000
 
 
 # -- index arithmetic on Z_{d1} x ... x Z_{dk}; the trivial group is Z_1 --
@@ -81,21 +85,24 @@ class MetricGroup:
     __slots__ = ("facs", "num", "den", "_q")
 
     def __init__(self, facs, q):
-        facs = tuple(int(d) for d in facs)
         q = [Fraction(x) % 1 for x in q]
+        den = lcm(*(x.denominator for x in q))
+        self._init(tuple(int(d) for d in facs), [x.numerator * (den // x.denominator) for x in q], den)
+
+    def _init(self, facs, num, den: int) -> None:
+        """Check and store the form num / den, num in [0, den)."""
         if any(d < 1 for d in facs):
             raise MalformedInputError("invariant factors must be positive")
         if any(b % a for a, b in zip(facs, facs[1:])):
             raise MalformedInputError("invariant factors must form a divisor chain")
-        if len(q) != prod(facs):
+        if len(num) != prod(facs):
             raise MalformedInputError("q table length does not match group order")
-        if q[0] != 0:
+        if num[0] != 0:
             raise MalformedInputError("q(0) must vanish")
         # 2 e q(a) = e sigma(a, a) = 0 for a form on a group of exponent e
-        den = lcm(*(x.denominator for x in q))
         if (2 * max(facs, default=1)) % den:
             raise MalformedInputError("q takes a value outside (1/2e)Z, e the exponent")
-        self._set(facs, np.array([x.numerator * (den // x.denominator) for x in q]), den)
+        self._set(facs, num, den)
         self._validate()
 
     @classmethod
@@ -207,21 +214,39 @@ class MetricGroup:
         if order > ORDER_LIMIT:
             raise ResourceLimitError(f"group order {order} exceeds the limit {ORDER_LIMIT}")
         rows = data["q"]
-        if type(rows) is not list or not all(
-            type(row) is list and len(row) == 3 and all(type(x) is int for x in row)
-            for row in rows
-        ):
+        flat = []
+        if type(rows) is list:
+            flat = [x for row in rows if type(row) is list and len(row) == 3 for x in row]
+        if type(rows) is not list or len(flat) != 3 * len(rows) or not set(map(type, flat)) <= {int}:
             raise MalformedInputError("q must be a list of [index, num, den] integer rows")
-        q = [None] * order
-        for i, num, den in rows:
-            if not 0 <= i < order:
-                raise MalformedInputError(f"q index {i} out of range for order {order}")
-            if den == 0:
-                raise MalformedInputError(f"q entry at index {i} has a zero denominator")
-            if q[i] is not None:
-                raise MalformedInputError(f"q index {i} is listed twice")
-            q[i] = Fraction(num, den)
-        return cls(tuple(facs), [x or 0 for x in q])
+        try:
+            entries = np.array(flat, dtype=np.int64).reshape(-1, 3)
+            if np.any(entries == np.iinfo(np.int64).min):  # its negation is no int64
+                raise OverflowError
+        except OverflowError:
+            raise MalformedInputError("a q entry lies outside the int64 range") from None
+        idx, num, den = entries.T
+        outside = (idx < 0) | (idx >= order)
+        if outside.any():
+            raise MalformedInputError(f"q index {idx[outside][0]} out of range for order {order}")
+        if np.any(den == 0):
+            raise MalformedInputError(f"q entry at index {idx[den == 0][0]} has a zero denominator")
+        listed = np.bincount(idx, minlength=order)
+        if listed.max() > 1:
+            raise MalformedInputError(f"q index {np.argmax(listed > 1)} is listed twice")
+        # every value over 2e, e the largest factor: reduced, its denominator must divide 2e
+        top = 2 * max(facs, default=1)
+        num, den = np.where(den < 0, -num, num), np.abs(den)
+        g = np.gcd(num, den)
+        num, den = num // g, den // g
+        if np.any(top % den):
+            raise MalformedInputError("q takes a value outside (1/2e)Z, e the exponent")
+        q = np.zeros(order, dtype=np.int64)
+        q[idx] = num % den * (top // den)
+        g = gcd(top, int(np.gcd.reduce(q)))
+        mg = cls.__new__(cls)
+        mg._init(tuple(facs), q // g, top // g)
+        return mg
 
     @classmethod
     def loads(cls, text: str | bytes) -> "MetricGroup":
@@ -295,12 +320,14 @@ def standard_cyclic_metric_group(n: int) -> MetricGroup:
     return _cyclic(n, coeffs[:1], den)[0]
 
 
-def _isomorphisms(m1: MetricGroup, m2: MetricGroup):
+def _isomorphisms(m1: MetricGroup, m2: MetricGroup, limit: int | None = None):
     """Yield the element map (index array) of every isomorphism A1 -> A2
     carrying q1 to q2.  Each generator image x_i is chosen in turn among the
     x with d_i x = 0, q2(x) = q1(e_i) and sigma2(x_j, x) = sigma1(e_j, e_i)
     for the x_j already chosen: a homomorphism keeping these Gram values
-    keeps q, so only complete choices are expanded, and kept if bijective."""
+    keeps q, so only complete choices are expanded, and kept if bijective.
+    `ResourceLimitError` before the search when the product of the numbers
+    of candidates for each x_i, which bounds its leaves, exceeds `limit`."""
     if m1.facs != m2.facs or m1.den != m2.den:
         return
     shape, den, num = m1._shape, m2.den, m2.num
@@ -310,6 +337,12 @@ def _isomorphisms(m1: MetricGroup, m2: MetricGroup):
         np.flatnonzero((num == c[i]) & ~np.any(x * d % np.array(shape)[:, None], axis=0))
         for i, d in enumerate(shape)
     ]
+    leaves = prod(map(len, cands))
+    if limit is not None and leaves > limit:
+        raise ResourceLimitError(
+            f"the automorphism search on {m1.facs} could reach {leaves} choices of "
+            f"generator images, above the limit of {limit}"
+        )
 
     def extend(images):
         i = len(images)
@@ -340,10 +373,11 @@ def equivalence_test(m1: MetricGroup, m2: MetricGroup) -> bool:
 
 
 def form_preserving_autos(mg: MetricGroup) -> list[tuple[int, ...]]:
-    """All automorphisms preserving q, as index-permutation tuples, sorted."""
+    """All automorphisms preserving q, as index-permutation tuples, sorted;
+    refused when the search could pass AUTOS_SEARCH_LIMIT leaves."""
     if mg.order > BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(f"group order {mg.order} exceeds brute-force limit")
-    return sorted(tuple(phi.tolist()) for phi in _isomorphisms(mg, mg))
+    return sorted(tuple(phi.tolist()) for phi in _isomorphisms(mg, mg, AUTOS_SEARCH_LIMIT))
 
 
 def negation_auto(mg: MetricGroup) -> tuple[int, ...]:

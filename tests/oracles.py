@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Each oracle deliberately uses a different algorithm from the production
-code: associativity, commutativity, the sum of the fusion matrices and
+code: the based-ring axioms, commutativity, the sum of the fusion matrices and
 the invertibles by nested loops over the dense tensor in Python ints,
 hom-space dimensions by divide-and-conquer multiset expansion,
 Z2-cohomology by direct evaluation of the inhomogeneous cochain
@@ -29,24 +29,42 @@ def _ints(fusion):
     return [[[int(x) for x in row] for row in plane] for plane in fusion]
 
 
-def associativity_bruteforce(fusion):
-    """Every (i, j, k, l) with sum_m N_ij^m N_mk^l != sum_m N_jk^m N_im^l.
+def associativity_bruteforce(fusion, quads=None):
+    """Every (i, j, k, l) with sum_m N_ij^m N_mk^l != sum_m N_jk^m N_im^l,
+    among all quadruples or among `quads` when given.
 
-    One loop per index over Python ints, so nothing can overflow; the
+    One sum per quadruple over Python ints, so nothing can overflow; the
     witnesses come out in lexicographic order.
     """
     N = _ints(fusion)
     r = len(N)
     out = []
-    for i in range(r):
-        for j in range(r):
-            for k in range(r):
-                for l in range(r):
-                    lhs = sum(N[i][j][m] * N[m][k][l] for m in range(r))
-                    rhs = sum(N[j][k][m] * N[i][m][l] for m in range(r))
-                    if lhs != rhs:
-                        out.append((i, j, k, l))
+    for i, j, k, l in sorted(quads) if quads is not None else product(range(r), repeat=4):
+        lhs = sum(N[i][j][m] * N[m][k][l] for m in range(r))
+        rhs = sum(N[j][k][m] * N[i][m][l] for m in range(r))
+        if lhs != rhs:
+            out.append((i, j, k, l))
     return out
+
+
+def verify_axioms_bruteforce(fusion, dual, quads=None):
+    """Every violation of the based-ring axioms, kind by kind in the order
+    of `verify_axioms` and each kind in index order, by comparing entries
+    of the dense tensor one at a time; associativity as in
+    `associativity_bruteforce`."""
+    N = _ints(fusion)
+    r = len(N)
+    pairs = list(product(range(r), repeat=2))
+    cells = list(product(range(r), repeat=3))
+    return (
+        [("dual_of_unit", (0,))] * (dual[0] != 0)
+        + [("unit_left", (0, j, k)) for j, k in pairs if N[0][j][k] != (j == k)]
+        + [("unit_right", (j, 0, k)) for j, k in pairs if N[j][0][k] != (j == k)]
+        + [("duality_pairing", (i, j, 0)) for i, j in pairs if N[i][j][0] != (j == dual[i])]
+        + [("frobenius_left", (i, j, k)) for i, j, k in cells if N[i][j][k] != N[dual[i]][k][j]]
+        + [("frobenius_right", (i, j, k)) for i, j, k in cells if N[i][j][k] != N[k][dual[j]][i]]
+        + [("associativity", w) for w in associativity_bruteforce(fusion, quads)]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -108,15 +108,29 @@ class TestExitCodes:
         out = capsys.readouterr()
         assert out.err.startswith("error: ") and "Traceback" not in out.err
 
-    def test_oversized_dense_tensor_is_a_usage_error(self, tmp_path, capsys):
-        # verify reads the dense tensor, 201 GiB at rank 3000: refused before allocating
+    def test_metric_autos_refuses_oversized_search(self, tmp_path, capsys):
+        # the zero form on Z_6^3: 10^7 choices of generator images, refused before any
+        f = tmp_path / "form.json"
+        f.write_text('{"group": [6, 6, 6], "q": []}')
+        start = time.perf_counter()
+        assert run(["metric", "autos", "--file", str(f)]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "Traceback" not in out.err
+
+    def test_ring_without_fusion_rows_fails_the_unit_axiom(self, tmp_path, capsys):
+        # verify reads only the nonzeros, so no 201 GiB dense tensor at rank 3000
         f = tmp_path / "ring.json"
         r = 3000
         f.write_text(json.dumps({"labels": [f"x{i}" for i in range(r)],
                                  "dual": list(range(r)), "fusion": []}))
-        assert run(["verify", "--ring", str(f)]) == EXIT_USAGE
+        start = time.perf_counter()
+        assert run(["verify", "--ring", str(f)]) == EXIT_CHECK_FAILED
+        assert time.perf_counter() - start < 5.0
         out = capsys.readouterr()
-        assert out.err.startswith("error: ") and "Traceback" not in out.err
+        assert "violated unit_left at (0, 0, 0)" in out.out
+        assert "Traceback" not in out.err
 
     def test_metric_enumerate_refuses_oversized_output(self, capsys):
         # 128 classes of 720720 entries: refused from the factorization, before any table
@@ -212,8 +226,8 @@ class TestOutputs:
 
 
 # JSON-ish values, documents shaped like a metric group or a ring, and texts
-# cut short.  Groups have at most two factors: the zero form on Z_6^3 has
-# 1.9 million automorphisms, and `metric autos` would list every one.
+# cut short.  Groups have up to three factors: `metric autos` refuses a search
+# as large as the one for the zero form on Z_6^3 (1.9 million automorphisms).
 _ints = st.one_of(st.integers(-2, 12), st.sampled_from([2**63, -(2**63), 10**12, 10**6 + 1]))
 _scalars = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
                      _ints)
@@ -231,7 +245,7 @@ def _rows(width):
 
 _documents = st.one_of(
     _values,
-    st.fixed_dictionaries({"group": st.one_of(st.lists(_ints, max_size=2), _values),
+    st.fixed_dictionaries({"group": st.one_of(st.lists(_ints, max_size=3), _values),
                            "q": st.one_of(_rows(3), _values)}),
     st.fixed_dictionaries({"labels": st.one_of(st.lists(st.text(max_size=2), max_size=3), _values),
                            "dual": st.one_of(st.lists(_ints, max_size=3), _values),

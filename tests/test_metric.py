@@ -1,5 +1,6 @@
 """Metric groups: forms, enumeration, equivalence, automorphisms."""
 
+import time
 from fractions import Fraction
 from functools import cache
 from itertools import product
@@ -229,6 +230,21 @@ class TestAutomorphisms:
                     and all(mg.q[(u * a) % n] == mg.q[a] for a in range(n))
                 }
                 assert set(autos) == expected
+
+    def test_search_size_is_bounded(self):
+        # the zero form on Z_6^3 has 1.9 million automorphisms: refused at once
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError):
+            form_preserving_autos(MetricGroup((6, 6, 6), [Fraction(0)] * 216))
+        assert time.perf_counter() - start < 1.0
+        # every group whose autos perfbench's forms_sweep lists stays admitted:
+        # Z_n for n = 2pq in [66, 78], and the classes on four small groups
+        for n in (66, 70, 78):
+            for mg in enumerate_cyclic_metric_groups(n):
+                assert form_preserving_autos(mg)
+        for facs in ((2, 2), (2, 4), (3, 3), (2, 6)):
+            for cls in classify_forms(enumerate_forms(facs)):
+                assert form_preserving_autos(cls[0])
 
     def test_prime_powers_have_only_plus_minus_one(self):
         for n in (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32):

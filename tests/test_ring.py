@@ -1,6 +1,8 @@
 """Fusion-ring core: axioms, dimensions, gradings, hom spaces."""
 
 from fractions import Fraction
+from itertools import permutations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -178,6 +180,32 @@ class TestStorage:
         with pytest.raises(ResourceLimitError):
             ring.fusion
 
+        # SO(120)_2 passes; a copy with one multiplicity raised and one zero
+        # made nonzero reports the oracle's witnesses.  Associativity can only
+        # break where a product touches one of the two cells, so the oracle
+        # checks those quadruples (4 r^2 per cell), not all r^4.
+        ring = build_so_n2(120)
+        assert verify_axioms(ring).ok
+        r = ring.rank
+        raised = int(ring.cells[len(ring.cells) // 2])
+        added = int(np.setdiff1d(np.arange(r**3), ring.cells)[r**3 // 3])
+        cells = np.sort(np.r_[ring.cells, added])
+        mults = np.ones(len(cells), dtype=np.int64)
+        mults[np.searchsorted(cells, ring.cells)] = ring.mults
+        mults[np.searchsorted(cells, raised)] += 1
+        bad = FusionRing.from_nonzeros(ring.labels, ring.dual, cells, mults)
+        dense = np.zeros(r**3, dtype=np.int64)
+        dense[cells] = mults
+        quads = set()
+        for a, b, c in (np.unravel_index(cell, (r, r, r)) for cell in (raised, added)):
+            for x, y in np.ndindex(r, r):
+                quads |= {(a, b, x, y), (x, y, b, c), (x, a, b, y), (a, x, y, c)}
+        violations = verify_axioms(bad).violations
+        assert any(kind == "associativity" for kind, _ in violations)
+        assert violations == oracles.verify_axioms_bruteforce(
+            dense.reshape(r, r, r), ring.dual, quads
+        )
+
     def test_dense_view_is_read_only_and_kept(self, ising):
         assert ising.fusion is ising.fusion
         with pytest.raises(ValueError):
@@ -234,6 +262,76 @@ class TestAxioms:
         ring = FusionRing(tuple(map(str, range(r))), tuple(range(r)), fusion)
         witnesses = [w for name, w in verify_axioms(ring).violations if name == "associativity"]
         assert witnesses == oracles.associativity_bruteforce(fusion)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda r: st.tuples(
+                st.lists(
+                    st.sampled_from((0, 1, 2, 2**32, 2**40)), min_size=r**3, max_size=r**3
+                ).map(lambda entries: np.array(entries, dtype=np.int64).reshape(r, r, r)),
+                st.permutations(range(r)),
+                st.integers(0, r // 2),
+                st.booleans(),
+                st.sampled_from((1, 7, ring_module.ASSOC_BATCH)),
+            )
+        )
+    )
+    def test_every_violation_matches_bruteforce_oracle(self, case):
+        # mostly non-commutative tensors; the dual swaps `swaps` pairs of a
+        # random permutation, the unit among them at times.  Small batches cut
+        # the associativity check into single rows (i, j) or a few of them.
+        fusion, perm, swaps, unital, batch = case
+        r = len(fusion)
+        if unital:
+            fusion[0] = fusion[:, 0] = np.eye(r, dtype=np.int64)
+        dual = list(range(r))
+        for a, b in zip(perm[: 2 * swaps : 2], perm[1 : 2 * swaps : 2]):
+            dual[a], dual[b] = b, a
+        ring = FusionRing(tuple(map(str, range(r))), dual, fusion)
+        with mock.patch.object(ring_module, "ASSOC_BATCH", batch):
+            violations = verify_axioms(ring).violations
+        assert violations == oracles.verify_axioms_bruteforce(fusion, dual)
+
+    def test_noncommutative_group_ring(self):
+        # the group ring of S_3 with X* = X^-1 passes; raising one product
+        # breaks Frobenius reciprocity and associativity around it
+        perms = list(permutations(range(3)))
+        fusion = np.zeros((6, 6, 6), dtype=np.int64)
+        for a, p in enumerate(perms):
+            for b, q in enumerate(perms):
+                fusion[a, b, perms.index(tuple(p[x] for x in q))] = 1
+        dual = [perms.index(tuple(p.index(x) for x in range(3))) for p in perms]
+        labels = tuple(map(str, range(6)))
+        ring = FusionRing(labels, dual, fusion)
+        assert not is_commutative(ring) and dual != list(range(6))
+        assert verify_axioms(ring).ok
+        fusion[3, 4, 5] += 1
+        report = verify_axioms(FusionRing(labels, dual, fusion))
+        assert {kind for kind, _ in report.violations} == {
+            "frobenius_left", "frobenius_right", "associativity"
+        }
+        assert report.violations == oracles.verify_axioms_bruteforce(fusion, dual)
+
+    def test_sums_without_packed_positions(self):
+        # keys too large to carry their positions in the low bits are argsorted
+        rng = np.random.default_rng(0)
+        keys, vals = rng.integers(0, 50, 1000), rng.integers(-2, 3, 1000)
+        want = [key for key in range(50) if vals[keys == key].sum() != 0]
+        assert ring_module._unbalanced(keys, vals, 50).tolist() == want
+        big = [key * 2**56 for key in want]
+        assert ring_module._unbalanced(keys * 2**56, vals, 2**62).tolist() == big
+
+    def test_associativity_keys_past_int64(self):
+        # at rank 60000, r^4 > 2^63: slices 0, b and a = r - 1 would share one
+        # batch of keys (i, j, k, l) that overflow; X_a X_a = X_b and
+        # X_b X_a = X_a give (X_a X_a) X_a = X_a but X_a (X_a X_a) = 0
+        r = 60000
+        a, b = r - 1, r - 2
+        cells = [0, (b * r + a) * r + a, (a * r + a) * r + b]
+        ring = FusionRing.from_nonzeros(map(str, range(r)), range(r), cells, [1, 1, 1])
+        witnesses = [w for kind, w in verify_axioms(ring).violations if kind == "associativity"]
+        assert witnesses == [(b, b, a, a), (b, a, a, b), (a, b, a, b), (a, a, a, a)]
 
     def test_large_rank_passes(self):
         ring = build_so_n2(160)
