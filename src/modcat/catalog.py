@@ -20,7 +20,7 @@ from ._abelian import squarefree_part
 from .errors import InternalConsistencyError, ParameterError
 from .gauging import GaugingDatum, assemble_ring, count_gaugings_per_form, particle_hole_rules
 from .metric import classify_forms, enumerate_cyclic_metric_groups, enumerate_forms
-from .modular import FLOAT_TOL, Phase, RibbonData, transparency_constraint
+from .modular import Phase, RibbonData, transparency_constraint
 from .ring import (
     AlgebraicReal,
     FusionRing,
@@ -474,55 +474,165 @@ def sixteen_m_component_census(m: int) -> dict:
 
 
 def based_ring_isomorphism(r1: FusionRing, r2: FusionRing):
-    """A label bijection carrying one fusion tensor onto the other, or None.
+    """A bijection phi of basis indices with phi(0) = 0, N2[phi i, phi j,
+    phi k] = N1[i, j, k] for all i, j, k and phi(i*) = phi(i)*, or None.
 
-    Backtracking over dimension-preserving assignments, pruning with every
-    fusion entry among already-assigned objects.
+    Reads only the nonzeros.  Colour refinement over both rings at once
+    splits the objects into classes an isomorphism must preserve; the
+    objects of r1 are then assigned in product order, so that an object
+    reached as a summand of X_a (x) X_b may only map into the row of
+    phi(a), phi(b), and a seed no product reaches into its colour class.
+    Each trial compares the nonzeros among assigned objects that touch the
+    new one, and the map found is checked on every nonzero.
     """
-    if r1.rank != r2.rank:
+    r = r1.rank
+    if r != r2.rank or len(r1.cells) != len(r2.cells):
         return None
-    d1 = fp_dimensions(r1)
-    d2 = fp_dimensions(r2)
-    rank = r1.rank
-    candidates = [
-        [j for j in range(rank) if abs(d1[i] - d2[j]) < FLOAT_TOL] for i in range(rank)
-    ]
-    candidates[0] = [0]  # the unit must map to the unit
-    if any(not c for c in candidates):
+    touch1, touch2 = _touching(r1), _touching(r2)
+    ijk1, nz1, _, off1 = touch1
+    ijk2, nz2, _, off2 = touch2
+    colour = _refine(r1, r2, touch1, touch2)
+    c1, c2 = colour[:r], colour[r:]
+    size = np.bincount(c1, minlength=colour.max() + 1)
+    if not np.array_equal(size, np.bincount(c2, minlength=size.size)):
         return None
-    phi = [-1] * rank
-    used = [False] * rank
+    order, parent = _product_order(ijk1, nz1, off1, c1, size)
+    members = [np.flatnonzero(c2 == c) for c in range(size.size)]
 
-    def consistent(i: int) -> bool:
-        di = r1.dual[i]
-        if phi[di] != -1 and phi[di] != r2.dual[phi[i]]:
+    phi = np.full(r, -1)
+    inv = np.full(r, -1)
+
+    def candidates(i):
+        n = parent[i]
+        if n < 0:
+            return members[c1[i]]
+        a, b = phi[ijk1[n, :2]]
+        ks, ms = r2.row(a, b)
+        return ks[(ms == r1.mults[n]) & (c2[ks] == c1[i])]
+
+    def fits(i, j):
+        # phi[i] = j is set; the dual pairs and the nonzeros touching i
+        # among assigned objects must match those touching j in the image
+        if phi[r1.dual[i]] not in (-1, r2.dual[j]):
             return False
-        assigned = [a for a in range(rank) if phi[a] != -1]
-        for a in assigned:
-            for b in assigned:
-                if i in (a, b):
-                    for c in assigned:
-                        if r1.fusion[a, b, c] != r2.fusion[phi[a], phi[b], phi[c]]:
-                            return False
-                elif r1.fusion[a, b, i] != r2.fusion[phi[a], phi[b], phi[i]]:
-                    return False
-        return True
+        n1 = nz1[off1[i]:off1[i + 1]]
+        img = phi[ijk1[n1]]
+        inside = (img >= 0).all(axis=1)
+        n1, img = n1[inside], img[inside]
+        n2 = nz2[off2[j]:off2[j + 1]]
+        n2 = n2[(inv[ijk2[n2]] >= 0).all(axis=1)]
+        if len(n1) != len(n2):
+            return False
+        cells = (img[:, 0] * r + img[:, 1]) * r + img[:, 2]
+        at = np.argsort(cells, kind="stable")
+        return np.array_equal(cells[at], r2.cells[n2]) and np.array_equal(
+            r1.mults[n1[at]], r2.mults[n2]
+        )
 
-    order = sorted(range(rank), key=lambda i: (len(candidates[i]), i))
-
-    def search(pos: int) -> bool:
-        if pos == rank:
-            return True
+    tried = [None] * r  # per position: the candidates and the next one to try
+    pos = 0
+    while 0 <= pos < r:
         i = order[pos]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            phi[i] = j
-            used[j] = True
-            if consistent(i) and search(pos + 1):
-                return True
+        if tried[pos] is None:
+            tried[pos] = [candidates(i), 0]
+        elif phi[i] >= 0:
+            inv[phi[i]] = -1
             phi[i] = -1
-            used[j] = False
-        return False
+        cands, at = tried[pos]
+        while at < len(cands):
+            j = cands[at]
+            at += 1
+            if inv[j] < 0:
+                phi[i], inv[j] = j, i
+                if fits(i, j):
+                    break
+                phi[i] = inv[j] = -1
+        tried[pos][1] = at
+        if phi[i] >= 0:
+            pos += 1
+        else:
+            tried[pos] = None
+            pos -= 1
+    if pos < 0:
+        return None
+    cells = (phi[ijk1[:, 0]] * r + phi[ijk1[:, 1]]) * r + phi[ijk1[:, 2]]
+    at = np.argsort(cells)
+    if not (np.array_equal(cells[at], r2.cells) and np.array_equal(r1.mults[at], r2.mults)):
+        raise InternalConsistencyError("the isomorphism found does not carry the nonzeros")
+    return tuple(phi.tolist())
 
-    return tuple(phi) if search(0) else None
+
+def _touching(ring: FusionRing) -> tuple[np.ndarray, ...]:
+    """(ijk, nz, role, off): the (i, j, k) of every nonzero as rows, and the
+    nonzeros touching each object, from one sort: object x touches the
+    nonzeros nz[off[x]:off[x + 1]], in increasing order, once per role
+    (0, 1, 2 for i, j, k) it plays there, given in the same slice of `role`."""
+    r = ring.rank
+    # object indices fit int32, since r^3 fits int64
+    ijk = np.stack(ring.nonzero(), axis=1).astype(np.int32)
+    flat = ijk.ravel()
+    nz, role = np.divmod(np.argsort(flat, kind="stable"), 3)
+    role = role.astype(np.int8)
+    off = np.zeros(r + 1, dtype=np.int64)
+    np.cumsum(np.bincount(flat, minlength=r), out=off[1:])
+    return ijk, nz, role, off
+
+
+def _refine(r1, r2, *touching) -> np.ndarray:
+    """Stable colours of the objects of r1 (indices 0..r-1) and r2 (r..2r-1)
+    under one naming.  The start colour is (is unit, is self-dual); each
+    round an object's colour becomes its old colour with the multiset of
+    (role, colours of the other two objects, multiplicity) over the
+    nonzeros it touches, until the number of colours stops growing."""
+    r = r1.rank
+    values = np.unique(np.concatenate([r1.mults, r2.mults]))
+    rings = []
+    for shift, ring, (ijk, nz, role, off) in zip((0, r), (r1, r2), touching):
+        other = ijk[nz[:, None], (role[:, None] + (1, 2)) % 3] + shift
+        role_mult = 3 * np.searchsorted(values, ring.mults[nz]) + role
+        rings.append((shift, other[:, 0], other[:, 1], role_mult, off.tolist()))
+    start = {}
+    colour = [start.setdefault((x == 0, ring.dual[x] == x), len(start))
+              for ring in (r1, r2) for x in range(r)]
+    count = len(start)
+    while True:
+        now, seen = np.array(colour), {}
+        for shift, a, b, role_mult, off in rings:
+            # an int64 wrap only merges keys, which coarsens the colours but
+            # keeps them invariant under isomorphism
+            key = (role_mult * count + now[a]) * count + now[b]
+            colour[shift:shift + r] = [
+                seen.setdefault((c, np.sort(key[lo:hi]).tobytes()), len(seen))
+                for c, lo, hi in zip(colour[shift:shift + r], off, off[1:])
+            ]
+        if len(seen) == count:
+            return now
+        count = len(seen)
+
+
+def _product_order(ijk, nz, off, colour, size):
+    """The objects of r1 in search order, and for each the nonzero
+    (a, b, i) that reached it, or -1 for a seed.  The unit comes first;
+    each round reaches every unassigned summand of a product of assigned
+    objects; when a round reaches nothing, the unassigned object of the
+    smallest colour class becomes a seed."""
+    r = len(off) - 1
+    parent = np.full(r, -1)
+    done = np.zeros(r, dtype=bool)
+    done[0] = True
+    order = [0]
+    front = [0]
+    while len(order) < r:
+        if front:
+            n = np.concatenate([nz[off[x]:off[x + 1]] for x in front])
+            i, j, k = ijk[n].T
+            hit = done[i] & done[j] & ~done[k]
+            front, first = np.unique(k[hit], return_index=True)
+            parent[front] = n[hit][first]
+        else:
+            rest = np.flatnonzero(~done)
+            front = rest[[np.argmin(size[colour[rest]])]]
+        front = front.tolist()
+        done[front] = True
+        order += front
+    return order, parent

@@ -80,24 +80,22 @@ class Z2Module:
             return a
         if self.action == "negation":
             return self.neg(a)
-        return self.action[self.elements().index(a)]
+        # the position of a in `elements()`, read as a mixed-radix number
+        pos = 0
+        for x, d in zip(a, self.facs):
+            pos = pos * d + x % d
+        return self.action[pos]
 
 
 def _quotient_invariants(mod: Z2Module, top: set, bottom: set) -> tuple[int, ...]:
     """Invariant factors of top/bottom for subgroups of a finite module."""
     reps = []
-    coset_of = {}
-    cosets = []
-    for a in sorted(top):
-        coset = frozenset(mod.add(a, b) for b in bottom)
-        if coset not in coset_of:
-            coset_of[coset] = len(cosets)
-            cosets.append(coset)
-            reps.append(a)
     index = {}
-    for i, coset in enumerate(cosets):
-        for a in coset:
-            index[a] = i
+    for a in sorted(top):
+        if a not in index:
+            for b in bottom:
+                index[mod.add(a, b)] = len(reps)
+            reps.append(a)
     table = [[index[mod.add(x, y)] for y in reps] for x in reps]
     e = index[tuple(0 for _ in mod.facs)]
     return tuple(invariant_factors(table, e))

@@ -20,8 +20,9 @@ import numpy as np
 from .errors import MalformedInputError, PreconditionError
 from .ring import ONE, AlgebraicReal, FusionRing, _encode, _int_row, _parse_json, exact_dimensions
 
-# the one float tolerance: complex S-matrix numerics and the dimension
-# pruning of based_ring_isomorphism; dimension questions are decided exactly
+# the one float tolerance, for the complex S-matrix numerics only (and the
+# printing of complex values); dimension and isomorphism questions are
+# decided exactly
 FLOAT_TOL = 1e-9
 
 

@@ -3,6 +3,7 @@
 Each oracle deliberately uses a different algorithm from the production
 code: the based-ring axioms, commutativity, the sum of the fusion matrices and
 the invertibles by nested loops over the dense tensor in Python ints,
+based-ring isomorphisms by trying every permutation on the dense tensor,
 hom-space dimensions by divide-and-conquer multiset expansion,
 Z2-cohomology by direct evaluation of the inhomogeneous cochain
 differential, quadratic-form classification on Z_N by exhaustive
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 
@@ -98,6 +99,24 @@ def invertibles_bruteforce(fusion, dual):
                 return None
             product[(a, b)] = ks[0]
     return tuple(elems), product
+
+
+def based_ring_isomorphism_bruteforce(r1, r2):
+    """The first permutation phi fixing 0, in lexicographic order, with
+    r2.fusion[phi i, phi j, phi k] == r1.fusion[i, j, k] everywhere and
+    phi(i*) = phi(i)*, or None; every permutation is tried, so ranks up to 6."""
+    r = r1.rank
+    if r != r2.rank:
+        return None
+    if r > 6:
+        raise ValueError("the brute-force isomorphism search is for ranks up to 6")
+    for rest in permutations(range(1, r)):
+        phi = (0, *rest)
+        if all(phi[r1.dual[i]] == r2.dual[phi[i]] for i in range(r)) and np.array_equal(
+            r2.fusion[np.ix_(phi, phi, phi)], r1.fusion
+        ):
+            return phi
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,18 @@
 
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modcat import (
     AlgebraicReal,
+    FusionRing,
     ParameterError,
+    ResourceLimitError,
     based_ring_isomorphism,
     boson_fermion_census,
     build_so_n2,
@@ -23,9 +28,14 @@ from modcat import (
     universal_grading,
     verify_axioms,
 )
+import modcat.ring as ring_module
+from modcat import catalog
 from modcat.catalog import IsingParams
 from modcat.metric import enumerate_cyclic_metric_groups
 from modcat.ring import fp_dimensions, global_fp_dim
+
+import oracles
+from test_ring import pointed_z
 
 
 class TestBuild:
@@ -140,19 +150,167 @@ class TestGradings:
             assert g.group == (4,)
 
 
+def carries(phi, r1, r2) -> bool:
+    """phi is a permutation fixing the unit and taking the nonzeros of r1,
+    with their multiplicities, onto those of r2, and duals to duals."""
+    phi = np.array(phi)
+    r = r1.rank
+    i, j, k = r1.nonzero()
+    cells = (phi[i] * r + phi[j]) * r + phi[k]
+    at = np.argsort(cells)
+    return (
+        sorted(phi.tolist()) == list(range(r))
+        and phi[0] == 0
+        and all(phi[r1.dual[x]] == r2.dual[phi[x]] for x in range(r))
+        and np.array_equal(cells[at], r2.cells)
+        and np.array_equal(r1.mults[at], r2.mults)
+    )
+
+
+def relabelled(ring, perm):
+    """The copy of `ring` in which object i is called perm[i]."""
+    perm = np.asarray(perm)
+    r = ring.rank
+    i, j, k = ring.nonzero()
+    cells = (perm[i] * r + perm[j]) * r + perm[k]
+    at = np.argsort(cells)
+    dual = [0] * r
+    for x in range(r):
+        dual[perm[x]] = int(perm[ring.dual[x]])
+    return FusionRing.from_nonzeros(ring.labels, dual, cells[at], ring.mults[at])
+
+
+def moved(ring, src, dst):
+    """`ring` with the multiplicity of its nonzero number `src` moved to
+    the zero cell number `dst`: same rank, same number of nonzeros."""
+    free = np.setdiff1d(np.arange(ring.rank**3), ring.cells)
+    cells = ring.cells.copy()
+    cells[src] = free[dst % len(free)]
+    at = np.argsort(cells)
+    return FusionRing.from_nonzeros(ring.labels, ring.dual, cells[at], ring.mults[at])
+
+
+KNOWN_SMALL = [
+    catalog.fibonacci_ring(),
+    catalog.ising_ring(),
+    *map(pointed_z, range(1, 7)),
+    *(ring for ring in map(build_so_n2, range(2, 9)) if ring.rank <= 6),
+]
+
+
+@st.composite
+def small_rings(draw):
+    """A ring of rank at most 6: a known based ring, or a random tensor
+    with a random involutive dual, symmetric and unital or not."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(KNOWN_SMALL))
+    r = draw(st.integers(1, 6))
+    fusion = np.array(
+        draw(st.lists(st.sampled_from((0, 0, 1, 2, 2**40)), min_size=r**3, max_size=r**3)),
+        dtype=np.int64,
+    ).reshape(r, r, r)
+    if draw(st.booleans()):
+        fusion = np.maximum(fusion, fusion.transpose(1, 0, 2))
+    if draw(st.booleans()):
+        fusion[0] = fusion[:, 0] = np.eye(r, dtype=np.int64)
+    order = draw(st.permutations(range(r)))
+    dual = list(range(r))
+    for t in range(draw(st.integers(0, r // 2))):
+        a, b = order[2 * t], order[2 * t + 1]
+        dual[a], dual[b] = b, a
+    return FusionRing(tuple(map(str, range(r))), dual, fusion)
+
+
 class TestRoundTripIsomorphism:
     def test_gauge_matches_catalog(self, so_rings):
-        for n in [*range(2, 25), 100]:
+        # the 196-204 rings are built here, not cached, so that their dense
+        # views are freed after the check
+        for n in [*range(2, 61), 100, *range(196, 205)]:
             mg = enumerate_cyclic_metric_groups(n)[0]
             gauged = gauge_particle_hole(mg)
-            phi = based_ring_isomorphism(gauged, so_rings(n))
+            target = so_rings(n) if n <= 100 else build_so_n2(n)
+            phi = based_ring_isomorphism(gauged, target)
             assert phi is not None, n
-            # verify the bijection carries the tensor exactly
-            r1, r2 = gauged, so_rings(n)
+            assert carries(phi, gauged, target), n
+            # verify the bijection carries the tensor exactly, on the dense view
             perm = np.array(phi)
             assert np.array_equal(
-                r2.fusion[np.ix_(perm, perm, perm)], r1.fusion
-            )
+                target.fusion[np.ix_(perm, perm, perm)], gauged.fusion
+            ), n
+
+    def test_round_trip_past_the_dense_cap(self, monkeypatch):
+        # with no room for a dense tensor, a search that built one would raise
+        monkeypatch.setattr(ring_module, "DENSE_LIMIT", 0)
+        for n in (120, 121, 122):
+            gauged = gauge_particle_hole(enumerate_cyclic_metric_groups(n)[0])
+            target = build_so_n2(n)
+            phi = based_ring_isomorphism(gauged, target)
+            assert phi is not None and carries(phi, gauged, target), n
+            with pytest.raises(ResourceLimitError):
+                target.fusion
+
+    def test_round_trip_at_300_is_fast(self):
+        start = time.perf_counter()
+        gauged = gauge_particle_hole(enumerate_cyclic_metric_groups(300)[0])
+        target = build_so_n2(300)
+        phi = based_ring_isomorphism(gauged, target)
+        elapsed = time.perf_counter() - start
+        assert phi is not None and carries(phi, gauged, target)
+        assert elapsed < 2.0, elapsed
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_rings(), st.data())
+    def test_matches_bruteforce_oracle(self, ring, data):
+        r = ring.rank
+        perm = (0, *data.draw(st.permutations(range(1, r))))
+        copy = relabelled(ring, perm)
+        phi = based_ring_isomorphism(ring, copy)
+        assert phi is not None and carries(phi, ring, copy)
+        if len(ring.cells) == 0 or len(ring.cells) == r**3:
+            return
+        other = moved(copy, data.draw(st.integers(0, len(copy.cells) - 1)),
+                      data.draw(st.integers(0, r**3)))
+        phi = based_ring_isomorphism(ring, other)
+        want = oracles.based_ring_isomorphism_bruteforce(ring, other)
+        assert (phi is None) == (want is None)
+        assert phi is None or carries(phi, ring, other)
+
+    def test_the_unit_maps_to_the_unit(self):
+        # swapping 0 and 1 carries one tensor onto the other, but moves the unit
+        one = np.zeros((2, 2, 2), dtype=np.int64)
+        one[1, 1, 1] = 1
+        r1 = FusionRing(("a", "b"), (0, 1), one)
+        r2 = FusionRing(("a", "b"), (0, 1), one[::-1, ::-1, ::-1])
+        assert oracles.based_ring_isomorphism_bruteforce(r1, r2) is None
+        assert based_ring_isomorphism(r1, r2) is None
+
+    def test_duals_must_correspond(self):
+        # the tensor of Z_5 with the pairs {1, 2} and {3, 4} called dual:
+        # no automorphism of Z_5 takes the pairs {a, -a} there, and the
+        # fusion rules alone do not tell the two apart
+        ring = pointed_z(5)
+        for dual in ((0, 2, 1, 4, 3), (0, 1, 2, 3, 4)):
+            other = FusionRing(ring.labels, dual, ring.fusion)
+            assert oracles.based_ring_isomorphism_bruteforce(ring, other) is None
+            assert based_ring_isomorphism(ring, other) is None
+
+    def test_ties_left_by_refinement_are_searched(self):
+        # N[i, j, 0] = 1 for distinct vertices i, j of a graph, 2 on its
+        # edges: a 6-cycle and two triangles are both 2-regular, so colour
+        # refinement cannot tell them apart, but they are not isomorphic
+        def graph_ring(edges):
+            fusion = np.zeros((7, 7, 7), dtype=np.int64)
+            for i in range(1, 7):
+                for j in range(1, 7):
+                    fusion[i, j, 0] = (i != j) * (1 + ((min(i, j), max(i, j)) in edges))
+            return FusionRing(tuple(map(str, range(7))), tuple(range(7)), fusion)
+
+        hexagon = graph_ring({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)})
+        triangles = graph_ring({(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)})
+        assert based_ring_isomorphism(hexagon, triangles) is None
+        copy = relabelled(hexagon, (0, 3, 5, 1, 6, 2, 4))
+        phi = based_ring_isomorphism(hexagon, copy)
+        assert phi is not None and carries(phi, hexagon, copy)
 
     def test_no_isomorphism_across_sizes(self, so_rings):
         assert based_ring_isomorphism(so_rings(5), so_rings(7)) is None
@@ -160,9 +318,19 @@ class TestRoundTripIsomorphism:
     def test_no_isomorphism_same_rank_different_rules(self, so_rings):
         # SO(8)_2 and the pointed ring on its invertibles x anything: compare
         # two genuinely different rank-9 rings
-        from test_ring import pointed_z
-
         assert based_ring_isomorphism(so_rings(8), pointed_z(9)) is None
+
+    def test_no_isomorphism_with_one_multiplicity_moved(self, so_rings):
+        # same rank and number of nonzeros; the moved copy breaks an axiom,
+        # so it cannot be isomorphic to a based ring
+        for n in (12, 15, 30, 31):
+            ring = so_rings(n)
+            for src in (0, len(ring.cells) // 3, len(ring.cells) - 1):
+                bad = moved(ring, src, ring.rank**3 // 2)
+                assert len(bad.cells) == len(ring.cells)
+                assert not verify_axioms(bad).ok
+                assert based_ring_isomorphism(ring, bad) is None, (n, src)
+                assert based_ring_isomorphism(bad, ring) is None, (n, src)
 
 
 class TestBosonFermion:

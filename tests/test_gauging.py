@@ -62,6 +62,26 @@ class TestCohomology:
             for n in (2, 3):
                 assert z2_cohomology(mod, n) == oracles.cohomology_bruteforce(mod, n)
 
+    def test_explicit_rho_matches_table_lookup(self):
+        cases = [
+            ((3, 3), lambda a, b: (b, a)),
+            ((2, 2, 2), lambda a, b, c: (b, a, c)),
+            ((2, 4), lambda a, b: (a, (b + 2 * a) % 4)),
+            ((5,), lambda a: ((-a) % 5,)),
+            ((2, 3, 6), lambda a, b, c: (a, (-b) % 3, c)),
+        ]
+        for facs, f in cases:
+            elems = Z2Module(facs).elements()
+            table = tuple(f(*a) for a in elems)
+            mod = Z2Module(facs, table)
+            lookup = dict(zip(elems, table))
+            assert [mod.rho(a) for a in elems] == [lookup[a] for a in elems], facs
+            # an unreduced representative acts as its residue, as in `add`
+            shifted = [tuple(x + d for x, d in zip(a, facs)) for a in elems]
+            assert [mod.rho(a) for a in shifted] == [lookup[a] for a in elems], facs
+            for n in (2, 3):
+                assert z2_cohomology(mod, n) == oracles.cohomology_bruteforce(mod, n)
+
     def test_rejects_non_involutive_action(self):
         from modcat import MalformedInputError
 
