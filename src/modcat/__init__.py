@@ -21,7 +21,6 @@ from .ring import (
     adjoint_subring,
     asymptotic_dim_ratio,
     exact_dimensions,
-    fixing_group,
     fp_dimensions,
     global_fp_dim,
     gn_grading,

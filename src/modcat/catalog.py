@@ -25,7 +25,6 @@ from .ring import (
     AlgebraicReal,
     FusionRing,
     exact_dimensions,
-    fp_dimensions,
     universal_grading,
 )
 
@@ -246,7 +245,6 @@ def _sector_of(label: str, d: AlgebraicReal) -> str:
 
 def structure_census(ring: FusionRing, n: int | None = None) -> MetaplecticCensus:
     """Count sectors of a metaplectic ring against the three-case table."""
-    fp_dimensions(ring)  # the exact Perron check of attached dims
     dims = exact_dimensions(ring)
     total = sum((d * d for d in dims), AlgebraicReal.of(0))
     if n is None:
@@ -306,7 +304,7 @@ def boson_fermion_census(n: int) -> dict[str, str]:
     witness = ring.index("Y0") if r == 0 else next(
         i for i, lab in enumerate(ring.labels) if lab.startswith("X")
     )
-    if transparency_constraint(ring, ring.exact_dims, fg, witness).r != 0:
+    if transparency_constraint(ring, exact_dimensions(ring), fg, witness).r != 0:
         raise InternalConsistencyError("transparency did not force twist 1 on fg")
     all_bosons = n % 8 == 0
     # structural cross-check: r is even iff 8 does not divide N, and then the
@@ -427,8 +425,7 @@ def sixteen_m_component_census(m: int) -> dict:
         raise ParameterError("m must be odd, square-free and > 1")
     n = 4 * m
     ring = build_so_n2(n)
-    fp_dimensions(ring)  # the exact Perron check of the attached dims
-    dims = ring.exact_dims
+    dims = exact_dimensions(ring)
     grading = universal_grading(ring)
     if grading.group != (2, 2):
         raise InternalConsistencyError("universal grading is not Z2 x Z2")

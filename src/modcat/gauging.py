@@ -59,11 +59,15 @@ class Z2Module:
         rho = dict(zip(elems, self.action))
         if len(rho) != len(elems):
             raise MalformedInputError("action table length does not match group order")
+        # additive iff rho(a + e) = rho(a) + rho(e) for every a and every
+        # generator e (one coordinate 1, the rest 0), by induction on the
+        # length of a word in the generators
+        gens = [e for e in elems if sum(e) == 1]
         for a in elems:
             if rho[rho[a]] != a:
                 raise MalformedInputError("action is not an involution")
-            for b in elems:
-                if rho[self.add(a, b)] != self.add(rho[a], rho[b]):
+            for e in gens:
+                if rho[self.add(a, e)] != self.add(rho[a], rho[e]):
                     raise MalformedInputError("action is not additive")
 
     def elements(self) -> list[tuple[int, ...]]:

@@ -18,7 +18,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MalformedInputError, PreconditionError
-from .ring import ONE, AlgebraicReal, FusionRing, _encode, _int_row, _parse_json, exact_dimensions
+from .ring import (
+    ONE, AlgebraicReal, FusionRing, _int_row, _is_character, _parse_json, exact_dimensions,
+)
 
 # the one float tolerance, for the complex S-matrix numerics only (and the
 # printing of complex values); dimension and isomorphism questions are
@@ -78,13 +80,7 @@ class RibbonData:
                 raise MalformedInputError(f"twist of dual differs at index {i}")
             if self.dims[dual[i]] != self.dims[i]:
                 raise MalformedInputError(f"dimension of dual differs at index {i}")
-        # d_i d_j = sum_k N[i, j, k] d_k, in integers over one denominator
-        A, B, D, t = _encode(self.dims, int(self.ring.mults.max(initial=0)))
-        N = self.ring.fusion.astype(A.dtype)
-        if not (
-            np.array_equal(np.outer(A, A) + t * np.outer(B, B), D * (N @ A))
-            and np.array_equal(np.outer(A, B) + np.outer(B, A), D * (N @ B))
-        ):
+        if not _is_character(self.ring, self.dims, positive=False):
             raise MalformedInputError("dims do not satisfy the fusion homomorphism")
 
     @property
@@ -140,10 +136,12 @@ def s_matrix(rd: RibbonData) -> SMatrix:
     rd.validate()
     d = np.array([float(x) for x in rd.dims])
     th = np.array([complex(t) for t in rd.twists])
-    # sum_k N[i*, j, k] d_k theta_k: contract over k, then take rows i*;
-    # einsum casts the int64 tensor in buffered chunks, not as a complex copy
-    S = np.einsum("ijk,k->ij", rd.ring.fusion, d * th)[list(rd.ring.dual)] / np.outer(th, th)
-    return SMatrix(S)
+    # sum_k N[i, j, k] d_k theta_k from the nonzeros, then rows i*
+    r = rd.ring.rank
+    ij, k = np.divmod(rd.ring.cells, r)
+    w = rd.ring.mults * (d * th)[k]
+    S = np.bincount(ij, w.real, r * r) + 1j * np.bincount(ij, w.imag, r * r)
+    return SMatrix(S.reshape(r, r)[list(rd.ring.dual)] / np.outer(th, th))
 
 
 def is_modular(rd: RibbonData) -> bool:
@@ -180,7 +178,8 @@ def classify_invertible(rd: RibbonData, i: int) -> tuple[str, Phase]:
     if rd.dims[i] != ONE:
         raise PreconditionError(f"object {rd.ring.labels[i]} is not invertible")
     t = rd.twists[i]
-    if rd.ring.fusion[i, i, 0] == 1:
+    ks, ms = rd.ring.row(i, i)
+    if ms[ks == 0].tolist() == [1]:
         if t.r == 0:
             return ("boson", t)
         if t.r == Fraction(1, 2):

@@ -3,8 +3,8 @@ Frobenius-Perron dimensions, subrings and gradings.
 
 A fusion ring is an ordered basis (index 0 = unit), a dual involution and
 the multiplicities N[i, j, k] of X_k in X_i (x) X_j, stored as the sorted
-nonzeros of that tensor.  Everything here reads the nonzeros; the dense
-tensor is a lazy view, left to the S-matrix numerics.
+nonzeros of that tensor.  Every function of the package reads the
+nonzeros; the dense tensor is a lazy view for callers.
 """
 
 from __future__ import annotations
@@ -495,10 +495,10 @@ def _sum_matrix(ring: FusionRing) -> np.ndarray:
 def _encode(dims, m: int):
     """dims as (A + B sqrt(t)) / D with integer vectors A, B and D > 0.
 
-    The exact checks multiply A and B by each other and by an integer array
-    of entries in [0, m]; every such value is at most
+    The exact checks multiply A and B by each other and sum them against
+    multiplicities in [0, m]; every such value and partial sum is at most
     r * max|A, B| * (D m + (1 + t) max|A, B|).  Below 2**53 A and B are
-    float64, exact in BLAS, and Python ints otherwise.
+    float64, exact in those sums, and Python ints otherwise.
     """
     t = max(d.t for d in dims)
     if any(d.t not in (1, t) for d in dims):
@@ -511,19 +511,27 @@ def _encode(dims, m: int):
     return np.array(A, dtype=dtype), np.array(B, dtype=dtype), D, t
 
 
-def _is_perron_vector(M: np.ndarray, dims) -> bool:
-    """Exactly: d_0 = 1, every d_i > 0 and M d = (sum_i d_i) d.  A positive
-    eigenvector of the positive M is its Perron vector (the Galois conjugates
-    of the dimensions pass the rest but not positivity)."""
-    A, B, D, t = _encode(dims, int(M.max()))
-    M, SA, SB = M.astype(A.dtype), A.sum(), B.sum()
+def _is_character(ring: FusionRing, dims, positive: bool = True) -> bool:
+    """Exactly: d_i d_j = sum_k N[i, j, k] d_k for every i, j and, when
+    `positive`, d_0 = 1 and every d_i > 0.  A positive character of a fusion
+    ring is its Frobenius-Perron dimension (EGNO, Tensor Categories, Prop.
+    3.3.6); ribbon dims may be Galois conjugates and skip that part."""
+    r = ring.rank
+    A, B, D, t = _encode(dims, int(ring.mults.max(initial=0)))
     # A + B sqrt(t) takes the sign of whichever of A^2, t B^2 is larger
-    positive = np.where(A * A > t * B * B, A > 0, B > 0)
-    return (
-        dims[0] == ONE
-        and positive.all()
-        and np.array_equal(D * (M @ A), SA * A + t * SB * B)
-        and np.array_equal(D * (M @ B), SA * B + SB * A)
+    if positive and not (dims[0] == ONE and np.where(A * A > t * B * B, A > 0, B > 0).all()):
+        return False
+    ij, k = np.divmod(ring.cells, r)
+
+    def contract(x):  # sum_k N[i, j, k] x_k, raveled over (i, j)
+        if x.dtype != object:
+            return np.bincount(ij, weights=ring.mults * x[k], minlength=r * r)
+        out = np.zeros(r * r, dtype=object)
+        np.add.at(out, ij, ring.mults.astype(object) * x[k])
+        return out
+
+    return np.array_equal(D * contract(A), (np.outer(A, A) + t * np.outer(B, B)).ravel()) and (
+        np.array_equal(D * contract(B), (np.outer(A, B) + np.outer(B, A)).ravel())
     )
 
 
@@ -534,24 +542,23 @@ def _eigh_dims(M: np.ndarray) -> np.ndarray:
 
 def fp_dimensions(ring: FusionRing) -> np.ndarray:
     """Frobenius-Perron dimension of every simple object: the attached exact
-    dims after the exact Perron check, or else the top eigenvector of M from
-    one `eigh`, normalized to d_0 = 1."""
-    M = _sum_matrix(ring)
+    dims once `exact_dimensions` has checked them, or else the top
+    eigenvector of M from one `eigh`, normalized to d_0 = 1."""
     if ring.exact_dims is None:
-        return _eigh_dims(M)
-    if not _is_perron_vector(M, ring.exact_dims):
-        raise InternalConsistencyError("exact dimensions are not the Perron vector of the ring")
-    return np.array([float(d) for d in ring.exact_dims])
+        return _eigh_dims(_sum_matrix(ring))
+    return np.array([float(d) for d in exact_dimensions(ring)])
 
 
 def exact_dimensions(ring: FusionRing) -> tuple[AlgebraicReal, ...]:
-    """The attached exact dims as they are; without them, sqrt(round(d^2))
-    of the eigenvector, kept only if it passes the exact Perron check."""
+    """The exact Frobenius-Perron dimensions: the attached dims, or else
+    sqrt(round(d^2)) of the eigenvector, either kept only when it is a
+    positive character of the ring."""
     if ring.exact_dims is not None:
+        if not _is_character(ring, ring.exact_dims):
+            raise InternalConsistencyError("exact dimensions are not a positive character")
         return ring.exact_dims
-    M = _sum_matrix(ring)
-    dims = tuple(AlgebraicReal.sqrt(round(x * x)) for x in _eigh_dims(M))
-    if not _is_perron_vector(M, dims):
+    dims = tuple(AlgebraicReal.sqrt(round(x * x)) for x in _eigh_dims(_sum_matrix(ring)))
+    if not _is_character(ring, dims):
         raise UnsupportedInputError("ring is not weakly integral")
     return dims
 
@@ -647,19 +654,6 @@ def invertibles(ring: FusionRing) -> InvertibleGroup:
     ):
         raise InternalConsistencyError("invertible objects are not closed under fusion")
     product = {(a, b): c for a, b, c in zip(*(x[among].tolist() for x in (i, j, k)))}
-    return InvertibleGroup(elems, product)
-
-
-def fixing_group(ring: FusionRing, i: int) -> InvertibleGroup:
-    """Subgroup of invertibles Y with Y (x) X_i = X_i."""
-    inv = invertibles(ring)
-
-    def fixes(g) -> bool:
-        ks, ms = ring.row(g, i)
-        return ms[ks == i].tolist() == [1]
-
-    elems = tuple(g for g in inv.elements if fixes(g))
-    product = {(a, b): inv.product[(a, b)] for a in elems for b in elems}
     return InvertibleGroup(elems, product)
 
 

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Each oracle deliberately uses a different algorithm from the production
-code: the based-ring axioms, commutativity, the sum of the fusion matrices and
-the invertibles by nested loops over the dense tensor in Python ints,
+code: the based-ring axioms, commutativity, the sum of the fusion matrices,
+characters and the invertibles by nested loops over the dense tensor in
+Python ints, the S-matrix by one dense einsum,
 based-ring isomorphisms by trying every permutation on the dense tensor,
 hom-space dimensions by divide-and-conquer multiset expansion,
 Z2-cohomology by direct evaluation of the inhomogeneous cochain
@@ -83,6 +84,36 @@ def sum_matrix_bruteforce(fusion):
     N = _ints(fusion)
     r = len(N)
     return [[sum(N[i][j][k] for i in range(r)) for k in range(r)] for j in range(r)]
+
+
+def character_bruteforce(fusion, dims) -> bool:
+    """d_i d_j == sum_k N[i][j][k] d_k for every i, j, each entry summed in
+    `AlgebraicReal` arithmetic; every entry is evaluated, so dims from two
+    quadratic fields raise `UnsupportedInputError` from a product."""
+    from modcat import AlgebraicReal
+
+    N = _ints(fusion)
+    r = len(N)
+    zero = AlgebraicReal.of(0)
+    entries = [
+        dims[i] * dims[j] == sum((N[i][j][k] * dims[k] for k in range(r)), zero)
+        for i in range(r)
+        for j in range(r)
+    ]
+    return all(entries)
+
+
+def s_matrix_dense(rd):
+    """S[i, j] = sum_k N[i*, j, k] d_k theta_k / (theta_i theta_j) by one
+    einsum over a dense tensor filled from the nonzeros here, so that no
+    dense view of the ring is built."""
+    ring, r = rd.ring, rd.ring.rank
+    dense = np.zeros(r**3, dtype=np.int64)
+    dense[ring.cells] = ring.mults
+    d = np.array([float(x) for x in rd.dims])
+    th = np.array([complex(t) for t in rd.twists])
+    S = np.einsum("ijk,k->ij", dense.reshape(r, r, r), d * th)
+    return S[list(ring.dual)] / np.outer(th, th)
 
 
 def invertibles_bruteforce(fusion, dual):

@@ -119,6 +119,18 @@ class TestExitCodes:
         assert out.out == ""
         assert out.err.startswith("error: ") and "Traceback" not in out.err
 
+    @pytest.mark.parametrize("argv", [["dims"], ["grading", "--gn"], ["condense", "--boson", "fg"]])
+    def test_wrong_attached_dims_are_a_usage_error(self, tmp_path, capsys, argv):
+        # SO(12)_2 with the dimension 2 of X0 edited to sqrt 6
+        data = build_so_n2(12).to_json_dict()
+        data["dims"][data["labels"].index("X0")] = modcat.AlgebraicReal.sqrt(6).to_json()
+        f = tmp_path / "ring.json"
+        f.write_text(json.dumps(data))
+        assert run([*argv, "--ring", str(f)]) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "Traceback" not in out.err
+
     def test_ring_without_fusion_rows_fails_the_unit_axiom(self, tmp_path, capsys):
         # verify reads only the nonzeros, so no 201 GiB dense tensor at rank 3000
         f = tmp_path / "ring.json"

@@ -1,5 +1,7 @@
 """Z2 cohomology, particle-hole gauging, condensation, counting."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,48 @@ class TestCohomology:
         table = tuple(((a + 1) % 3,) for a in range(3))
         with pytest.raises(MalformedInputError):
             Z2Module((3,), table)
+
+    def test_rejects_non_additive_involution(self):
+        from modcat import MalformedInputError
+
+        # 1 <-> 2 on Z_5 is an involution, but rho(1) + rho(1) = 4 != rho(2)
+        table = ((0,), (2,), (1,), (3,), (4,))
+        with pytest.raises(MalformedInputError, match="not additive"):
+            Z2Module((5,), table)
+
+    def test_additivity_on_generators_matches_all_pairs(self):
+        from modcat import MalformedInputError
+
+        def involutions(n):
+            if n == 0:
+                yield {}
+                return
+            for rest in involutions(n - 1):  # n - 1 fixed
+                yield {**rest, n - 1: n - 1}
+            for m in range(n - 1):  # n - 1 swapped with m
+                for rest in involutions(n - 2):
+                    rest = {x + (x >= m): y + (y >= m) for x, y in rest.items()}
+                    yield {**rest, m: n - 1, n - 1: m}
+
+        for facs in [(2, 2), (6,), (2, 4), (1, 4), (2, 1, 3)]:
+            elems = Z2Module(facs).elements()
+            add = Z2Module(facs).add
+            for inv in involutions(len(elems)):
+                rho = {a: elems[inv[n]] for n, a in enumerate(elems)}
+                table = tuple(rho[a] for a in elems)
+                if all(rho[add(a, b)] == add(rho[a], rho[b]) for a in elems for b in elems):
+                    assert Z2Module(facs, table).rho(elems[-1]) == rho[elems[-1]]
+                else:
+                    with pytest.raises(MalformedInputError, match="not additive"):
+                        Z2Module(facs, table)
+
+    def test_swap_on_a_large_square_builds_fast(self):
+        # additivity is checked against the generators, not on all pairs
+        elems = [(a, b) for a in range(30) for b in range(30)]
+        start = time.perf_counter()
+        mod = Z2Module((30, 30), tuple((b, a) for a, b in elems))
+        assert time.perf_counter() - start < 0.5
+        assert mod.rho((1, 2)) == (2, 1)
 
     def test_rejects_nontrivial_action_on_q_mod_z(self):
         with pytest.raises(UnsupportedInputError):

@@ -11,6 +11,7 @@ from modcat import (
     MalformedInputError,
     Phase,
     PreconditionError,
+    ResourceLimitError,
     RibbonData,
     centralizer,
     classify_invertible,
@@ -27,9 +28,11 @@ from modcat.metric import (
     enumerate_forms,
     pointed_ribbon_data,
 )
-from modcat.modular import format_complex, ribbon_from_ring
+from modcat.modular import FLOAT_TOL, format_complex, ribbon_from_ring
 from modcat import catalog
+import modcat.ring as ring_module
 
+import oracles
 from test_ring import pointed_z
 
 
@@ -131,6 +134,28 @@ class TestSMatrix:
         for n in (3, 4, 5, 8):
             for mg in enumerate_cyclic_metric_groups(n):
                 s_matrix(pointed_ribbon_data(mg))
+
+    def test_ribbon_layer_never_builds_the_dense_view(self, monkeypatch):
+        # with no room for a dense tensor, a layer that built one would raise
+        monkeypatch.setattr(ring_module, "DENSE_LIMIT", 0)
+        data = [pointed_ribbon_data(mg) for mg in enumerate_cyclic_metric_groups(24)] + [
+            catalog.ising_squared_data(catalog.IsingParams(nu1, nu2))
+            for nu1 in range(1, 16, 2)
+            for nu2 in range(1, 16, 2)
+        ]
+        for rd in data:
+            rd.validate()
+            S = s_matrix(rd).entries
+            assert np.max(np.abs(S - oracles.s_matrix_dense(rd))) < FLOAT_TOL
+            assert is_modular(rd) and muger_center(rd) == (0,)
+            for i in (i for i, d in enumerate(rd.dims) if d == 1):
+                # an invertible has X (x) X = 1 exactly when it is self-dual
+                verdict, twist = classify_invertible(rd, i)
+                want = {Fraction(0): "boson", Fraction(1, 2): "fermion"}.get(twist.r)
+                assert verdict == (want if rd.ring.dual[i] == i and want else "not-order-2")
+                assert twist == rd.twists[i]
+            with pytest.raises(ResourceLimitError):
+                rd.ring.fusion
 
     def test_asymmetric_rejected(self):
         from modcat.modular import SMatrix

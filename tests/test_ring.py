@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modcat import (
@@ -15,7 +15,9 @@ from modcat import (
     FusionRing,
     InternalConsistencyError,
     MalformedInputError,
+    Phase,
     ResourceLimitError,
+    RibbonData,
     UnsupportedInputError,
     adjoint_subring,
     build_so_n2,
@@ -32,8 +34,9 @@ from modcat import (
     verify_axioms,
 )
 import modcat.ring as ring_module
+from modcat.catalog import fibonacci_ring, ising_ring
 from modcat.modular import FLOAT_TOL
-from modcat.ring import _sum_matrix, is_commutative
+from modcat.ring import ONE, _is_character, _sum_matrix, is_commutative
 
 import oracles
 
@@ -343,7 +346,108 @@ class TestAxioms:
 # dimensions
 
 
+_PHI = AlgebraicReal(Fraction(1, 2), Fraction(1, 2), 5)
+_DIM_VALUES = (ONE, AlgebraicReal.of(2), AlgebraicReal.sqrt(2), AlgebraicReal.sqrt(3), _PHI,
+               ONE - _PHI)
+_EXAMPLES = (
+    fibonacci_ring(),
+    ising_ring(),
+    build_so_n2(3),
+    build_so_n2(4),
+    FusionRing(pointed_z(4).labels, pointed_z(4).dual, pointed_z(4).fusion, (ONE,) * 4),
+)
+
+
+@st.composite
+def _tensors_with_dims(draw):
+    """An example ring with its true dims, their Galois conjugates or up to
+    two of them replaced, or a tensor of rank 1 to 5 with arbitrary dims.
+    Multiplicities of 2**62 push the check past float64."""
+    if draw(st.booleans()):
+        ring = draw(st.sampled_from(_EXAMPLES))
+        fusion, dual, dims = ring.fusion, ring.dual, list(ring.exact_dims)
+        if draw(st.booleans()):
+            dims = [AlgebraicReal(d.a, -d.b, d.t) for d in dims]
+        for i in draw(st.lists(st.integers(0, ring.rank - 1), max_size=2)):
+            dims[i] = draw(st.sampled_from(_DIM_VALUES))
+    else:
+        r = draw(st.integers(1, 5))
+        entries = draw(st.lists(st.sampled_from((0, 1, 2, 2**40, 2**62)),
+                                min_size=r**3, max_size=r**3))
+        fusion = np.array(entries, dtype=np.int64).reshape(r, r, r)
+        dual = tuple(range(r))
+        dims = draw(st.lists(st.sampled_from(_DIM_VALUES), min_size=r, max_size=r))
+    return fusion, dual, tuple(dims)
+
+
+def _rank_two(c0, c1):
+    """X (x) X = c0 1 + c1 X."""
+    fusion = np.zeros((2, 2, 2), dtype=np.int64)
+    fusion[0, 0, 0] = fusion[0, 1, 1] = fusion[1, 0, 1] = 1
+    fusion[1, 1] = c0, c1
+    return fusion
+
+
 class TestDimensions:
+    @settings(max_examples=300, deadline=None)
+    @given(_tensors_with_dims())
+    # rational parts agree but the sqrt(2) parts do not: 2 = 2 * 1, 0 != 1 * sqrt 2
+    @example((_rank_two(2, 1), (0, 1), (ONE, AlgebraicReal.sqrt(2))))
+    # a positive character off the unit: d_0 * d_0 = 2 d_0 with d_0 = 2
+    @example((np.full((1, 1, 1), 2), (0,), (AlgebraicReal.of(2),)))
+    def test_character_check_matches_the_oracle(self, case):
+        fusion, dual, dims = case
+        r = len(dims)
+        ring = FusionRing(tuple(map(str, range(r))), dual, fusion, dims)
+        ribbon = RibbonData(ring, dims, (Phase.of(0),) * r)
+        dual_invariant = all(dims[dual[i]] == dims[i] for i in range(r))
+        try:
+            hom = oracles.character_bruteforce(fusion, dims)
+        except UnsupportedInputError:
+            with pytest.raises(UnsupportedInputError):
+                exact_dimensions(ring)
+            if dual_invariant:
+                with pytest.raises(UnsupportedInputError):
+                    ribbon.validate()
+            return
+        positive = hom and dims[0] == ONE and all(float(d) > 0 for d in dims)
+        assert _is_character(ring, dims) == positive
+        assert _is_character(ring, dims, positive=False) == hom
+        if positive:
+            assert exact_dimensions(ring) == dims
+            assert fp_dimensions(ring).tolist() == [float(d) for d in dims]
+        else:
+            with pytest.raises(InternalConsistencyError):
+                exact_dimensions(ring)
+        if dual_invariant and hom:
+            ribbon.validate()
+        elif dual_invariant:
+            with pytest.raises(MalformedInputError):
+                ribbon.validate()
+
+    def test_noncommutative_group_ring_dims_are_checked(self):
+        # the group ring of S3: a character needs no commutativity, so the
+        # attached dims are checked; without them eigh refuses the ring
+        perms = sorted(permutations(range(3)))
+        index = {g: n for n, g in enumerate(perms)}
+        fusion = np.zeros((6, 6, 6), dtype=np.int64)
+        for g in perms:
+            for h in perms:
+                fusion[index[g], index[h], index[tuple(g[x] for x in h)]] = 1
+        dual = tuple(index[tuple(g.index(x) for x in range(3))] for g in perms)
+        labels = tuple("".join(map(str, g)) for g in perms)
+        ring = FusionRing(labels, dual, fusion, (ONE,) * 6)
+        assert not is_commutative(ring) and verify_axioms(ring).ok
+        assert exact_dimensions(ring) == (ONE,) * 6
+        assert fp_dimensions(ring).tolist() == [1.0] * 6
+        raised = FusionRing(labels, dual, fusion, (ONE,) * 5 + (AlgebraicReal.of(2),))
+        with pytest.raises(InternalConsistencyError):
+            exact_dimensions(raised)
+        with pytest.raises(InternalConsistencyError):
+            fp_dimensions(raised)
+        with pytest.raises(UnsupportedInputError):
+            fp_dimensions(FusionRing(labels, dual, fusion))
+
     def test_fibonacci_dim(self, fibonacci):
         d = fp_dimensions(fibonacci)
         assert abs(d[1] - (1 + 5**0.5) / 2) < 1e-9
