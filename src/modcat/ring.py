@@ -350,9 +350,10 @@ class AxiomReport:
         return not self.violations
 
 
-# products the associativity check sums at a time: its arrays then stay in
-# cache.  On a 2-vCPU VM SO(117)_2 (rank 62) takes 62 ms with batches of
-# 2^15, 74 ms with 2^13 and 108 ms with 2^17.
+# products Light's test and the full associativity check sum at a time: their
+# arrays then stay in cache.  On a 2-vCPU VM the full check of SO(117)_2
+# (rank 62) takes 62 ms with batches of 2^15, 74 ms with 2^13 and 108 ms with
+# 2^17; Light's test of SO(1000)_2 (rank 507) 0.59, 0.61 and 0.62 s.
 ASSOC_BATCH = 2**15
 
 
@@ -386,6 +387,13 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     Every check reads the nonzeros only.  Each compares two sparse tensors
     by sorting their keys together, so a witness where one side is zero is
     found as well, and the witnesses of each kind come out in index order.
+
+    Associativity is decided by Light's test on a certified generating set
+    (`_light_holds`), a few r^2 products per generator, when the unit,
+    duality and Frobenius checks found nothing.  The full check, about 8r^3
+    products on SO(N)_2, runs only to list the witnesses: when one of those
+    checks failed, when a generator fails Light's test, or when the
+    generators would cost as many products as the full check.
     """
     r, cells, mults = ring.rank, ring.cells, ring.mults
     dual = np.asarray(ring.dual)
@@ -416,14 +424,134 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     compare("frobenius_left", slice(None), (dual[i] * r + k) * r + j, mults)
     compare("frobenius_right", slice(None), (k * r + dual[j]) * r + i, mults)
 
-    # associativity: sum_m N_{ij}^m N_{mk}^l = sum_m N_{jk}^m N_{im}^l.  The
-    # left side joins each nonzero (i, j, m) with the block of first index m,
-    # the right side each nonzero (i, m, l) with every (j, k, m); both go
-    # under the key (i, j, k, l), with opposite signs, for a batch of rows
-    # (i, j) at a time.  Partial sums are bounded by r * max(N)^2: int64
-    # below 2^63, Python ints above.
+    # sums of products N N are bounded by r * max(N)^2: int64 below 2^63,
+    # Python ints above
     vals = mults if r * int(mults.max(initial=0)) ** 2 < 2**63 else mults.astype(object)
-    block = np.searchsorted(cells, np.arange(r + 1) * r * r)
+    block = np.searchsorted(cells, np.arange(r + 1) * r * r)  # nonzeros of first index m
+    if not found and _light_holds(ring, vals, block, i, j, k, jk):
+        return report
+    _associativity(ring, vals, block, i, j, k, ij, jk, found)
+    return report
+
+
+def _generators(ring: FusionRing, block, i, j, k, cost, budget: int) -> list[int] | None:
+    """Objects G that generate the ring as an algebra, or None once the
+    `cost` of G reaches `budget`.
+
+    The certificate: the unit is reached, and an object is reached when it
+    is the only unreached summand of X_a g or g X_a for a reached X_a and g
+    in G, so every reached object lies in the subalgebra that G and the
+    unit span.  While an object is unreached the least one joins G.  The
+    products holding a newly reached X_c are found by Frobenius reciprocity,
+    N[a, g, c] = N[c, g*, a] and N[g, a, c] = N[g*, c, a], and looked at
+    again, in one worklist pass.
+    """
+    r, dual = ring.rank, ring.dual
+
+    def rows(g):  # a -> summands of X_a g, and a -> summands of g X_a, as lists
+        out = []
+        for pos, by in ((np.flatnonzero(j == g), i), (np.arange(block[g], block[g + 1]), j)):
+            ks, ends = k[pos].tolist(), np.searchsorted(by[pos], np.arange(r + 1)).tolist()
+            out.append([ks[ends[a]:ends[a + 1]] for a in range(r)])
+        return out
+
+    reached = [False] * r
+    gens: list[int] = []
+    tables = []  # the rows of g and of g* for each g in G
+    todo: list[list[int]] = []  # summands of products to look at
+
+    def reach(c):
+        reached[c] = True
+        for right, left, right_dual, left_dual in tables:
+            todo.extend((right[c], left[c]))
+            todo.extend(right[a] for a in right_dual[c] if reached[a])
+            todo.extend(left[a] for a in left_dual[c] if reached[a])
+
+    reach(0)
+    spent = 0
+    for c in range(r):
+        while todo:
+            new = [x for x in todo.pop() if not reached[x]]
+            if len(new) == 1:
+                reach(new[0])
+        if reached[c]:
+            continue
+        spent += int(cost[c])
+        if spent >= budget:
+            return None
+        gens.append(c)
+        tables.append((*rows(c), *rows(dual[c])))
+        right, left = tables[-1][:2]
+        todo.extend(right[a] for a in range(r) if reached[a])
+        todo.extend(left[a] for a in range(r) if reached[a])
+        reach(c)
+    return gens
+
+
+def _light_holds(ring: FusionRing, vals, block, i, j, k, jk) -> bool:
+    """Light's associativity test (Clifford and Preston, The Algebraic
+    Theory of Semigroups, vol. 1, 1.2): True when (x g) y = x (g y) for
+    every x, y and every g of the set G of `_generators`; False when some g
+    fails, or when G costs at least as many products as the full check.
+
+    Exact: the a with (x a) y = x (a y) for all x, y form a subalgebra, which
+    holds the unit when the unit axioms hold; holding G it is the whole ring.
+    For each g the left side joins every nonzero (x, g, m) with the block of
+    first index m, the right side every nonzero (g, y, m) with every (x, m, l);
+    both go under the key (x, y, l), with opposite signs, for a range of x
+    at a time, ASSOC_BATCH products or one x.
+    """
+    r = ring.rank
+    block_len = np.diff(block)
+    mid_len = np.bincount(j, minlength=r)  # nonzeros of middle index m
+    last_len = np.bincount(k, minlength=r)
+    full = int(last_len @ (block_len + mid_len))  # the products of `_associativity`
+    cost = (np.bincount(j, weights=block_len[k], minlength=r)
+            + np.bincount(i, weights=mid_len[k], minlength=r))
+    gens = _generators(ring, block, i, j, k, cost, full)
+    if gens is None:
+        return False
+    for g in gens:
+        left = np.flatnonzero(j == g)  # (x, g, m), x increasing
+        x_left = np.searchsorted(i[left], np.arange(r + 1))
+        row_g = slice(block[g], block[g + 1])  # (g, y, m), sorted here by m
+        by_m = np.argsort(k[row_g], kind="stable")
+        y_by_m, vals_by_m = j[row_g][by_m] * r, -vals[row_g][by_m]
+        m_len = np.bincount(k[row_g], minlength=r)
+        m_start = np.cumsum(m_len) - m_len
+        made = np.concatenate(([0], np.cumsum(
+            np.bincount(i[left], weights=block_len[k[left]], minlength=r)
+            + np.bincount(i, weights=m_len[j], minlength=r))))
+        lo = 0
+        while lo < r:
+            hi = max(lo + 1, int(np.searchsorted(made, made[lo] + ASSOC_BATCH, side="right")) - 1)
+            s = left[x_left[lo]:x_left[hi]]
+            n_left = block_len[k[s]]
+            u = _segments(block[k[s]], n_left)
+            t = slice(block[lo], block[hi])  # (x, m, l) in the range
+            n_right = m_len[j[t]]
+            v = _segments(m_start[j[t]], n_right)
+            keys = np.concatenate((
+                np.repeat((i[s] - lo) * r * r, n_left) + jk[u],
+                np.repeat((i[t] - lo) * r * r + k[t], n_right) + y_by_m[v],
+            ))
+            sums = np.concatenate((np.repeat(vals[s], n_left) * vals[u],
+                                   np.repeat(vals[t], n_right) * vals_by_m[v]))
+            if len(_unbalanced(keys, sums, (hi - lo) * r * r)):
+                return False
+            lo = hi
+    return True
+
+
+def _associativity(ring: FusionRing, vals, block, i, j, k, ij, jk, found) -> None:
+    """Append every associativity witness to `found`:
+    sum_m N_{ij}^m N_{mk}^l = sum_m N_{jk}^m N_{im}^l fails at (i, j, k, l).
+
+    The left side joins each nonzero (i, j, m) with the block of first index
+    m, the right side each nonzero (i, m, l) with every (j, k, m); both go
+    under the key (i, j, k, l), with opposite signs, for a batch of rows
+    (i, j) at a time."""
+    r, cells = ring.rank, ring.cells
     block_len = np.diff(block)
     by_last = np.argsort(k, kind="stable")
     last_first = k[by_last] * r + i[by_last]  # (m, j) of every (j, k, m), increasing
@@ -457,8 +585,6 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
         for key in _unbalanced(keys, sums, (p1 - p0) * r * r).tolist():
             key += p0 * r * r
             found.append(("associativity", (key // r**3, key // (r * r) % r, key // r % r, key % r)))
-
-    return report
 
 
 def is_commutative(ring: FusionRing) -> bool:

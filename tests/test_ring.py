@@ -1,5 +1,6 @@
 """Fusion-ring core: axioms, dimensions, gradings, hom spaces."""
 
+import time
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -223,6 +224,113 @@ class TestStorage:
             FusionRing.from_nonzeros(("1", "x"), (0, 1), [0, 8], [1, 1])
 
 
+def _orbit(cell, dual):
+    """The cells that Frobenius reciprocity ties to `cell`: its orbit under
+    (i, j, k) -> (i*, k, j) and (i, j, k) -> (k, j*, i)."""
+    orbit, todo = {cell}, [cell]
+    while todo:
+        i, j, k = todo.pop()
+        for other in ((dual[i], k, j), (k, dual[j], i)):
+            if other not in orbit:
+                orbit.add(other)
+                todo.append(other)
+    return orbit
+
+
+_ASSOCIATIVE = (fibonacci_ring(), ising_ring(), build_so_n2(3), build_so_n2(4), build_so_n2(6),
+                build_so_n2(7), pointed_z(5))
+
+
+@st.composite
+def _frobenius_closed(draw):
+    """A tensor that passes the unit, duality and Frobenius checks by
+    construction, associative or not.  Either an associative ring of rank
+    2 to 10 with one orbit of cells raised or lowered, so that associativity
+    fails at a few quadruples, or random entries of rank 1 to 5 made
+    constant on each orbit, then the cells with an index 0 set by the unit
+    and duality axioms (whole orbits as well)."""
+    if draw(st.booleans()):
+        ring = draw(st.sampled_from(_ASSOCIATIVE))
+        fusion, dual = ring.fusion.copy(), list(ring.dual)
+        cell = draw(st.tuples(*[st.integers(1, ring.rank - 1)] * 3))
+        cells = tuple(np.array(sorted(_orbit(cell, dual))).T)
+        fusion[cells] = np.maximum(fusion[cells] + draw(st.sampled_from((-1, 1, 2**32))), 0)
+        return fusion, dual
+    r = draw(st.integers(1, 5))
+    entries = draw(st.lists(st.sampled_from((0, 1, 2, 2**32, 2**40)),
+                            min_size=r**3, max_size=r**3))
+    perm = draw(st.permutations(range(1, r)))
+    dual = list(range(r))
+    swaps = draw(st.integers(0, (r - 1) // 2))
+    for a, b in zip(perm[: 2 * swaps : 2], perm[1 : 2 * swaps : 2]):
+        dual[a], dual[b] = b, a
+    drawn = np.array(entries, dtype=np.int64).reshape(r, r, r)
+    fusion = np.zeros_like(drawn)
+    for cell in np.ndindex(r, r, r):
+        fusion[cell] = drawn[min(_orbit(cell, dual))]
+    fusion[0] = fusion[:, 0] = np.eye(r, dtype=np.int64)
+    fusion[:, :, 0] = 0
+    fusion[np.arange(r), dual, 0] = 1
+    return fusion, dual
+
+
+def _from_products(labels, dual, products):
+    """The commutative ring on `labels` whose products X Y, for the pairs
+    listed, are the listed sums, a summand listed twice counted twice; X 1 = X."""
+    r = len(labels)
+    fusion = np.zeros((r, r, r), dtype=np.int64)
+    fusion[0] = fusion[:, 0] = np.eye(r, dtype=np.int64)
+    for pair, summands in products.items():
+        x, y = sorted(labels.index(name) for name in pair.split())
+        for name in summands.split(" + "):
+            fusion[x, y, labels.index(name)] += 1
+        fusion[y, x] = fusion[x, y]
+    return FusionRing(labels, [labels.index(name) for name in dual], fusion)
+
+
+# g is self-dual, b and b* are dual, h is self-dual.  g g holds three
+# objects other than 1 and g, so g alone reaches nothing and G = {g, b, b*}.
+# Light's identity holds for g but not for b: the ring is not associative.
+_ONE_GENERATOR_SHORT = {
+    "g g": "1 + g + b + b* + h",
+    "g b": "g + b* + h",
+    "g b*": "g + b + h",
+    "g h": "g + b + b*",
+    "b b": "g + b",
+    "b b*": "1 + b + b*",
+    "b h": "g + h",
+    "b* b*": "g + b*",
+    "b* h": "g + h",
+    "h h": "1 + b + b*",
+}
+
+
+def _certified(ring):
+    """The generators `verify_axioms` certified, its violations, and whether
+    the full associativity check ran."""
+    gens, real = [], ring_module._generators
+
+    def spy(*args):
+        gens.append(real(*args))
+        return gens[-1]
+
+    with mock.patch.object(ring_module, "_generators", side_effect=spy), mock.patch.object(
+        ring_module, "_associativity", wraps=ring_module._associativity
+    ) as full:
+        violations = verify_axioms(ring).violations
+    return (gens[0] if gens else None), violations, full.called
+
+
+def _light_accepts(ring, gens) -> bool:
+    """Whether Light's test with `gens` in place of the certified set lets
+    `verify_axioms` skip the full check."""
+    with mock.patch.object(ring_module, "_generators", return_value=list(gens)), mock.patch.object(
+        ring_module, "_associativity"
+    ) as full:
+        verify_axioms(ring)
+    return not full.called
+
+
 class TestAxioms:
     def test_pointed_and_examples_pass(self, fibonacci, ising):
         for r in (pointed_z(1), pointed_z(6), fibonacci, ising):
@@ -340,6 +448,71 @@ class TestAxioms:
         ring = build_so_n2(160)
         assert ring.rank == 87
         assert verify_axioms(ring).ok
+
+    @settings(max_examples=300, deadline=None)
+    @given(_frobenius_closed(), st.sampled_from((1, 7, ring_module.ASSOC_BATCH)))
+    def test_light_test_matches_bruteforce_oracle(self, case, batch):
+        # every draw reaches Light's test; batches of 1 and 7 products cut it
+        # into single x
+        fusion, dual = case
+        ring = FusionRing(tuple(map(str, range(len(fusion)))), dual, fusion)
+        with mock.patch.object(ring_module, "ASSOC_BATCH", batch):
+            violations = verify_axioms(ring).violations
+        assert {kind for kind, _ in violations} <= {"associativity"}
+        assert violations == oracles.verify_axioms_bruteforce(fusion, dual)
+
+    def test_unit_failure_takes_the_full_check(self, ising):
+        fusion = ising.fusion.copy()
+        fusion[0, 2, 1] = 1  # 1 (x) sig gains a psi
+        ring = FusionRing(ising.labels, ising.dual, fusion)
+        gens, violations, full = _certified(ring)
+        assert gens is None and full
+        assert {"unit_left", "associativity"} <= {kind for kind, _ in violations}
+        assert violations == oracles.verify_axioms_bruteforce(fusion, ising.dual)
+
+    def test_so_n2_rings_take_light_test(self):
+        for n in (*range(2, 41), 110, 117):
+            gens, violations, full = _certified(build_so_n2(n))
+            assert not violations and not full, n
+
+    @pytest.mark.parametrize("dropped", ["first", "last"])
+    def test_dropping_a_generator_is_caught(self, dropped):
+        if dropped == "last":
+            # SO(3)_2 with X1 (x) X1 gaining X1: Light's identity holds for Z
+            # but not for V+
+            so3 = build_so_n2(3)
+            fusion = so3.fusion.copy()
+            fusion[4, 4, 4] += 1
+            ring = FusionRing(so3.labels, so3.dual, fusion)
+        else:
+            # b is invertible and fixes a and c, so Light's identity holds
+            # for b; it fails for a
+            ring = _from_products(("1", "a", "b", "c"), ("1", "a", "b", "c"), {
+                "a a": "1 + a + b + c", "a b": "a", "a c": "a + c",
+                "b b": "1", "b c": "c", "c c": "1 + a + b + c + c"})
+        gens, violations, full = _certified(ring)
+        assert gens == [1, 2]
+        assert _light_accepts(ring, [2] if dropped == "first" else [1])
+        assert full and violations
+        assert violations == oracles.verify_axioms_bruteforce(ring.fusion, ring.dual)
+
+    @pytest.mark.parametrize("labels", [("1", "g", "b", "b*", "h"), ("1", "g", "h", "b", "b*")])
+    def test_reaching_a_summand_that_is_not_the_only_unreached_one_is_caught(self, labels):
+        # taking any unreached summand of g g as reached would reach every
+        # object from g alone, and Light's test on g alone passes
+        dual = {"1": "1", "g": "g", "b": "b*", "b*": "b", "h": "h"}
+        ring = _from_products(labels, [dual[x] for x in labels], _ONE_GENERATOR_SHORT)
+        gens, violations, full = _certified(ring)
+        assert len(gens) == 3 and gens[0] == 1
+        assert _light_accepts(ring, [1])
+        assert full and violations
+        assert violations == oracles.verify_axioms_bruteforce(ring.fusion, ring.dual)
+
+    def test_so_1000_within_time_guard(self):
+        ring = build_so_n2(1000)
+        start = time.perf_counter()
+        assert verify_axioms(ring).ok
+        assert time.perf_counter() - start < 20
 
 
 # ---------------------------------------------------------------------------
