@@ -10,7 +10,7 @@ scale (n <= a few hundred), so brute force is fine.
 from __future__ import annotations
 
 from itertools import product
-from math import gcd
+from math import gcd, prod
 
 from .errors import InternalConsistencyError
 
@@ -90,20 +90,13 @@ def invariant_factors(table: list[list[int]], e: int) -> list[int]:
     counts = {m: sum(1 for o in orders if m % o == 0) for m in divisors(n)}
     matches = []
     for chain in _invariant_chains(n):
-        if all(counts[m] == _prod(gcd(m, d) for d in chain) for m in counts):
+        if all(counts[m] == prod(gcd(m, d) for d in chain) for m in counts):
             matches.append(chain)
     if len(matches) != 1:
         raise InternalConsistencyError(
             f"torsion counts do not determine a unique abelian group (order {n})"
         )
     return matches[0]
-
-
-def _prod(it) -> int:
-    out = 1
-    for x in it:
-        out *= x
-    return out
 
 
 def assignment(table: list[list[int]], e: int, invs: list[int]) -> list[tuple[int, ...]]:

@@ -10,8 +10,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import catalog, gauging, metric, modular, ring as ring_mod
 from .errors import ModcatError, ParameterError, ResourceLimitError
 

@@ -10,6 +10,7 @@ nonzeros; the dense tensor is a lazy view for callers.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt, lcm
@@ -350,10 +351,11 @@ class AxiomReport:
         return not self.violations
 
 
-# products Light's test and the full associativity check sum at a time: their
-# arrays then stay in cache.  On a 2-vCPU VM the full check of SO(117)_2
-# (rank 62) takes 62 ms with batches of 2^15, 74 ms with 2^13 and 108 ms with
-# 2^17; Light's test of SO(1000)_2 (rank 507) 0.59, 0.61 and 0.62 s.
+# products the associativity join sums at a time: its arrays then stay in
+# cache.  On a 2-vCPU VM the full check of SO(117)_2 (rank 62) raised by one
+# at three cells takes 87 ms with batches of 2^15, 119 ms with 2^13 and 126 ms
+# with 2^17; `verify_axioms` of SO(1000)_2 (rank 507), which Light's test
+# decides, 1.02-1.12, 1.34-1.39 and 1.02-1.07 s.
 ASSOC_BATCH = 2**15
 
 
@@ -388,12 +390,12 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     by sorting their keys together, so a witness where one side is zero is
     found as well, and the witnesses of each kind come out in index order.
 
-    Associativity is decided by Light's test on a certified generating set
-    (`_light_holds`), a few r^2 products per generator, when the unit,
-    duality and Frobenius checks found nothing.  The full check, about 8r^3
-    products on SO(N)_2, runs only to list the witnesses: when one of those
-    checks failed, when a generator fails Light's test, or when the
-    generators would cost as many products as the full check.
+    Associativity is one join, `_associativity`, over a mask of middles.
+    When the unit, duality and Frobenius checks found nothing, the middles
+    are a certified generating set (`_generators`), a few r^2 products
+    each: that is Light's test, and when it passes it decides.  Otherwise
+    every object is a middle, about 8r^3 products on SO(N)_2, to list the
+    witnesses.
     """
     r, cells, mults = ring.rank, ring.cells, ring.mults
     dual = np.asarray(ring.dual)
@@ -428,15 +430,22 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     # Python ints above
     vals = mults if r * int(mults.max(initial=0)) ** 2 < 2**63 else mults.astype(object)
     block = np.searchsorted(cells, np.arange(r + 1) * r * r)  # nonzeros of first index m
-    if not found and _light_holds(ring, vals, block, i, j, k, jk):
-        return report
-    _associativity(ring, vals, block, i, j, k, ij, jk, found)
+    # Light's test (Clifford and Preston, The Algebraic Theory of Semigroups,
+    # vol. 1, 1.2) takes the generators as middles.  It is exact: the a with
+    # (x a) y = x (a y) for all x, y form a subalgebra, which holds the unit
+    # when the unit axioms hold; holding the generators it is the whole ring
+    middle = np.ones(r, dtype=bool)
+    if not found:
+        middle = _generators(ring, block, i, j, k)
+        if not _associativity(ring, vals, block, i, j, k, ij, jk, middle):
+            return report
+        middle[:] = True
+    found += _associativity(ring, vals, block, i, j, k, ij, jk, middle)
     return report
 
 
-def _generators(ring: FusionRing, block, i, j, k, cost, budget: int) -> list[int] | None:
-    """Objects G that generate the ring as an algebra, or None once the
-    `cost` of G reaches `budget`.
+def _generators(ring: FusionRing, block, i, j, k) -> np.ndarray:
+    """The mask of a set of objects G that generates the ring as an algebra.
 
     The certificate: the unit is reached, and an object is reached when it
     is the only unreached summand of X_a g or g X_a for a reached X_a and g
@@ -456,7 +465,7 @@ def _generators(ring: FusionRing, block, i, j, k, cost, budget: int) -> list[int
         return out
 
     reached = [False] * r
-    gens: list[int] = []
+    gens = np.zeros(r, dtype=bool)
     tables = []  # the rows of g and of g* for each g in G
     todo: list[list[int]] = []  # summands of products to look at
 
@@ -468,7 +477,6 @@ def _generators(ring: FusionRing, block, i, j, k, cost, budget: int) -> list[int
             todo.extend(left[a] for a in left_dual[c] if reached[a])
 
     reach(0)
-    spent = 0
     for c in range(r):
         while todo:
             new = [x for x in todo.pop() if not reached[x]]
@@ -476,10 +484,7 @@ def _generators(ring: FusionRing, block, i, j, k, cost, budget: int) -> list[int
                 reach(new[0])
         if reached[c]:
             continue
-        spent += int(cost[c])
-        if spent >= budget:
-            return None
-        gens.append(c)
+        gens[c] = True
         tables.append((*rows(c), *rows(dual[c])))
         right, left = tables[-1][:2]
         todo.extend(right[a] for a in range(r) if reached[a])
@@ -488,64 +493,9 @@ def _generators(ring: FusionRing, block, i, j, k, cost, budget: int) -> list[int
     return gens
 
 
-def _light_holds(ring: FusionRing, vals, block, i, j, k, jk) -> bool:
-    """Light's associativity test (Clifford and Preston, The Algebraic
-    Theory of Semigroups, vol. 1, 1.2): True when (x g) y = x (g y) for
-    every x, y and every g of the set G of `_generators`; False when some g
-    fails, or when G costs at least as many products as the full check.
-
-    Exact: the a with (x a) y = x (a y) for all x, y form a subalgebra, which
-    holds the unit when the unit axioms hold; holding G it is the whole ring.
-    For each g the left side joins every nonzero (x, g, m) with the block of
-    first index m, the right side every nonzero (g, y, m) with every (x, m, l);
-    both go under the key (x, y, l), with opposite signs, for a range of x
-    at a time, ASSOC_BATCH products or one x.
-    """
-    r = ring.rank
-    block_len = np.diff(block)
-    mid_len = np.bincount(j, minlength=r)  # nonzeros of middle index m
-    last_len = np.bincount(k, minlength=r)
-    full = int(last_len @ (block_len + mid_len))  # the products of `_associativity`
-    cost = (np.bincount(j, weights=block_len[k], minlength=r)
-            + np.bincount(i, weights=mid_len[k], minlength=r))
-    gens = _generators(ring, block, i, j, k, cost, full)
-    if gens is None:
-        return False
-    for g in gens:
-        left = np.flatnonzero(j == g)  # (x, g, m), x increasing
-        x_left = np.searchsorted(i[left], np.arange(r + 1))
-        row_g = slice(block[g], block[g + 1])  # (g, y, m), sorted here by m
-        by_m = np.argsort(k[row_g], kind="stable")
-        y_by_m, vals_by_m = j[row_g][by_m] * r, -vals[row_g][by_m]
-        m_len = np.bincount(k[row_g], minlength=r)
-        m_start = np.cumsum(m_len) - m_len
-        made = np.concatenate(([0], np.cumsum(
-            np.bincount(i[left], weights=block_len[k[left]], minlength=r)
-            + np.bincount(i, weights=m_len[j], minlength=r))))
-        lo = 0
-        while lo < r:
-            hi = max(lo + 1, int(np.searchsorted(made, made[lo] + ASSOC_BATCH, side="right")) - 1)
-            s = left[x_left[lo]:x_left[hi]]
-            n_left = block_len[k[s]]
-            u = _segments(block[k[s]], n_left)
-            t = slice(block[lo], block[hi])  # (x, m, l) in the range
-            n_right = m_len[j[t]]
-            v = _segments(m_start[j[t]], n_right)
-            keys = np.concatenate((
-                np.repeat((i[s] - lo) * r * r, n_left) + jk[u],
-                np.repeat((i[t] - lo) * r * r + k[t], n_right) + y_by_m[v],
-            ))
-            sums = np.concatenate((np.repeat(vals[s], n_left) * vals[u],
-                                   np.repeat(vals[t], n_right) * vals_by_m[v]))
-            if len(_unbalanced(keys, sums, (hi - lo) * r * r)):
-                return False
-            lo = hi
-    return True
-
-
-def _associativity(ring: FusionRing, vals, block, i, j, k, ij, jk, found) -> None:
-    """Append every associativity witness to `found`:
-    sum_m N_{ij}^m N_{mk}^l = sum_m N_{jk}^m N_{im}^l fails at (i, j, k, l).
+def _associativity(ring: FusionRing, vals, block, i, j, k, ij, jk, middle) -> list:
+    """Every associativity witness (i, j, k, l) with `middle[j]`, in index
+    order: sum_m N_{ij}^m N_{mk}^l = sum_m N_{jk}^m N_{im}^l fails there.
 
     The left side joins each nonzero (i, j, m) with the block of first index
     m, the right side each nonzero (i, m, l) with every (j, k, m); both go
@@ -553,38 +503,49 @@ def _associativity(ring: FusionRing, vals, block, i, j, k, ij, jk, found) -> Non
     (i, j) at a time."""
     r, cells = ring.rank, ring.cells
     block_len = np.diff(block)
-    by_last = np.argsort(k, kind="stable")
-    last_first = k[by_last] * r + i[by_last]  # (m, j) of every (j, k, m), increasing
+    mid = np.flatnonzero(middle[j])  # the nonzeros (i, j, m) with j in the middle
+    mid_cells, mid_ij, mid_m, mid_vals = cells[mid], ij[mid], k[mid], vals[mid]
+    by_last = np.flatnonzero(middle[i])  # the (j, k, m) with j in the middle, by m
+    by_last = by_last[np.argsort(k[by_last], kind="stable")]
+    last_first = k[by_last] * r + i[by_last]  # their (m, j), increasing
     ij_by_last, vals_by_last = ij[by_last] * r, vals[by_last]
-    # batches: whole slices i while they keep to ASSOC_BATCH products, and a
-    # slice above that cut into as many ranges of j; keys stay below 2^63
-    made = np.concatenate(([0], np.cumsum(block_len[k] + np.bincount(k, minlength=r)[j])))[block]
-    span = max(1, (2**63 - 1) // r**3)
-    rows, lo = [], 0
-    while lo < r:
-        hi = int(np.searchsorted(made, made[lo] + ASSOC_BATCH, side="right")) - 1
-        hi = min(max(hi, lo + 1), lo + span)
-        pieces = min(r, -(-int(made[hi] - made[lo]) // ASSOC_BATCH)) if hi == lo + 1 else 1
-        rows += [lo * r + x * r // pieces for x in range(pieces)]
-        lo = hi
-    rows.append(r * r)
+    # batches: rows up to the first one past ASSOC_BATCH products, those of
+    # slice i taken as spread evenly over its rows (i, j) in the middle; keys
+    # stay below 2^63
+    made = np.concatenate(([0], np.cumsum(  # products before each slice
+        middle[j] * block_len[k] + np.bincount(k[by_last], minlength=r)[j])))[block].tolist()
+    cols, span = np.flatnonzero(middle).tolist() + [r], (2**63 - 1) // r**2
+    mids = len(cols) - 1
+    rows = [0]
+    while rows[-1] < r * r:
+        a, c = divmod(rows[-1], r)
+        x = bisect_left(cols, c)  # the middles of slice a before row (a, c)
+        target = made[a] + (made[a + 1] - made[a]) * x // max(mids, 1) + ASSOC_BATCH
+        b = bisect_right(made, target) - 1  # the slice where the batch ends
+        end = r * r
+        if b < r:  # at the first middle of slice b at or past the target
+            end = b * r + cols[-((made[b] - target) * mids // (made[b + 1] - made[b]))]
+        # past one more middle row at least, and `span` rows at most
+        rows.append(min(max(end, a * r + cols[min(x + 1, mids)]), rows[-1] + span))
+    found = []
     for p0, p1 in zip(rows, rows[1:]):
-        s = slice(*np.searchsorted(cells, (p0 * r, p1 * r)))  # left: (i, j, m) in the rows
-        left = block_len[k[s]]
-        u = _segments(block[k[s]], left)
+        s = slice(*np.searchsorted(mid_cells, (p0 * r, p1 * r)))  # left: (i, j, m) in the rows
+        left = block_len[mid_m[s]]
+        u = _segments(block[mid_m[s]], left)
         t = slice(block[p0 // r], block[-(-p1 // r)])  # right: (i, m, l) in their slices
         first = np.searchsorted(last_first, j[t] * r + np.clip(p0 - i[t] * r, 0, r))
         right = np.searchsorted(last_first, j[t] * r + np.clip(p1 - i[t] * r, 0, r)) - first
         v = _segments(first, right)
         keys = np.concatenate((
-            np.repeat((ij[s] - p0) * r * r, left) + jk[u],
+            np.repeat((mid_ij[s] - p0) * r * r, left) + jk[u],
             np.repeat((i[t] * r - p0) * r * r + k[t], right) + ij_by_last[v],
         ))
-        sums = np.concatenate((np.repeat(vals[s], left) * vals[u],
+        sums = np.concatenate((np.repeat(mid_vals[s], left) * vals[u],
                                np.repeat(-vals[t], right) * vals_by_last[v]))
         for key in _unbalanced(keys, sums, (p1 - p0) * r * r).tolist():
             key += p0 * r * r
             found.append(("associativity", (key // r**3, key // (r * r) % r, key // r % r, key % r)))
+    return found
 
 
 def is_commutative(ring: FusionRing) -> bool:

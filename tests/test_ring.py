@@ -1,5 +1,7 @@
 """Fusion-ring core: axioms, dimensions, gradings, hom spaces."""
 
+import hashlib
+import json
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -306,29 +308,37 @@ _ONE_GENERATOR_SHORT = {
 
 
 def _certified(ring):
-    """The generators `verify_axioms` certified, its violations, and whether
-    the full associativity check ran."""
-    gens, real = [], ring_module._generators
+    """The generators `verify_axioms` certified (None when it went straight
+    to the full check), its violations, and whether the full associativity
+    check ran: a call of `_associativity` with every object in the middle."""
+    masks, real = [], ring_module._associativity
 
     def spy(*args):
-        gens.append(real(*args))
-        return gens[-1]
+        masks.append(args[-1].copy())  # verify_axioms reuses the mask
+        return real(*args)
 
-    with mock.patch.object(ring_module, "_generators", side_effect=spy), mock.patch.object(
-        ring_module, "_associativity", wraps=ring_module._associativity
-    ) as full:
+    with mock.patch.object(ring_module, "_associativity", side_effect=spy):
         violations = verify_axioms(ring).violations
-    return (gens[0] if gens else None), violations, full.called
+    gens = None if masks[0].all() else np.flatnonzero(masks[0]).tolist()
+    return gens, violations, any(mask.all() for mask in masks)
 
 
 def _light_accepts(ring, gens) -> bool:
     """Whether Light's test with `gens` in place of the certified set lets
     `verify_axioms` skip the full check."""
-    with mock.patch.object(ring_module, "_generators", return_value=list(gens)), mock.patch.object(
-        ring_module, "_associativity"
-    ) as full:
-        verify_axioms(ring)
-    return not full.called
+    middle = np.zeros(ring.rank, dtype=bool)
+    middle[list(gens)] = True
+    with mock.patch.object(ring_module, "_generators", return_value=middle):
+        return not _certified(ring)[2]
+
+
+# sha256 of the JSON of `verify_axioms(...).violations` for SO(N)_2 raised by
+# one at three distinct non-unit indices, the corruption of the axioms ladder
+_CORRUPTED_SO_N2_DIGESTS = {
+    (27, (5, 11, 3)): "54be279c92dc3d4fae304b2a1e4cef8b41440a8e67bd0b92bc4c91121cb2c7e4",
+    (68, (40, 7, 22)): "feb94f564abe351500e12768cbfe0b7cef2437a9e1a0ac58bbf4dc9b4c73d731",
+    (110, (13, 58, 31)): "7218ad0871cd5bfc8227ccbb991dcfc9f38f34c19ecaaf7703abfd33efac75ad",
+}
 
 
 class TestAxioms:
@@ -507,6 +517,40 @@ class TestAxioms:
         assert _light_accepts(ring, [1])
         assert full and violations
         assert violations == oracles.verify_axioms_bruteforce(ring.fusion, ring.dual)
+
+    @pytest.mark.parametrize("batch", [2**12, ring_module.ASSOC_BATCH])
+    def test_witnesses_past_rank_ten_match_recorded_digests(self, batch):
+        # ranks 17, 41 and 62, one N in each residue class: every witness and
+        # its order, whatever the batches, where the oracle differentials stop
+        wrong = []
+        for (n, where), want in _CORRUPTED_SO_N2_DIGESTS.items():
+            ring = build_so_n2(n)
+            fusion = ring.fusion.copy()
+            fusion[where] += 1
+            with mock.patch.object(ring_module, "ASSOC_BATCH", batch):
+                violations = verify_axioms(FusionRing(ring.labels, ring.dual, fusion)).violations
+            if hashlib.sha256(json.dumps(violations).encode()).hexdigest() != want:
+                wrong.append(n)
+        assert not wrong
+
+    def test_batches_keep_near_assoc_batch(self):
+        # a batch ends at the first row (i, j) past ASSOC_BATCH products, as
+        # estimated from its slice; at rank 62 the estimate is off by less
+        # than that, so no batch of Light's test or of the full check reaches
+        # twice as many
+        sizes, real = [], ring_module._unbalanced
+
+        def spy(keys, vals, bound):
+            sizes.append(len(keys))
+            return real(keys, vals, bound)
+
+        ring = build_so_n2(110)
+        fusion = ring.fusion.copy()
+        fusion[13, 58, 31] += 1
+        with mock.patch.object(ring_module, "_unbalanced", side_effect=spy):
+            assert verify_axioms(ring).ok
+            assert not verify_axioms(FusionRing(ring.labels, ring.dual, fusion)).ok
+        assert len(sizes) > 50 and max(sizes) < 2 * ring_module.ASSOC_BATCH
 
     def test_so_1000_within_time_guard(self):
         ring = build_so_n2(1000)
