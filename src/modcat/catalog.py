@@ -4,8 +4,10 @@ the Ising x Ising modular data, and the dimension-16m component census.
 The 4|N fusion rules are hand-coded from the generator relations of the
 family (V1^2 = 1 + f + sum X_i, the X/Y index case formulas, and f/g
 translation); rings for 4-nondividing N are produced by the particle-hole
-gauging construction.  The two routes share no fusion arithmetic, which is
-what makes the based-ring isomorphism check between them meaningful.
+gauging construction.  The two routes share no fusion arithmetic, only
+`assemble_ring` and `stack_rows`, which order, stack and sort the rows each
+route emits; that is what makes the based-ring isomorphism check between
+them meaningful.
 """
 
 from __future__ import annotations
@@ -18,7 +20,13 @@ import numpy as np
 
 from ._abelian import squarefree_part
 from .errors import InternalConsistencyError, ParameterError
-from .gauging import GaugingDatum, assemble_ring, count_gaugings_per_form, particle_hole_rules
+from .gauging import (
+    GaugingDatum,
+    assemble_ring,
+    count_gaugings_per_form,
+    particle_hole_rules,
+    stack_rows,
+)
 from .metric import classify_forms, enumerate_cyclic_metric_groups, enumerate_forms
 from .modular import Phase, RibbonData, transparency_constraint
 from .ring import (
@@ -70,123 +78,86 @@ def _build_four_divides(n: int) -> FusionRing:
     """
     r = n // 4 - 1
     h = n // 2
-    klein = {
-        ("1", "1"): "1", ("1", "f"): "f", ("1", "g"): "g", ("1", "fg"): "fg",
-        ("f", "f"): "1", ("f", "g"): "fg", ("f", "fg"): "g",
-        ("g", "g"): "1", ("g", "fg"): "f", ("fg", "fg"): "1",
-    }
-
-    def gmul(a, b):
-        return klein.get((a, b)) or klein[(b, a)]
-
+    one, two, root = AlgebraicReal.of(1), AlgebraicReal.of(2), AlgebraicReal.sqrt(h)
     objects = {("i", a): a for a in ("1", "f", "g", "fg")}
-    dims = {k: AlgebraicReal.of(1) for k in objects}
+    dims = {k: one for k in objects}
     wx = max(len(str(max(r - 1, 0))), 1)
     wy = len(str(r))
     for i in range(r):
         objects[("X", i)] = f"X{i:0{wx}d}"
-        dims[("X", i)] = AlgebraicReal.of(2)
+        dims[("X", i)] = two
     for i in range(r + 1):
         objects[("Y", i)] = f"Y{i:0{wy}d}"
-        dims[("Y", i)] = AlgebraicReal.of(2)
+        dims[("Y", i)] = two
     for s in ("V", "W"):
         for j in (1, 2):
             objects[(s, j)] = f"{s}{j}"
-            dims[(s, j)] = AlgebraicReal.sqrt(h)
-
-    all_x = Counter({("X", i): 1 for i in range(r)})
-    all_y = Counter({("Y", i): 1 for i in range(r + 1)})
-
-    def prod(x, y) -> Counter:
-        if x[0] != "i" and y[0] == "i":
-            x, y = y, x
-        if x[0] == "i":
-            a = x[1]
-            if y[0] == "i":
-                return Counter({("i", gmul(a, y[1])): 1})
-            if y[0] == "X":
-                return Counter({("X", y[1] if a in ("1", "fg") else r - 1 - y[1]): 1})
-            if y[0] == "Y":
-                return Counter({("Y", y[1] if a in ("1", "fg") else r - y[1]): 1})
-            s, j = y
-            fixer = "f" if s == "V" else "g"
-            if a == "1" or a == fixer:
-                return Counter({(s, j): 1})
-            return Counter({(s, 3 - j): 1})
-        order = {"X": 0, "Y": 1, "V": 2, "W": 2}
-        if order[x[0]] > order[y[0]]:
-            x, y = y, x
-        # X/Y times X/Y is the bulk block
-        if x[0] == "X":
-            return Counter({(y[0], 1): 1, (y[0], 2): 1})
-        if x[0] == "Y":
-            other = "W" if y[0] == "V" else "V"
-            return Counter({(other, 1): 1, (other, 2): 1})
-        # V/W products
-        if x[0] == y[0]:
-            fixer = "f" if x[0] == "V" else "g"
-            out = all_x.copy()
-            if x[1] == y[1]:
-                out.update({("i", "1"): 1, ("i", fixer): 1})
-            else:
-                out.update({("i", gmul("fg", fixer)): 1, ("i", "fg"): 1})
-            return out
-        return all_y.copy()
-
-    return assemble_ring(objects, dims, prod, unit=("i", "1"), bulk=_xy_block(r))
+            dims[(s, j)] = root
+    return assemble_ring(objects, dims, *_four_divides_products(r), unit=("i", "1"))
 
 
-def _xy_block(r: int) -> tuple:
-    """The X/Y x X/Y products of the 4|N ring as the bulk block of
-    `assemble_ring`, in key numbers: 1, f, g, fg are 0..3, X_m is 4 + m and
-    Y_m is 4 + r + m."""
+def _four_divides_products(r: int) -> tuple:
+    """Every product of the 4|N ring as the i, j, k arrays of `assemble_ring`,
+    in key numbers: 1, f, g, fg are 0..3, X_m is 4 + m, Y_m is 4 + r + m and
+    V1, V2, W1, W2 are 5 + 2r + d for d = 0..3."""
     one, f, g, fg = range(4)
-    i, j, k = [], [], []
+    a = np.arange(4)
+    xs, ys, vw = 4 + np.arange(r), 4 + r + np.arange(r + 1), 5 + 2 * r + a
+    # the invertibles: the Klein law is the xor of key numbers; f and g
+    # reflect the X and Y indices; V is fixed by 1 and f, W by 1 and g, and
+    # the others swap the split
+    action = np.hstack([
+        a[:, None] ^ a,
+        [xs, xs[::-1], xs[::-1], xs],
+        [ys, ys[::-1], ys[::-1], ys],
+        vw[[[0, 1, 2, 3], [0, 1, 3, 2], [1, 0, 2, 3], [1, 0, 3, 2]]],
+    ])
+    keys = np.arange(action.shape[1])
+    rows = [row for x in a for row in ((x, keys, action[x]), (keys[4:], x, action[x, 4:]))]
+    # X_i (x) V_j = V_1 + V_2, Y_i (x) V_j = W_1 + W_2, and alike for W
+    d = a[:, None]
+    for left, swap in ((xs, 0), (ys, 1)):
+        e = vw[2 * ((d >> 1) ^ swap) + np.arange(2)]
+        rows += [(left[:, None, None], vw[d], e), (vw[d], left[:, None, None], e)]
+    # V_i V_i = 1 + f + sum X, V_1 V_2 = g + fg + sum X, and alike for W
+    # with f and g exchanged; V_i W_j = sum Y
+    for x in a:
+        for y in a:
+            if x >> 1 != y >> 1:
+                rows.append((vw[x], vw[y], ys))
+                continue
+            fixer = (f, g)[x >> 1]
+            rows.append((vw[x], vw[y], np.r_[(one, fixer) if x == y else (fg ^ fixer, fg), xs]))
 
-    def emit(left, right, key, mask=Ellipsis):
-        i.append(left[mask])
-        j.append(right[mask])
-        k.append(np.broadcast_to(key, left.shape)[mask])
+    # X_i X_j = xi(i + j + 1) + (1 + fg if i = j, else X_{|i - j| - 1}) and
+    # Y_i Y_j = xi(i + j) + the same second term, where xi(m) = X_m, folded
+    # to X_{2r - m} past r, and f + g at the fixed point m = r
+    m = np.arange(2 * r + 1)
+    xi = 4 + np.minimum(m, 2 * r - m)
+    xi[r] = f
+    near = 4 + m - 1
+    near[0] = one
+    for size, start, shift in ((r, 4, 1), (r + 1, 4 + r, 0)):
+        p = np.arange(size)
+        left, right = p[:, None] + start, p + start
+        rows += [
+            (left, right, xi[p[:, None] + p + shift]),
+            (left, right, near[abs(p[:, None] - p)]),
+            # the second keys: g where i + j + shift = r, fg where i = j
+            (p + start, r - shift - p + start, g),
+            (p + start, p + start, fg),
+        ]
 
-    def square(size, shift):
-        """Index pairs (p, q) of a size x size grid with lo = min, hi = max."""
-        p, q = (x.ravel() for x in np.meshgrid(np.arange(size), np.arange(size),
-                                               indexing="ij"))
-        return p + shift, q + shift, np.minimum(p, q), np.maximum(p, q)
-
-    def xi(left, right, m):
-        # X-index m folds at the boundary: index r is the f + g fixed point
-        at = m == r
-        emit(left, right, f, at)
-        emit(left, right, g, at)
-        emit(left, right, 4 + np.where(m > r, 2 * r - m, m), ~at)
-
-    def diagonal_or_x(left, right, lo, hi):
-        # X_i X_i and Y_i Y_i contain 1 + fg; otherwise X_{|i - j| - 1}
-        same = lo == hi
-        emit(left, right, one, same)
-        emit(left, right, fg, same)
-        emit(left, right, 4 + hi - lo - 1, ~same)
-
-    def rho(m):
-        return np.where(m < 0, -m - 1, np.where(m > r, 2 * r + 1 - m, m))
-
-    # X_i X_j = xi(i + j + 1) + (1 + fg if i = j, else X_{|i - j| - 1})
-    left, right, lo, hi = square(r, 4)
-    xi(left, right, lo + hi + 1)
-    diagonal_or_x(left, right, lo, hi)
-    # Y_i Y_j = xi(i + j) + the same second term
-    left, right, lo, hi = square(r + 1, 4 + r)
-    xi(left, right, lo + hi)
-    diagonal_or_x(left, right, lo, hi)
-    # X_p Y_q = Y_{rho(q - p - 1)} + Y_{rho(p + q + 1)}, and Y_q X_p alike
-    p, q = (x.ravel() for x in np.meshgrid(np.arange(r), np.arange(r + 1), indexing="ij"))
+    # X_p Y_q = Y_{rho(q - p - 1)} + Y_{rho(p + q + 1)}, and Y_q X_p alike;
+    # rho folds m into 0..r, to -m - 1 below 0 and 2r + 1 - m past r, and
+    # is tabled here at m + r for m = -r..2r
+    m = np.arange(-r, 2 * r + 1)
+    rho = 4 + r + np.where(m < 0, -m - 1, np.where(m > r, 2 * r + 1 - m, m))
+    p, q = np.arange(r)[:, None], np.arange(r + 1)
     for m in (q - p - 1, p + q + 1):
-        key = 4 + r + rho(m)
-        emit(4 + p, 4 + r + q, key)
-        emit(4 + r + q, 4 + p, key)
-    block = range(4, 5 + 2 * r)
-    return block, np.concatenate(i), np.concatenate(j), np.concatenate(k)
+        key = rho[m + r]
+        rows += [(4 + p, 4 + r + q, key), (4 + r + q, 4 + p, key)]
+    return stack_rows(rows)
 
 
 _RELABEL_ODD = {"z": "Z", "s1": "V+", "s2": "V-"}
@@ -204,10 +175,10 @@ def build_so_n2(n: int) -> FusionRing:
         return _build_four_divides(n)
     # the particle-hole gauging, assembled once under the SO(N)_2 labels,
     # which keep the canonical order of `assemble_ring`
-    objects, dims, prod, bulk = particle_hole_rules(GaugingDatum(n))
+    objects, dims, *ijk = particle_hole_rules(GaugingDatum(n))
     table = _RELABEL_ODD if n % 2 else _RELABEL_EVEN
     objects = {k: table.get(lab, lab.replace("O", "X")) for k, lab in objects.items()}
-    return assemble_ring(objects, dims, prod, bulk=bulk)
+    return assemble_ring(objects, dims, *ijk)
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +319,12 @@ def _ising_squared_ring() -> FusionRing:
             objects[(a, b)] = f"{names[a]}*{names[b]}"
             dims[(a, b)] = ising.exact_dims[a] * ising.exact_dims[b]
 
-    def prod(x, y) -> Counter:
-        out = Counter()
-        for k1 in ising.row(x[0], y[0])[0].tolist():
-            for k2 in ising.row(x[1], y[1])[0].tolist():
-                out[(k1, k2)] += 1
-        return out
-
-    return assemble_ring(objects, dims, prod, unit=(0, 0))
+    # N[(a, b), (c, d), (e, f)] = N[a, c, e] N[b, d, f]: every pair of
+    # nonzeros gives a row, repeated by its multiplicity; (a, b) is key 3a + b
+    ijk, mults = np.array(ising.nonzero()), ising.mults
+    p, q = np.divmod(np.arange(len(mults) ** 2), len(mults))
+    rows = np.repeat(3 * ijk[:, p] + ijk[:, q], mults[p] * mults[q], axis=1)
+    return assemble_ring(objects, dims, *rows, unit=(0, 0))
 
 
 def ising_squared_data(p: IsingParams) -> RibbonData:

@@ -164,67 +164,73 @@ class GaugingDatum:
 # ring assembly from an abstract object algebra
 
 
-def assemble_ring(objects: dict, dims: dict, prod, unit=None, bulk=None) -> FusionRing:
-    """Build a FusionRing from an object-key algebra.
+def assemble_ring(objects: dict, dims: dict, i, j, k, unit=None) -> FusionRing:
+    """Build a FusionRing from the products of an object-key algebra.
 
     objects: key -> label; dims: key -> AlgebraicReal; unit: the unit key
     (defaults to the key labeled '1').  Keys are numbered in the order of
-    `objects`.  bulk: None, or (block, i, j, k) with `block` a range of key
-    numbers and i, j, k equal-length integer arrays of key numbers, each
-    row adding one to N[i, j, k]; together the rows give every product of
-    two keys in the block.  prod(k1, k2) -> Counter of keys gives every
-    other product.  Objects are put in canonical order (unit, then
-    invertibles by label, then the rest by (dim, label)).
+    `objects`; i, j, k are equal-length integer arrays of key numbers, each
+    row adding one to N[i, j, k], so a row listed twice gives multiplicity
+    2.  Objects are put in canonical order (unit, then invertibles by
+    label, then the rest by (dim, label)).
     """
     keys = list(objects)
     if unit is None:
-        unit = next(k for k in keys if objects[k] == "1")
-    invs = sorted(
-        (k for k in keys if k != unit and dims[k] == 1),
-        key=lambda k: objects[k],
+        unit = next(key for key in keys if objects[key] == "1")
+    i, j, k = map(np.asarray, (i, j, k))
+    # each distinct dims object is ranked once: callers share them
+    distinct = {id(d): d for d in dims.values()}
+    rank = {at: (d != 1, float(d)) for at, d in distinct.items()}
+    order = [unit] + sorted(
+        (key for key in keys if key != unit),
+        key=lambda key: (*rank[id(dims[key])], objects[key]),
     )
-    rest = sorted(
-        (k for k in keys if k != unit and k not in invs),
-        key=lambda k: (float(dims[k]), objects[k]),
-    )
-    order = [unit] + invs + rest
     r = len(order)
-    number = {k: n for n, k in enumerate(keys)}
+    number = {key: n for n, key in enumerate(keys)}
     pos = np.empty(r, dtype=np.int64)
-    pos[[number[k] for k in order]] = np.arange(r)
+    pos[[number[key] for key in order]] = np.arange(r)
 
-    block, *bulk_ijk = bulk if bulk is not None else (range(0), (), (), ())
-    outside = [n for n in range(r) if n not in block]
-    rows = [
-        (n1, n2, number[k3], mult)
-        for n1 in range(r)
-        for n2 in (range(r) if n1 not in block else outside)
-        for k3, mult in prod(keys[n1], keys[n2]).items()
-    ]
-    coo = np.array(rows, dtype=np.int64).reshape(-1, 4)
-    # the raveled cells (i * r + j) * r + k of all rows in canonical numbers,
-    # sorted once, with the repeated ones summed in int64
-    cells = np.zeros(len(bulk_ijk[0]) + len(coo), dtype=np.int64)
-    for c, a in enumerate(bulk_ijk):
+    # the raveled cells (i * r + j) * r + k in canonical numbers, sorted in
+    # place; a cell's multiplicity is the length of its run
+    cells = pos[i]
+    for a in (j, k):
         cells *= r
-        cells += pos[np.concatenate([np.asarray(a, dtype=np.int64), coo[:, c]])]
-    mult = np.concatenate([np.ones(len(cells) - len(coo), dtype=np.int64), coo[:, 3]])
-    by_cell = np.argsort(cells)
-    cells = cells[by_cell]
-    first = np.flatnonzero(np.concatenate([[True], cells[1:] != cells[:-1]]))
-    cells, mult = cells[first], np.add.reduceat(mult[by_cell], first)
+        cells += pos[a]
+    cells.sort()
+    repeat = cells[1:] == cells[:-1]
+    if repeat.any():
+        start = np.flatnonzero(np.r_[True, ~repeat])
+        mult = np.diff(start, append=len(cells))
+        cells = cells[start]
+    else:
+        mult = np.ones(len(cells), dtype=np.int64)
     # X (x) Y contains the unit for exactly one Y, the dual of X
-    x, y = np.divmod(cells[cells % r == 0] // r, r)
+    at = k == number[unit]
+    xy = np.sort(pos[i[at]] * r + pos[j[at]])
+    x, y = np.divmod(xy[np.r_[True, xy[1:] != xy[:-1]]], r)
     once = np.bincount(x, minlength=r) == 1
     if not once.all():
         raise MalformedInputError(f"object {int(np.flatnonzero(~once)[0])} has no unique dual")
     return FusionRing.from_nonzeros(
-        tuple(objects[k] for k in order),
+        tuple(objects[key] for key in order),
         tuple(y.tolist()),
         cells,
         mult,
-        tuple(dims[k] for k in order),
+        tuple(dims[key] for key in order),
     )
+
+
+def stack_rows(blocks) -> tuple:
+    """The i, j, k arguments of `assemble_ring` from a list of (i, j, k)
+    blocks, the three entries of each block broadcast together.  Key numbers
+    fit int32, since r^3 fits int64."""
+    grids = [np.broadcast(*block) for block in blocks]
+    ends = np.cumsum([0] + [grid.size for grid in grids]).tolist()
+    out = np.empty((3, ends[-1]), dtype=np.int32)
+    for block, grid, lo, hi in zip(blocks, grids, ends, ends[1:]):
+        for row, x in zip(out, block):
+            row[lo:hi].reshape(grid.shape)[...] = x
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -244,79 +250,74 @@ def gauge_particle_hole(mg: MetricGroup, datum: GaugingDatum | None = None) -> F
         datum = GaugingDatum(n)
     elif datum.n != n:
         raise ParameterError("datum built for a different N")
-    objects, dims, prod, bulk = particle_hole_rules(datum)
-    return assemble_ring(objects, dims, prod, bulk=bulk)
+    return assemble_ring(*particle_hole_rules(datum))
 
 
 def particle_hole_rules(datum: GaugingDatum) -> tuple:
     """The gauged object algebra as `assemble_ring` arguments
-    (objects, dims, prod, bulk); it depends on N and the datum only."""
+    (objects, dims, i, j, k); it depends on N and the datum only."""
     if datum.n % 2:
         return _gauge_odd(datum.n)
     return _gauge_even(datum.n, datum)
 
 
-def _orbit_block(n: int, first: int, fixed: dict) -> tuple:
-    """The orbit x orbit products <a> (x) <b> = [a + b] + [a - b] as the bulk
-    block of `assemble_ring`.
+def _invertible_rows(action) -> list:
+    """The rows g (x) x and x (x) g = action[g, x] for every invertible key
+    number g, which are the first len(action) keys."""
+    g, keys = len(action), np.arange(action.shape[1])
+    return [block for x in range(g)
+            for block in ((x, keys, action[x]), (keys[g:], x, action[x, g:]))]
+
+
+def _orbit_block(n: int, first: int, fixed: dict) -> list:
+    """The orbit x orbit products <a> (x) <b> = [a + b] + [a - b] as row blocks.
 
     The orbit <c>, 0 < c < N/2, has key number first + c - 1; [c] is the
-    orbit of c, or the two invertible key numbers fixed[c] when c is fixed
-    by negation.
+    orbit of c, or the two invertible key numbers fixed[c] when c = -c.
     """
     m = (n - 1) // 2
-    a, b = (x.ravel() for x in np.meshgrid(np.arange(1, m + 1), np.arange(1, m + 1),
-                                           indexing="ij"))
-    i, j, k = [], [], []
-
-    def emit(mask, key):
-        i.append(a[mask] + first - 1)
-        j.append(b[mask] + first - 1)
-        k.append(np.broadcast_to(key, a.shape)[mask])
-
-    for c in (a + b, a - b):
-        c = np.minimum(c % n, -c % n)
-        split = np.isin(c, list(fixed))
-        emit(~split, c + first - 1)
-        for point, pair in fixed.items():
-            for key in pair:
-                emit(c == point, key)
-    block = range(first, first + m)
-    return block, np.concatenate(i), np.concatenate(j), np.concatenate(k)
+    c = np.arange(n)
+    image = first - 1 + np.minimum(c, n - c)  # [c] per residue c, first fixed key
+    for point, pair in fixed.items():
+        image[point] = pair[0]
+    a = np.arange(1, m + 1)
+    left, right = a[:, None] + first - 1, a + first - 1
+    # 0 < a + b < N, and a negative a - b indexes `image` from its end, at
+    # its residue
+    blocks = [(left, right, image[a[:, None] + sign * a]) for sign in (1, -1)]
+    # the second key of each fixed point c, where a + b = c or a - b = c
+    for point, pair in fixed.items():
+        for b in ((point - a) % n, (a - point) % n):
+            hit = (b >= 1) & (b <= m)
+            blocks.append((a[hit] + first - 1, b[hit] + first - 1, pair[1]))
+    return blocks
 
 
 def _gauge_odd(n: int) -> tuple:
     orbit_reps = list(range(1, (n + 1) // 2))
     width = len(str(max(orbit_reps, default=1)))
+    one, two, root = AlgebraicReal.of(1), AlgebraicReal.of(2), AlgebraicReal.sqrt(n)
     objects = {("inv", 0): "1", ("inv", 1): "z"}
-    dims = {("inv", 0): AlgebraicReal.of(1), ("inv", 1): AlgebraicReal.of(1)}
+    dims = {("inv", 0): one, ("inv", 1): one}
     for a in orbit_reps:
         objects[("orb", a)] = f"O{a:0{width}d}"
-        dims[("orb", a)] = AlgebraicReal.of(2)
+        dims[("orb", a)] = two
     for j in (1, 2):
         objects[("def", j)] = f"s{j}"
-        dims[("def", j)] = AlgebraicReal.sqrt(n)
+        dims[("def", j)] = root
 
-    def prod(x, y) -> Counter:
-        if x[0] != "inv" and y[0] == "inv":
-            x, y = y, x
-        if x[0] == "inv":
-            g = x[1]
-            if y[0] == "inv":
-                return Counter({("inv", (g + y[1]) % 2): 1})
-            if y[0] == "orb":
-                return Counter({y: 1})
-            return Counter({("def", y[1] if g == 0 else 3 - y[1]): 1})
-        if x[0] == "orb" or y[0] == "orb":
-            # orbit times defect; orbit times orbit is the bulk block
-            return Counter({("def", 1): 1, ("def", 2): 1})
-        # defect times defect
-        out = Counter({("inv", 0 if x[1] == y[1] else 1): 1})
-        for a in orbit_reps:
-            out[("orb", a)] += 1
-        return out
-
-    return objects, dims, prod, _orbit_block(n, 2, {0: (0, 1)})
+    # key numbers: 1 and z are 0 and 1, <a> is 1 + a, s1 and s2 follow
+    m = len(orbit_reps)
+    orbits, s = np.arange(2, m + 2), np.array([m + 2, m + 3])
+    # z fixes every orbit and swaps s1 and s2
+    action = np.array([np.r_[0, 1, orbits, s], np.r_[1, 0, orbits, s[::-1]]])
+    # <a> (x) s_j = s1 + s2, and s_i (x) s_j = 1 (z when i != j) + every orbit
+    a, d = orbits[:, None, None], s[:, None]
+    return objects, dims, *stack_rows(
+        _invertible_rows(action)
+        + _orbit_block(n, 2, {0: (0, 1)})
+        + [(a, d, s), (d, a, s), (d, s, 1 - np.eye(2, dtype=np.int64)), (d[..., None], d, orbits)]
+    )
 
 
 def _gauge_even(n: int, datum: GaugingDatum) -> tuple:
@@ -333,72 +334,52 @@ def _gauge_even(n: int, datum: GaugingDatum) -> tuple:
     orbit_reps = list(range(1, h))
     width = len(str(max(orbit_reps, default=1)))
     inv_keys = ["1", "u1", "u2", "z"]
+    one, two, root = AlgebraicReal.of(1), AlgebraicReal.of(2), AlgebraicReal.sqrt(h)
     objects = {("inv", g): g for g in inv_keys}
-    dims = {("inv", g): AlgebraicReal.of(1) for g in inv_keys}
+    dims = {("inv", g): one for g in inv_keys}
     for a in orbit_reps:
         objects[("orb", a)] = f"O{a:0{width}d}"
-        dims[("orb", a)] = AlgebraicReal.of(2)
+        dims[("orb", a)] = two
     for s in ("v", "w"):
         for j in (1, 2):
             objects[("def", s, j)] = f"{s}{j}"
-            dims[("def", s, j)] = AlgebraicReal.sqrt(h)
+            dims[("def", s, j)] = root
 
+    # key numbers: 1, u1, u2, z are 0..3, <a> is 3 + a, and v1, v2, w1, w2
+    # are h + 3 + d for d = 0..3
+    g = np.arange(4)
+    orbits = np.arange(4, h + 3)
     # invertible group law: Klein on {1, u1, u2, z = u1 u2} when N/2 is even,
-    # cyclic of order 4 generated by u1 (u1^2 = z, u1^3 = u2) when N/2 is odd
-    if klein:
-        enc = {"1": (0, 0), "u1": (1, 0), "u2": (0, 1), "z": (1, 1)}
-        dec = {v: k for k, v in enc.items()}
-
-        def gmul(a, b):
-            return dec[tuple((x + y) % 2 for x, y in zip(enc[a], enc[b]))]
-    else:
-        enc = {"1": 0, "u1": 1, "z": 2, "u2": 3}
-        dec = {v: k for k, v in enc.items()}
-
-        def gmul(a, b):
-            return dec[(enc[a] + enc[b]) % 4]
-
+    # cyclic of order 4 generated by u1 (u1^2 = z, u1^3 = u2) when N/2 is
+    # odd; the key of u1^e and the power of u1 at key e are both power[e]
+    power = np.array([0, 1, 3, 2])
+    gmul = g[:, None] ^ g if klein else power[(power[:, None] + power) % 4]
     # invertibles acting on defects, per case (derived by closing the orbit
     # algebra under associativity; z always swaps the two splits)
     if klein:
-        act = {
-            ("u1", "v", 1): ("v", 1), ("u1", "v", 2): ("v", 2),
-            ("u1", "w", 1): ("w", 2), ("u1", "w", 2): ("w", 1),
-        }
+        u1 = np.array([0, 1, 3, 2])
     elif p == 1:
-        act = {
-            ("u1", "v", 1): ("w", 2), ("u1", "v", 2): ("w", 1),
-            ("u1", "w", 1): ("v", 1), ("u1", "w", 2): ("v", 2),
-        }
+        u1 = np.array([3, 2, 0, 1])
     else:
-        act = {
-            ("u1", "v", 1): ("w", 1), ("u1", "v", 2): ("w", 2),
-            ("u1", "w", 1): ("v", 2), ("u1", "w", 2): ("v", 1),
-        }
+        u1 = np.array([2, 3, 1, 0])
+    on_defects = np.array([g, u1, u1 ^ 1, g ^ 1])  # u2 = z u1
+    # u1 and u2 shift by N/2: <a> -> <h - a>, never a fixed point
+    on_orbits = np.array([orbits, orbits[::-1], orbits[::-1], orbits])
+    action = np.hstack([gmul, on_orbits, h + 3 + on_defects])
 
-    def act_on_defect(g, s, j):
-        if g == "1":
-            return ("def", s, j)
-        if g == "z":
-            return ("def", s, 3 - j)
-        if g == "u1":
-            s2, j2 = act[("u1", s, j)]
-            return ("def", s2, j2)
-        # u2 = z * u1
-        _, s2, j2 = act_on_defect("u1", s, j)
-        return ("def", s2, 3 - j2)
+    # <a> (x) (s, j) = (s', 1) + (s', 2), s' = s for even a, the other for odd
+    a, d = np.arange(1, h)[:, None, None], g[:, None]
+    e = h + 3 + 2 * ((d >> 1) ^ (a & 1)) + np.arange(2)
+    blocks = [(3 + a, h + 3 + d, e), (h + 3 + d, 3 + a, e)]
 
-    def orbit_sum(parity: int) -> Counter:
-        return Counter({("orb", a): 1 for a in orbit_reps if a % 2 == parity})
-
-    # defect x defect invertible parts, per case
-    def defect_product(s1, j1, s2, j2) -> Counter:
+    # defect x defect: invertible parts per case, and the orbits of one parity
+    def defect_product(s1, j1, s2, j2) -> list:
         same_split = j1 == j2
         if s1 == s2:
-            orbits = orbit_sum(p)
+            parity = p
             if klein:
                 u = "u1" if s1 == "v" else "u2"
-                invs = ("1", u) if same_split else ("z", gmul("z", u))
+                invs = ("1", u) if same_split else ("z", "u2" if u == "u1" else "u1")
             elif p == 1:
                 invs = (("u1",) if same_split else ("u2",)) if s1 == "v" else (
                     ("u2",) if same_split else ("u1",)
@@ -408,39 +389,25 @@ def _gauge_even(n: int, datum: GaugingDatum) -> tuple:
                     ("z",) if same_split else ("1",)
                 )
         else:
-            orbits = orbit_sum((p + h) % 2) if not klein else orbit_sum(1)
+            parity = (p + h) % 2 if not klein else 1
             if klein:
                 invs = ()
             elif p == 1:
                 invs = ("1",) if same_split else ("z",)
             else:
                 invs = ("u1",) if same_split else ("u2",)
-        out = orbits
-        for g in invs:
-            out[("inv", g)] += 1
-        return out
+        # <a> is orbits[a - 1]
+        return [inv_keys.index(x) for x in invs] + orbits[1 - parity::2].tolist()
 
-    def prod(x, y) -> Counter:
-        if x[0] != "inv" and y[0] == "inv":
-            x, y = y, x
-        if x[0] == "inv":
-            g = x[1]
-            if y[0] == "inv":
-                return Counter({("inv", gmul(g, y[1])): 1})
-            if y[0] == "orb":
-                # u1 and u2 shift by N/2: <a> -> <h - a>, never a fixed point
-                return Counter({y if g in ("1", "z") else ("orb", h - y[1]): 1})
-            return Counter({act_on_defect(g, y[1], y[2]): 1})
-        if x[0] == "def" and y[0] == "orb":
-            x, y = y, x
-        if x[0] == "orb":
-            # orbit times defect; orbit times orbit is the bulk block
-            s = y[1] if x[1] % 2 == 0 else ("w" if y[1] == "v" else "v")
-            return Counter({("def", s, 1): 1, ("def", s, 2): 1})
-        return defect_product(x[1], x[2], y[1], y[2])
-
-    # key numbers: 1, u1, u2, z are 0..3 and the orbits start at 4
-    return objects, dims, prod, _orbit_block(n, 4, {0: (0, 3), h: (1, 2)})
+    defects = [("v", 1), ("v", 2), ("w", 1), ("w", 2)]
+    blocks += [
+        (h + 3 + x, h + 3 + y, defect_product(*dx, *dy))
+        for x, dx in enumerate(defects)
+        for y, dy in enumerate(defects)
+    ]
+    return objects, dims, *stack_rows(
+        _invertible_rows(action) + _orbit_block(n, 4, {0: (0, 3), h: (1, 2)}) + blocks
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import isqrt, lcm
 
 import numpy as np
@@ -296,7 +297,10 @@ class FusionRing:
         rows = data["fusion"]
         if not isinstance(rows, list):
             raise MalformedInputError("fusion must be a list of [i, j, k, mult] rows")
-        flat = [x for row in rows if type(row) is list and len(row) == 4 for x in row]
+        # C-level scans: every row a list of four, then every entry an int
+        flat = []
+        if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {4}:
+            flat = list(chain.from_iterable(rows))
         if len(flat) != 4 * len(rows) or not set(map(type, flat)) <= {int}:
             raise MalformedInputError("every fusion row must be 4 integers [i, j, k, mult]")
         try:

@@ -38,6 +38,29 @@ import oracles
 from test_ring import pointed_z
 
 
+def ring_digest(ring, dense=True) -> str:
+    """sha256 of json([labels, dual, exact dims]) followed by the bytes of
+    `ring.fusion`, fed one i-plane at a time from the nonzeros so that the
+    dense tensor is never held, or with dense=False by the bytes of the
+    cells and then the mults."""
+    h = hashlib.sha256()
+    h.update(json.dumps(
+        [list(ring.labels), list(ring.dual), [d.to_json() for d in ring.exact_dims]]
+    ).encode())
+    if not dense:
+        h.update(ring.cells.tobytes())
+        h.update(ring.mults.tobytes())
+        return h.hexdigest()
+    r = ring.rank
+    ends = np.searchsorted(ring.cells, np.arange(r + 1) * r * r).tolist()
+    plane = np.zeros(r * r, dtype=np.int64)
+    for i, (lo, hi) in enumerate(zip(ends, ends[1:])):
+        plane[:] = 0
+        plane[ring.cells[lo:hi] - i * r * r] = ring.mults[lo:hi]
+        h.update(plane)
+    return h.hexdigest()
+
+
 class TestBuild:
     def test_axioms_and_global_dim_full_range(self, so_rings):
         for n in range(2, 41):
@@ -97,19 +120,18 @@ class TestBuild:
 
     def test_bit_identical_to_recorded_digests(self):
         # labels, duality, exact dims and the tensor, order included, for
-        # every N in the table; the large points are where the vectorized
-        # bulk blocks carry almost all of the products
-        wrong = []
-        for n, want in _SO_N2_DIGESTS.items():
-            r = build_so_n2(n)
-            h = hashlib.sha256()
-            h.update(json.dumps(
-                [list(r.labels), list(r.dual), [d.to_json() for d in r.exact_dims]]
-            ).encode())
-            h.update(r.fusion.tobytes())
-            if h.hexdigest() != want:
-                wrong.append(n)
-        assert not wrong
+        # every N in the table; the large points are where the orbit and
+        # X/Y blocks carry almost all of the products
+        wrong = [n for n, want in _SO_N2_DIGESTS.items() if ring_digest(build_so_n2(n)) != want]
+        assert wrong == []
+
+    def test_past_the_dense_limit_bit_identical_to_recorded_nonzeros(self):
+        # ranks 551-553, where the dense view is refused
+        wrong = [
+            n for n, want in _SO_N2_NONZERO_DIGESTS.items()
+            if ring_digest(build_so_n2(n), dense=False) != want
+        ]
+        assert wrong == []
 
     def test_explicit_v_fusion_for_twelve(self, so_rings):
         # V1 (x) V1 = 1 + f + all X_i ; V1 (x) V2 = g + fg + all X_i
@@ -384,6 +406,12 @@ class TestIsingSquared:
         with pytest.raises(ParameterError):
             IsingParams(2, 1)
 
+    def test_ring_bit_identical_to_recorded_digest(self):
+        # recorded from the per-pair Counter construction
+        assert ring_digest(catalog._ising_squared_ring()) == (
+            "07b0016c60fa230b588974973bb17ad38e115ed73e5f800adcbebe2ac5dc3a84"
+        )
+
 
 class TestSixteenM:
     def test_census_passes(self):
@@ -548,4 +576,14 @@ _SO_N2_DIGESTS = {
     601: "a37070adc8438ab257f8f9ee80e768961d2e9259dd25caad46c4451af1359f27",
     602: "b66d11e9fa00f4ae5374a4e4dda90593ced60f79a240e698a6d6f9d5cce1ef70",
     603: "26e2103313c45f5a7398b98e33427a6f4e9618db00f9805bc2c9b0e0fb4a2f39",
+}
+
+
+# ring_digest(build_so_n2(n), dense=False), recorded from the per-pair
+# Counter construction of build_so_n2
+_SO_N2_NONZERO_DIGESTS = {
+    1100: "94b74b4f13b7abc29226e7a860a021bfe55a1994fc2c8d78357d217fa6f7d829",
+    1101: "5921a784262c95dbf90ab653b1cc35f8b3cf5aae29f84b8dc3508553948ba1b9",
+    1102: "c0f00c2fa428201095fd68b0a12bc91bf24b9f7efa4dee7edb678d9459425613",
+    1103: "c1153ba7cfc442df03c0224ca3446c8b0bc47feb2398d2d4a229897f12b6ab6c",
 }
