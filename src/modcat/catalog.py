@@ -32,6 +32,7 @@ from .modular import Phase, RibbonData, transparency_constraint
 from .ring import (
     AlgebraicReal,
     FusionRing,
+    _distinct,
     exact_dimensions,
     universal_grading,
 )
@@ -201,30 +202,22 @@ class MetaplecticCensus:
         return not self.mismatches
 
 
-def _sector_of(label: str, d: AlgebraicReal) -> str:
+def structure_census(ring: FusionRing, n: int | None = None) -> MetaplecticCensus:
+    """Count sectors of a metaplectic ring against the three-case table."""
+    dims, of = _distinct(exact_dimensions(ring))
+    counts = np.bincount(of, minlength=len(dims)).tolist()
+    total = sum((d * d * c for d, c in zip(dims, counts)), AlgebraicReal.of(0))
+    if n is None:
+        n = round(float(total) / 4)
     # dimension classifies except in the degenerate cases N = 2 and N = 8,
     # where the defect dimension collides with 1 or 2; there the V/W labels
     # carried by every constructed metaplectic ring decide
-    if label[0] in ("V", "W"):
-        return "spinor"
-    if d == 1:
-        return "invertible"
-    if d == 2:
-        return "dim2"
-    return "spinor"
-
-
-def structure_census(ring: FusionRing, n: int | None = None) -> MetaplecticCensus:
-    """Count sectors of a metaplectic ring against the three-case table."""
-    dims = exact_dimensions(ring)
-    total = sum((d * d for d in dims), AlgebraicReal.of(0))
-    if n is None:
-        n = round(float(total) / 4)
-    sectors = [_sector_of(lab, d) for lab, d in zip(ring.labels, dims)]
+    by_dim = ["invertible" if d == 1 else "dim2" if d == 2 else "spinor" for d in dims]
+    sectors = ["spinor" if lab[0] in ("V", "W") else by_dim[v] for lab, v in zip(ring.labels, of)]
     inv = sectors.count("invertible")
     dim2 = sectors.count("dim2")
     spin = sectors.count("spinor")
-    spinor_dims = {d for d, s in zip(dims, sectors) if s == "spinor"}
+    spinor_dims = {dims[v] for v, s in zip(of, sectors) if s == "spinor"}
     spinor_dim = spinor_dims.pop() if len(spinor_dims) == 1 else None
     self_dual = tuple(ring.dual[i] == i for i in range(ring.rank))
 
@@ -551,7 +544,8 @@ def _refine(r1, r2, *touching) -> np.ndarray:
     (role, colours of the other two objects, multiplicity) over the
     nonzeros it touches, until the number of colours stops growing."""
     r = r1.rank
-    values = np.unique(np.concatenate([r1.mults, r2.mults]))
+    values = np.sort(np.concatenate([r1.mults, r2.mults]))
+    values = values[np.diff(values, prepend=-1) != 0]
     rings = []
     for shift, ring, (ijk, nz, role, off) in zip((0, r), (r1, r2), touching):
         other = ijk[nz[:, None], (role[:, None] + (1, 2)) % 3] + shift
@@ -592,9 +586,12 @@ def _product_order(ijk, nz, off, colour, size):
         if front:
             n = np.concatenate([nz[off[x]:off[x + 1]] for x in front])
             i, j, k = ijk[n].T
-            hit = done[i] & done[j] & ~done[k]
-            front, first = np.unique(k[hit], return_index=True)
-            parent[front] = n[hit][first]
+            hit = np.flatnonzero(done[i] & done[j] & ~done[k])
+            # each new summand once, with the first nonzero that reached it
+            hit = hit[np.argsort(k[hit], kind="stable")]
+            hit = hit[np.diff(k[hit], prepend=-1) != 0]
+            front = k[hit]
+            parent[front] = n[hit]
         else:
             rest = np.flatnonzero(~done)
             front = rest[[np.argmin(size[colour[rest]])]]

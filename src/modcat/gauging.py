@@ -10,7 +10,6 @@ dimension sqrt(N) for odd N or 4 objects of dimension sqrt(N/2) for even N.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -26,8 +25,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .metric import MetricGroup
-from .modular import transparency_constraint
-from .ring import AlgebraicReal, FusionRing, exact_dimensions
+from .ring import AlgebraicReal, FusionRing, _distinct, exact_dimensions
 
 
 # ---------------------------------------------------------------------------
@@ -461,60 +459,59 @@ def condense_boson(ring: FusionRing, b: int) -> CondensationReport:
     has dimension 2 (the generalized Tambara-Yamagami shape) the group of
     invertibles in the trivial component is probed for cyclicity by the
     inductive generator walk; otherwise only orbit data is reported.
+
+    The rows b (x) x, x* (x) b and y (x) y are read for every x or y in one
+    array step each, and each dimension test is made once per distinct
+    dimension.
     """
-    dims = exact_dimensions(ring)
-    r = ring.rank
-    if b == 0 or dims[b] != 1:
+    values, of = _distinct(exact_dimensions(ring))
+    one = [d == 1 for d in values]
+    r, cells, mults = ring.rank, ring.cells, ring.mults
+    if b == 0 or not one[of[b]]:
         raise PreconditionError("condensation object must be a nontrivial invertible")
     ks, ms = ring.row(b, b)
     if ms[ks == 0].tolist() != [1]:
         raise PreconditionError("condensation object must have order 2")
 
-    partner = []
-    for x in range(r):
-        ks, ms = ring.row(b, x)
-        if len(ks) != 1 or ms[0] != 1:
-            raise PreconditionError("boson action does not permute the basis")
-        partner.append(int(ks[0]))
+    every = np.arange(r)
+    ends = np.searchsorted(cells, (b * r + np.arange(r + 1)) * r)  # of the rows (b, x)
+    if not (np.diff(ends) == 1).all() or (mults[ends[:-1]] != 1).any():
+        raise PreconditionError("boson action does not permute the basis")
+    partner = cells[ends[:-1]] % r
+    moved = np.flatnonzero(partner != every)
+    pairs = np.sort(np.minimum(moved, partner[moved]) * r + np.maximum(moved, partner[moved]))
+    free = [divmod(p, r) for p in pairs[np.diff(pairs, prepend=-1) != 0].tolist()]
+    fixed = np.flatnonzero(partner == every)
 
-    fixed = [x for x in range(r) if partner[x] == x]
-    free = sorted({tuple(sorted((x, partner[x]))) for x in range(r) if partner[x] != x})
-    for x in fixed:
-        # boson-compatibility: transparency against the fixed object forces
-        # twist 1, so the collapse below is consistent
-        transparency_constraint(ring, dims, b, x)
+    # boson-compatibility: transparency against a fixed object x forces
+    # twist 1 on b when x* (x) b = x* (`modular.transparency_constraint`),
+    # so the collapse below is consistent
+    dual = np.asarray(ring.dual)[fixed]
+    row = (dual * r + b) * r
+    lo, hi = np.searchsorted(cells, row), np.searchsorted(cells, row + r)
+    if not ((hi - lo == 1).all() and (cells[lo] == row + dual).all() and (mults[lo] == 1).all()):
+        raise PreconditionError("fixing relation fails on the dual object")
 
-    half = Fraction(1, 2)
-    labels: list[str] = []
-    out_dims: list[AlgebraicReal] = []
-    image_of_pair = {}
-    for x, y in free:
-        image_of_pair[(x, y)] = len(labels)
-        labels.append(ring.labels[x])
-        out_dims.append(dims[x])
-    split_images = {}
-    for x in fixed:
-        split_images[x] = (len(labels), len(labels) + 1)
-        labels.append(f"{ring.labels[x]}^(1)")
-        labels.append(f"{ring.labels[x]}^(2)")
-        d_half = dims[x] * half
-        out_dims.extend([d_half, d_half])
-
-    total = sum(float(d) ** 2 for d in out_dims)
+    fixed = fixed.tolist()
+    halves = [d * Fraction(1, 2) for d in values]
+    out_dims = [values[of[x]] for x, _ in free] + [halves[of[x]] for x in fixed for _ in (1, 2)]
+    square = {id(d): float(d) ** 2 for d in values + halves}
     report = CondensationReport(
         free_pairs=[(ring.labels[x], ring.labels[y]) for x, y in free],
         split=[ring.labels[x] for x in fixed],
-        labels=tuple(labels),
+        labels=tuple([ring.labels[x] for x, _ in free]
+                     + [f"{ring.labels[x]}^({s})" for x in fixed for s in (1, 2)]),
         dims=tuple(out_dims),
-        total_dim=total,
+        total_dim=sum(square[id(d)] for d in out_dims),
     )
 
-    if all(d == 1 for d in dims):
+    if all(one):
         _condense_pointed(ring, free, report)
         return report
 
-    if fixed and all(dims[x] == 2 for x in fixed):
-        _probe_cyclicity(ring, dims, b, fixed, free, report)
+    two = [d == 2 for d in values]
+    if fixed and all(two[of[x]] for x in fixed):
+        _probe_cyclicity(ring, b, fixed, [p for p in free if one[of[p[0]]]], report)
         return report
 
     report.reason = (
@@ -551,8 +548,7 @@ def _condense_pointed(ring: FusionRing, free, report: CondensationReport) -> Non
     report.is_cyclic = is_cyclic(table, image(0))
 
 
-def _probe_cyclicity(ring, dims, b, fixed, free, report: CondensationReport) -> None:
-    inv_pairs = [p for p in free if dims[p[0]] == 1]
+def _probe_cyclicity(ring, b, fixed, inv_pairs, report: CondensationReport) -> None:
     n_inv = 2 * len(fixed) + len(inv_pairs)
     report.group_order = n_inv
     trivial = [ring.labels[x] for x, _ in inv_pairs]
@@ -561,11 +557,12 @@ def _probe_cyclicity(ring, dims, b, fixed, free, report: CondensationReport) -> 
         trivial.append(f"{ring.labels[x]}^(2)")
     report.trivial_component = tuple(sorted(trivial))
 
-    def squares_to_one_and_b(y) -> bool:
-        square = dict(zip(*(x.tolist() for x in ring.row(y, y))))
-        return square.get(0) == 1 and square.get(b) == 1
-
-    candidates = [y for y in fixed if squares_to_one_and_b(y)]
+    # the fixed y whose square holds 1 and b once each
+    r, cells, mults = ring.rank, ring.cells, ring.mults
+    y = np.array(fixed)
+    want = ((y * r + y) * r)[:, None] + [0, b]
+    at = np.minimum(np.searchsorted(cells, want), len(cells) - 1)
+    candidates = y[((cells[at] == want) & (mults[at] == 1)).all(axis=1)].tolist()
     fixed_set = set(fixed)
     inv_pair_set = {frozenset(p) for p in inv_pairs}
     best = None
@@ -600,26 +597,33 @@ def _generator_walk(ring, b, start, fixed_set, inv_pair_set):
     either when the remainder is a free invertible pair other than {1, b}
     (the image of the order-2 element, cyclic subgroup of even order 2m) or
     when it folds back onto the current term (Y (x) c_m = c_{m-1} + c_m,
-    cyclic subgroup of odd order 2m - 1).  Returns (subgroup order, visited
-    fixed objects) or None.
+    cyclic subgroup of odd order 2m - 1).  Returns (subgroup order, set of
+    visited fixed objects) or None.  The products Y (x) c are read from the
+    nonzeros of first index Y, listed once per walk.
     """
+    r = ring.rank
+    lo, hi = np.searchsorted(ring.cells, (start * r * r, (start + 1) * r * r))
+    c, k = np.divmod(ring.cells[lo:hi] - start * r * r, r)
+    ends = np.searchsorted(c, np.arange(r + 1)).tolist()  # of the rows (Y, c)
+    k, ms = k.tolist(), ring.mults[lo:hi].tolist()
     prev = None
     cur = start
-    visited = [start]
+    visited = {start}
     m = 1
     while True:
         m += 1
-        rest = Counter(dict(zip(*(x.tolist() for x in ring.row(start, cur)))))
+        row = slice(ends[cur], ends[cur + 1])
+        rest = dict(zip(k[row], ms[row]))
         if m == 2:
-            if rest[0] != 1 or rest[b] != 1:
+            if rest.get(0) != 1 or rest.get(b) != 1:
                 return None
-            rest[0] -= 1
-            rest[b] -= 1
+            del rest[0], rest[b]
+        elif prev not in rest:
+            return None
+        elif rest[prev] == 1:
+            del rest[prev]
         else:
-            if rest[prev] < 1:
-                return None
             rest[prev] -= 1
-        rest = +rest
         keys = sorted(rest)
         if len(keys) == 1 and rest[keys[0]] == 1 and keys[0] in fixed_set:
             nxt = keys[0]
@@ -627,7 +631,7 @@ def _generator_walk(ring, b, start, fixed_set, inv_pair_set):
                 return (2 * m - 1, visited)
             if nxt in visited:
                 return None
-            visited.append(nxt)
+            visited.add(nxt)
             prev, cur = cur, nxt
             continue
         if (

@@ -157,10 +157,11 @@ class FusionRing:
     N[i, j, k], strictly increasing, and `mults` the multiplicities there.
     The constructor takes the dense r x r x r tensor; `from_nonzeros` takes
     the cells.  `fusion` is the dense tensor again, a read-only view built
-    from the nonzeros on first access and kept.
+    from the nonzeros on first access and kept; `exact_dimensions` keeps the
+    dims it has checked in the same way.  Neither is part of the value.
     """
 
-    __slots__ = ("labels", "dual", "cells", "mults", "exact_dims", "_dense")
+    __slots__ = ("labels", "dual", "cells", "mults", "exact_dims", "_dense", "_checked_dims")
 
     def __init__(self, labels, dual, fusion, exact_dims=None):
         labels = tuple(labels)
@@ -205,7 +206,7 @@ class FusionRing:
         cells, mults = (cells, mults) if keep.all() else (cells[keep], mults[keep])
         cells.setflags(write=False)
         mults.setflags(write=False)
-        for name, value in zip(self.__slots__, (labels, dual, cells, mults, exact_dims, None)):
+        for name, value in zip(self.__slots__, (labels, dual, cells, mults, exact_dims, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -275,7 +276,19 @@ class FusionRing:
         return out
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        """`json.dumps(self.to_json_dict(), sort_keys=True)`, with the fusion
+        rows formatted by one `%` instead of built as lists."""
+        flat = np.stack([*self.nonzero(), self.mults], axis=1).ravel().tolist()
+        fusion = ", ".join(["[%d, %d, %d, %d]"] * (len(flat) // 4)) % tuple(flat)
+        parts = [] if self.exact_dims is None else [
+            f'"dims": {json.dumps([d.to_json() for d in self.exact_dims])}'
+        ]
+        parts += [
+            f'"dual": {json.dumps(list(self.dual))}',
+            f'"fusion": [{fusion}]',
+            f'"labels": {json.dumps(list(self.labels))}',
+        ]
+        return "{" + ", ".join(parts) + "}"
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FusionRing":
@@ -602,28 +615,46 @@ def _encode(dims, m: int):
     return np.array(A, dtype=dtype), np.array(B, dtype=dtype), D, t
 
 
+# nonzeros the character check contracts at a time, by blocks of first
+# index: each array of a block then takes at most 8 MB, and the SO(N)_2 rings
+# near N = 600 (about 756 000 nonzeros) are one block
+_CHARACTER_BLOCK = 2**20
+
+
 def _is_character(ring: FusionRing, dims, positive: bool = True) -> bool:
     """Exactly: d_i d_j = sum_k N[i, j, k] d_k for every i, j and, when
     `positive`, d_0 = 1 and every d_i > 0.  A positive character of a fusion
     ring is its Frobenius-Perron dimension (EGNO, Tensor Categories, Prop.
     3.3.6); ribbon dims may be Galois conjugates and skip that part."""
-    r = ring.rank
+    r, cells = ring.rank, ring.cells
     A, B, D, t = _encode(dims, int(ring.mults.max(initial=0)))
     # A + B sqrt(t) takes the sign of whichever of A^2, t B^2 is larger
     if positive and not (dims[0] == ONE and np.where(A * A > t * B * B, A > 0, B > 0).all()):
         return False
-    ij, k = np.divmod(ring.cells, r)
+    # blocks of first index, each ending at the last i that keeps it within
+    # _CHARACTER_BLOCK nonzeros, or after one index
+    starts = np.searchsorted(cells, np.arange(r + 1) * r * r).tolist()
+    ends = [0]
+    while ends[-1] < r:
+        top = bisect_right(starts, starts[ends[-1]] + _CHARACTER_BLOCK) - 1
+        ends.append(max(top, ends[-1] + 1))
+    for i0, i1 in zip(ends, ends[1:]):
+        part = slice(starts[i0], starts[i1])
+        ij, k = np.divmod(cells[part] - i0 * r * r, r)
+        mults, size = ring.mults[part], (i1 - i0) * r
 
-    def contract(x):  # sum_k N[i, j, k] x_k, raveled over (i, j)
-        if x.dtype != object:
-            return np.bincount(ij, weights=ring.mults * x[k], minlength=r * r)
-        out = np.zeros(r * r, dtype=object)
-        np.add.at(out, ij, ring.mults.astype(object) * x[k])
-        return out
+        def contract(x):  # sum_k N[i, j, k] x_k, raveled over the (i, j) of the block
+            if x.dtype != object:
+                return np.bincount(ij, weights=mults * x[k], minlength=size)
+            out = np.zeros(size, dtype=object)
+            np.add.at(out, ij, mults.astype(object) * x[k])
+            return out
 
-    return np.array_equal(D * contract(A), (np.outer(A, A) + t * np.outer(B, B)).ravel()) and (
-        np.array_equal(D * contract(B), (np.outer(A, B) + np.outer(B, A)).ravel())
-    )
+        a, b = A[i0:i1], B[i0:i1]
+        if not (np.array_equal(D * contract(A), (np.outer(a, A) + t * np.outer(b, B)).ravel())
+                and np.array_equal(D * contract(B), (np.outer(a, B) + np.outer(b, A)).ravel())):
+            return False
+    return True
 
 
 def _eigh_dims(M: np.ndarray) -> np.ndarray:
@@ -643,15 +674,33 @@ def fp_dimensions(ring: FusionRing) -> np.ndarray:
 def exact_dimensions(ring: FusionRing) -> tuple[AlgebraicReal, ...]:
     """The exact Frobenius-Perron dimensions: the attached dims, or else
     sqrt(round(d^2)) of the eigenvector, either kept only when it is a
-    positive character of the ring."""
-    if ring.exact_dims is not None:
-        if not _is_character(ring, ring.exact_dims):
-            raise InternalConsistencyError("exact dimensions are not a positive character")
-        return ring.exact_dims
-    dims = tuple(AlgebraicReal.sqrt(round(x * x)) for x in _eigh_dims(_sum_matrix(ring)))
-    if not _is_character(ring, dims):
-        raise UnsupportedInputError("ring is not weakly integral")
-    return dims
+    positive character of the ring.  The ring keeps the dims that pass, and
+    later calls return them unchecked; a failed check keeps nothing, so
+    every call raises again."""
+    if ring._checked_dims is None:
+        if ring.exact_dims is not None:
+            dims = ring.exact_dims
+            if not _is_character(ring, dims):
+                raise InternalConsistencyError("exact dimensions are not a positive character")
+        else:
+            dims = tuple(AlgebraicReal.sqrt(round(x * x)) for x in _eigh_dims(_sum_matrix(ring)))
+            if not _is_character(ring, dims):
+                raise UnsupportedInputError("ring is not weakly integral")
+        object.__setattr__(ring, "_checked_dims", dims)
+    return ring._checked_dims
+
+
+def _distinct(dims) -> tuple[list, list[int]]:
+    """The distinct values among `dims`, in order of first appearance, and
+    for each entry the position of its value there.  An object that several
+    entries share is hashed once, so the dims of a built ring, which share
+    one object per value, cost a few hashes."""
+    objects = {}
+    for d in dims:
+        objects.setdefault(id(d), d)
+    values = {}
+    position = {at: values.setdefault(d, len(values)) for at, d in objects.items()}
+    return list(values), [position[id(d)] for d in dims]
 
 
 def global_fp_dim(ring: FusionRing) -> float:
@@ -766,7 +815,9 @@ def subring_generated(ring: FusionRing, seeds) -> tuple[int, ...]:
 def adjoint_subring(ring: FusionRing) -> tuple[int, ...]:
     """Sub-basis generated by all X (x) X*."""
     i, j, k = ring.nonzero()
-    return subring_generated(ring, np.unique(k[j == np.asarray(ring.dual)[i]]).tolist())
+    seeds = np.zeros(ring.rank, dtype=bool)
+    seeds[k[j == np.asarray(ring.dual)[i]]] = True
+    return subring_generated(ring, np.flatnonzero(seeds).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -825,14 +876,18 @@ def universal_grading(ring: FusionRing) -> Grading:
         if np.array_equal(new, label):
             break
         label = new
-    _, comp = np.unique(label, return_inverse=True)
+    # components numbered in the order of their least objects
+    root = np.zeros(r, dtype=bool)
+    root[label] = True
+    comp = (np.cumsum(root) - 1)[label]
     n_comp = int(comp.max()) + 1
 
     if not np.array_equal(np.flatnonzero(comp == comp[0]), adj):
         raise InternalConsistencyError("trivial component differs from adjoint subring")
 
     # the component product table from the distinct (c_i, c_j, c_k)
-    triples = np.unique((comp[i] * n_comp + comp[j]) * n_comp + comp[k])
+    triples = np.sort((comp[i] * n_comp + comp[j]) * n_comp + comp[k])
+    triples = triples[np.diff(triples, prepend=-1) != 0]
     counts = np.bincount(triples // n_comp, minlength=n_comp * n_comp)
     if np.any(counts != 1):
         c1, c2 = divmod(int(np.flatnonzero(counts != 1)[0]), n_comp)
@@ -849,8 +904,9 @@ def universal_grading(ring: FusionRing) -> Grading:
 
 def gn_grading(ring: FusionRing) -> Grading:
     """Grading by square-free parts of squared dimensions (elementary 2-group)."""
-    parts = []
-    for d in exact_dimensions(ring):
+    dims, of = _distinct(exact_dimensions(ring))
+    parts = []  # per distinct dimension
+    for d in dims:
         sq = d.squared()
         if not sq.is_rational or sq.a.denominator != 1:
             raise UnsupportedInputError("ring is not weakly integral")
@@ -869,5 +925,5 @@ def gn_grading(ring: FusionRing) -> Grading:
     comp_assign = assignment(table, pos[1], invs)
     return Grading(
         group=tuple(invs),
-        assignment=tuple(comp_assign[pos[t]] for t in parts),
+        assignment=tuple(comp_assign[pos[parts[v]]] for v in of),
     )

@@ -5,7 +5,8 @@ code: the based-ring axioms, commutativity, the sum of the fusion matrices,
 characters and the invertibles by nested loops over the dense tensor in
 Python ints, the S-matrix by one dense einsum,
 based-ring isomorphisms by trying every permutation on the dense tensor,
-hom-space dimensions by divide-and-conquer multiset expansion,
+hom-space dimensions by divide-and-conquer multiset expansion, boson
+condensation by one fusion row at a time,
 Z2-cohomology by direct evaluation of the inhomogeneous cochain
 differential, quadratic-form classification on Z_N by exhaustive
 parametrization plus unit-permutation canonicalization, cyclic classes by
@@ -179,6 +180,151 @@ def _expand(ring, word) -> Counter:
                 if row[k]:
                     out[k] += ma * mb * int(row[k])
     return out
+
+
+# ---------------------------------------------------------------------------
+# boson condensation, one fusion row at a time
+
+
+def condense_bruteforce(ring, b):
+    """`condense_boson` computed row by row: b (x) x, the transparency
+    relation and every step of the generator walk each read one `ring.row`,
+    and every dimension is tested per object."""
+    from modcat.errors import PreconditionError
+    from modcat.gauging import CondensationReport
+    from modcat.modular import transparency_constraint
+    from modcat.ring import exact_dimensions
+
+    dims = exact_dimensions(ring)
+    r = ring.rank
+    if b == 0 or dims[b] != 1:
+        raise PreconditionError("condensation object must be a nontrivial invertible")
+    ks, ms = ring.row(b, b)
+    if ms[ks == 0].tolist() != [1]:
+        raise PreconditionError("condensation object must have order 2")
+    partner = []
+    for x in range(r):
+        ks, ms = ring.row(b, x)
+        if len(ks) != 1 or ms[0] != 1:
+            raise PreconditionError("boson action does not permute the basis")
+        partner.append(int(ks[0]))
+    fixed = [x for x in range(r) if partner[x] == x]
+    free = sorted({tuple(sorted((x, partner[x]))) for x in range(r) if partner[x] != x})
+    for x in fixed:
+        transparency_constraint(ring, dims, b, x)
+
+    labels, out_dims = [], []
+    for x, _ in free:
+        labels.append(ring.labels[x])
+        out_dims.append(dims[x])
+    for x in fixed:
+        labels += [f"{ring.labels[x]}^(1)", f"{ring.labels[x]}^(2)"]
+        out_dims += [dims[x] * Fraction(1, 2)] * 2
+    report = CondensationReport(
+        free_pairs=[(ring.labels[x], ring.labels[y]) for x, y in free],
+        split=[ring.labels[x] for x in fixed],
+        labels=tuple(labels),
+        dims=tuple(out_dims),
+        total_dim=sum(float(d) ** 2 for d in out_dims),
+    )
+    if all(d == 1 for d in dims):
+        _condense_pointed_bruteforce(ring, free, report)
+    elif fixed and all(dims[x] == 2 for x in fixed):
+        _probe_cyclicity_bruteforce(ring, dims, b, fixed, free, report)
+    else:
+        report.reason = (
+            "input is not of generalized Tambara-Yamagami shape; the condensed "
+            "fusion rules are not determined by the based ring"
+        )
+    return report
+
+
+def _condense_pointed_bruteforce(ring, free, report):
+    from modcat._abelian import is_cyclic
+    from modcat.errors import PreconditionError
+
+    def image(x):
+        for n, pair in enumerate(free):
+            if x in pair:
+                return n
+        raise PreconditionError("pointed condensation hit a fixed object")
+
+    m = len(free)
+    fusion = np.zeros((m, m, m), dtype=np.int64)
+    table = [[0] * m for _ in range(m)]
+    for i, (x, _) in enumerate(free):
+        for j, (y, _) in enumerate(free):
+            k = image(int(ring.row(x, y)[0][0]))
+            fusion[i, j, k] = 1
+            table[i][j] = k
+    report.fusion = fusion
+    report.trivial_component = report.labels
+    report.group_order = m
+    report.is_cyclic = is_cyclic(table, image(0))
+
+
+def _probe_cyclicity_bruteforce(ring, dims, b, fixed, free, report):
+    inv_pairs = [p for p in free if dims[p[0]] == 1]
+    n_inv = 2 * len(fixed) + len(inv_pairs)
+    report.group_order = n_inv
+    trivial = [ring.labels[x] for x, _ in inv_pairs]
+    for x in fixed:
+        trivial += [f"{ring.labels[x]}^(1)", f"{ring.labels[x]}^(2)"]
+    report.trivial_component = tuple(sorted(trivial))
+
+    def square(y):
+        return dict(zip(*(x.tolist() for x in ring.row(y, y))))
+
+    candidates = [y for y in fixed if square(y).get(0) == 1 and square(y).get(b) == 1]
+    inv_pair_set = {frozenset(p) for p in inv_pairs}
+    best = None
+    for start in candidates:
+        outcome = _walk_bruteforce(ring, b, start, set(fixed), inv_pair_set)
+        if outcome is not None and outcome[0] == n_inv and len(outcome[1]) == len(fixed):
+            best = outcome
+            break
+    if best is None:
+        report.is_cyclic = False
+    elif best[0] == 4 and n_inv == 4:
+        report.ambiguous = True
+        report.is_cyclic = None
+        report.reason = (
+            "generator walk terminates immediately; both the cyclic group of "
+            "order 4 and Z2 x Z2 are consistent with the fusion rules"
+        )
+    else:
+        report.is_cyclic = True
+
+
+def _walk_bruteforce(ring, b, start, fixed_set, inv_pair_set):
+    prev, cur, visited, m = None, start, [start], 1
+    while True:
+        m += 1
+        rest = Counter(dict(zip(*(x.tolist() for x in ring.row(start, cur)))))
+        if m == 2:
+            if rest[0] != 1 or rest[b] != 1:
+                return None
+            rest[0] -= 1
+            rest[b] -= 1
+        else:
+            if rest[prev] < 1:
+                return None
+            rest[prev] -= 1
+        rest = +rest
+        keys = sorted(rest)
+        if len(keys) == 1 and rest[keys[0]] == 1 and keys[0] in fixed_set:
+            nxt = keys[0]
+            if nxt == cur:
+                return (2 * m - 1, visited)
+            if nxt in visited:
+                return None
+            visited.append(nxt)
+            prev, cur = cur, nxt
+            continue
+        if (len(keys) == 2 and all(rest[k] == 1 for k in keys)
+                and frozenset(keys) in inv_pair_set and 0 not in keys):
+            return (2 * m, visited)
+        return None
 
 
 # ---------------------------------------------------------------------------

@@ -297,3 +297,16 @@ def test_import_loads_no_heavy_optional_module():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == ""
+
+
+def test_gradings_and_isomorphism_load_no_masked_arrays():
+    # the first np.unique in a process imports numpy.ma, about 16 ms
+    src = str(Path(modcat.__file__).resolve().parents[1])
+    code = ("import sys; from modcat import *; from modcat.catalog import based_ring_isomorphism; "
+            "r = build_so_n2(12); universal_grading(r); gn_grading(r); "
+            "g = gauge_particle_hole(enumerate_cyclic_metric_groups(12)[0]); "
+            "assert based_ring_isomorphism(g, r) is not None; print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

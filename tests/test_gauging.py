@@ -1,5 +1,6 @@
 """Z2 cohomology, particle-hole gauging, condensation, counting."""
 
+import dataclasses
 import time
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from modcat import (
+    FusionRing,
     GaugingDatum,
     MalformedInputError,
     ParameterError,
@@ -26,6 +28,7 @@ from modcat.gauging import assemble_ring, particle_hole_rules
 from modcat.metric import (
     enumerate_cyclic_metric_groups,
     enumerate_forms,
+    pointed_ribbon_data,
     standard_cyclic_metric_group,
 )
 from modcat.ring import AlgebraicReal, exact_dimensions, fp_dimensions, global_fp_dim
@@ -266,7 +269,78 @@ class TestGauging:
 # condensation
 
 
+def same_condensation(ring, b):
+    """condense_boson against the row-by-row oracle: equal reports, field by
+    field, or the same PreconditionError.  Returns the report or None."""
+    try:
+        want = oracles.condense_bruteforce(ring, b)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError) as got:
+            condense_boson(ring, b)
+        assert str(got.value) == str(exc)
+        return None
+    report = condense_boson(ring, b)
+    for f in dataclasses.fields(report):
+        got, expected = getattr(report, f.name), getattr(want, f.name)
+        if f.name == "fusion" and expected is not None:
+            assert np.array_equal(got, expected)
+        else:
+            assert got == expected, f.name
+    return report
+
+
+def _all_condensations(ring) -> int:
+    """Compare every nontrivial invertible and the first non-invertible
+    object; returns how many gave a report."""
+    group = invertibles(ring)
+    others = [x for x in range(ring.rank) if x not in group]
+    return sum(same_condensation(ring, b) is not None for b in [*group.elements[1:], *others[:1]])
+
+
 class TestCondensation:
+    def test_matches_oracle_on_so_n2(self, so_rings):
+        reports = sum(_all_condensations(so_rings(n)) for n in (*range(2, 131), *range(196, 205)))
+        assert reports > 200
+
+    def test_matches_oracle_on_gauged_rings(self):
+        for n in range(2, 131):
+            for alpha in (0, 1) if n % 2 == 0 else (0,):
+                ring = gauge_particle_hole(first_form(n), GaugingDatum(n, alpha))
+                assert _all_condensations(ring) >= 1
+
+    def test_matches_oracle_on_pointed_and_ising_squared(self):
+        from modcat.catalog import _ising_squared_ring
+
+        for facs in ((2,), (4,), (6,), (8,), (2, 2), (2, 4), (2, 2, 2), (3, 3)):
+            for mg in enumerate_forms(facs)[:3]:
+                _all_condensations(pointed_ribbon_data(mg).ring)
+        assert _all_condensations(_ising_squared_ring()) == 3
+
+    def test_precondition_errors_match_oracle(self):
+        # b (x) x = 1 + b: the dims (1, 1, 2) are a positive character, yet b
+        # does not permute the basis
+        fusion = np.zeros((3, 3, 3), dtype=np.int64)
+        for a in range(3):
+            fusion[0, a, a] = fusion[a, 0, a] = 1
+        fusion[1, 1, 0] = fusion[1, 2, 0] = fusion[1, 2, 1] = fusion[2, 1, 0] = fusion[2, 1, 1] = 1
+        fusion[2, 2, 2] = 2
+        one, two = AlgebraicReal.of(1), AlgebraicReal.of(2)
+        ring = FusionRing(("1", "b", "x"), (0, 1, 2), fusion, (one, one, two))
+        assert same_condensation(ring, 1) is None
+        with pytest.raises(PreconditionError, match="does not permute"):
+            condense_boson(ring, 1)
+        # b fixes x and y from the left, but x (x) b = y: x* (x) b != x*
+        fusion = np.zeros((4, 4, 4), dtype=np.int64)
+        for a in range(4):
+            fusion[0, a, a] = fusion[a, 0, a] = 1
+        fusion[1, 1, 0] = fusion[1, 2, 2] = fusion[1, 3, 3] = fusion[2, 1, 3] = fusion[3, 1, 2] = 1
+        fusion[2, 2, 2] = fusion[2, 3, 3] = fusion[3, 2, 2] = fusion[3, 3, 3] = 2
+        ring = FusionRing(("1", "b", "x", "y"), (0, 1, 2, 3), fusion, (one, one, two, two))
+        assert exact_dimensions(ring)
+        assert same_condensation(ring, 1) is None
+        with pytest.raises(PreconditionError, match="dual object"):
+            condense_boson(ring, 1)
+
     def test_round_trip_recovers_cyclic_group(self):
         for n in range(3, 25):
             ring = gauge_particle_hole(first_form(n))

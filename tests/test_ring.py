@@ -25,6 +25,7 @@ from modcat import (
     adjoint_subring,
     build_so_n2,
     asymptotic_dim_ratio,
+    condense_boson,
     exact_dimensions,
     fp_dimensions,
     global_fp_dim,
@@ -114,6 +115,19 @@ class TestConstruction:
         with pytest.raises(MalformedInputError):
             FusionRing(("x", "x"), r.dual, r.fusion)
 
+    def test_dumps_is_the_sorted_json_of_the_dict(self):
+        from test_catalog import _SO_N2_DIGESTS
+
+        for n in _SO_N2_DIGESTS:
+            ring = build_so_n2(n)
+            assert ring.dumps() == json.dumps(ring.to_json_dict(), sort_keys=True), n
+        r = pointed_z(3)
+        for labels in (("1", 'a"b', "c\\d"), ("1", "\u03c3\u2080", "\U0001f600\n")):
+            for dims in (None, (ONE,) * 3):
+                ring = FusionRing(labels, r.dual, r.fusion, dims)
+                assert ring.dumps() == json.dumps(ring.to_json_dict(), sort_keys=True)
+                assert FusionRing.loads(ring.dumps()) == ring
+
     def test_json_round_trip(self, ising):
         again = FusionRing.loads(ising.dumps())
         assert again.labels == ising.labels
@@ -154,6 +168,7 @@ class TestStorage:
                 ks, ms = ring.row(i, j)
                 assert ks.tolist() == np.flatnonzero(fusion[i, j]).tolist()
                 assert ms.tolist() == fusion[i, j, ks].tolist()
+        assert ring.dumps() == json.dumps(ring.to_json_dict(), sort_keys=True)
         assert FusionRing.loads(ring.dumps()) == ring
 
         assert is_commutative(ring) == oracles.commutative_bruteforce(fusion)
@@ -630,6 +645,9 @@ class TestDimensions:
         positive = hom and dims[0] == ONE and all(float(d) > 0 for d in dims)
         assert _is_character(ring, dims) == positive
         assert _is_character(ring, dims, positive=False) == hom
+        with mock.patch.object(ring_module, "_CHARACTER_BLOCK", 1):  # a block per first index
+            assert _is_character(ring, dims) == positive
+            assert _is_character(ring, dims, positive=False) == hom
         if positive:
             assert exact_dimensions(ring) == dims
             assert fp_dimensions(ring).tolist() == [float(d) for d in dims]
@@ -664,6 +682,52 @@ class TestDimensions:
             fp_dimensions(raised)
         with pytest.raises(UnsupportedInputError):
             fp_dimensions(FusionRing(labels, dual, fusion))
+
+    def test_checked_once_per_ring(self):
+        ring = build_so_n2(30)
+        before = (repr(ring), ring.dumps())
+        with mock.patch.object(ring_module, "_is_character", wraps=_is_character) as check:
+            dims = exact_dimensions(ring)
+            assert exact_dimensions(ring) is dims is ring.exact_dims
+            structure_census(ring, 30)
+            gn_grading(ring)
+            condense_boson(ring, ring.index("Z"))
+            assert check.call_count == 1
+            # the rebuilt dims are kept as well
+            bare = FusionRing.from_nonzeros(ring.labels, ring.dual, ring.cells, ring.mults)
+            rebuilt = exact_dimensions(bare)
+            assert rebuilt == dims and exact_dimensions(bare) is rebuilt
+            assert check.call_count == 2
+        # the kept dims are not part of the value
+        assert (repr(ring), ring.dumps()) == before
+        assert ring == FusionRing.loads(before[1]) and bare.exact_dims is None
+
+    def test_failed_check_keeps_nothing(self):
+        ring = build_so_n2(30)
+        wrong = FusionRing.from_nonzeros(ring.labels, ring.dual, ring.cells, ring.mults,
+                                         ring.exact_dims[:-1] + (AlgebraicReal.of(2),))
+        with mock.patch.object(ring_module, "_is_character", wraps=_is_character) as check:
+            for _ in range(2):
+                with pytest.raises(InternalConsistencyError):
+                    exact_dimensions(wrong)
+            assert check.call_count == 2
+        fibonacci = fibonacci_ring()
+        bare = FusionRing(fibonacci.labels, fibonacci.dual, fibonacci.fusion)
+        for _ in range(2):
+            with pytest.raises(UnsupportedInputError):
+                exact_dimensions(bare)
+
+    def test_character_check_by_blocks(self, monkeypatch):
+        # blocks of at most 64 nonzeros; one multiplicity raised changes one
+        # row (i, j), which only the block of first index i contracts
+        monkeypatch.setattr(ring_module, "_CHARACTER_BLOCK", 64)
+        ring = build_so_n2(30)
+        assert _is_character(ring, ring.exact_dims)
+        for at in (0, len(ring.cells) // 2, len(ring.cells) - 1):
+            mults = ring.mults.copy()
+            mults[at] += 1
+            raised = FusionRing.from_nonzeros(ring.labels, ring.dual, ring.cells, mults)
+            assert not _is_character(raised, ring.exact_dims, positive=False)
 
     def test_fibonacci_dim(self, fibonacci):
         d = fp_dimensions(fibonacci)
