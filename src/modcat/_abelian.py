@@ -1,4 +1,7 @@
-"""Small finite abelian group utilities.
+"""Integer arithmetic without numpy: factorization, small finite abelian
+groups, and the closed-form counts (`count_metaplectic`, the Ising x Ising
+orbit enumeration), so that `modcat count` and `modcat ising2 --count`
+never import numpy.
 
 Groups produced inside this package (universal grading groups, invertible
 object groups, cohomology quotients) arrive as multiplication tables on
@@ -9,10 +12,11 @@ scale (n <= a few hundred), so brute force is fine.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import product
 from math import gcd, prod
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, ParameterError, RedirectError
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -132,3 +136,43 @@ def _fail(n: int):
 
 def is_cyclic(table: list[list[int]], e: int) -> bool:
     return any(element_order(table, e, g) == len(table) for g in range(len(table)))
+
+
+def count_metaplectic(n: int) -> int:
+    """Number of inequivalent metaplectic modular categories of dimension 4N:
+    2^{s+1+a} when a <= 1, 3 * 2^{s+2} when a > 1, for N = 2^a p1^a1 ... ps^as."""
+    if n < 2:
+        raise ParameterError("counting needs N >= 2")
+    if n == 4:
+        raise RedirectError(
+            "N = 4 is degenerate; use the Ising-squared enumeration "
+            "(catalog.ising_squared_total_count), which yields 20"
+        )
+    fac = factorint(n)
+    a = fac.get(2, 0)
+    s = len([p for p in fac if p != 2])
+    if a <= 1:
+        return 2 ** (s + 1 + a)
+    return 3 * 2 ** (s + 2)
+
+
+def ising_squared_enumeration() -> dict:
+    """Orbits of odd parameter pairs of Ising x Ising under swap and the
+    joint +8 shift."""
+    units = [1, 3, 5, 7, 9, 11, 13, 15]
+    seen = set()
+    orbits = []
+    for nu1 in units:
+        for nu2 in units:
+            if (nu1, nu2) in seen:
+                continue
+            orbit = {
+                (nu1, nu2),
+                (nu2, nu1),
+                ((nu1 + 8) % 16, (nu2 + 8) % 16),
+                ((nu2 + 8) % 16, (nu1 + 8) % 16),
+            }
+            seen |= orbit
+            orbits.append(sorted(orbit))
+    histogram = dict(Counter(len(o) for o in orbits))
+    return {"orbits": orbits, "count": len(orbits), "histogram": histogram}

@@ -12,7 +12,6 @@ them meaningful.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -261,7 +260,11 @@ def boson_fermion_census(n: int) -> dict[str, str]:
     """Expected boson/fermion verdicts for f, g, fg, with structural checks."""
     if n % 4:
         raise ParameterError("the boson/fermion census applies only for 4 | N")
-    ring = build_so_n2(n)
+    return _boson_fermion(build_so_n2(n), n)
+
+
+def _boson_fermion(ring: FusionRing, n: int) -> dict[str, str]:
+    """`boson_fermion_census` on the already built SO(n)_2, 4 | n."""
     fg = ring.index("fg")
     r = n // 4 - 1
     # transparency against any fg-fixed object forces the fg twist to 1
@@ -338,31 +341,6 @@ def ising_squared_data(p: IsingParams) -> RibbonData:
     return RibbonData(ring, ring.exact_dims, tuple(twists))
 
 
-def ising_squared_enumeration() -> dict:
-    """Orbits of odd parameter pairs under swap and the joint +8 shift."""
-    units = [1, 3, 5, 7, 9, 11, 13, 15]
-    seen = set()
-    orbits = []
-    for nu1 in units:
-        for nu2 in units:
-            if (nu1, nu2) in seen:
-                continue
-            orbit = {
-                (nu1, nu2),
-                (nu2, nu1),
-                ((nu1 + 8) % 16, (nu2 + 8) % 16),
-                ((nu2 + 8) % 16, (nu1 + 8) % 16),
-            }
-            seen |= orbit
-            orbits.append(sorted(orbit))
-    histogram = Counter(len(o) for o in orbits)
-    return {
-        "orbits": orbits,
-        "count": len(orbits),
-        "histogram": dict(histogram),
-    }
-
-
 def ising_squared_total_count() -> dict:
     """20 = 12 particle-hole gaugings of (Z_4, q) + 8 gaugings of the four
     fermion-bearing Klein metric groups."""
@@ -404,7 +382,7 @@ def sixteen_m_component_census(m: int) -> dict:
     dim2_0 = [i for i in trivial if dims[i] == 2]
     check("C0 has 4 invertibles", len(inv0) == 4)
     check("C0 has m-1 objects of dimension 2", len(dim2_0) == m - 1)
-    bf = boson_fermion_census(n)
+    bf = _boson_fermion(ring, n)
     check("one boson and two fermions expected among f, g, fg",
           sorted(bf.values()) == ["boson", "fermion", "fermion"])
 

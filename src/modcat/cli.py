@@ -10,7 +10,6 @@ import argparse
 import json
 import sys
 
-from . import catalog, gauging, metric, modular, ring as ring_mod
 from .errors import ModcatError, ParameterError, ResourceLimitError
 
 EXIT_OK = 0
@@ -74,16 +73,18 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load_ring(path: str) -> ring_mod.FusionRing:
+def _load_ring(path: str):
+    from .ring import FusionRing
     with open(path, "rb") as fh:
-        return ring_mod.FusionRing.loads(fh.read())
+        return FusionRing.loads(fh.read())
 
 
-def _print_ring(r: ring_mod.FusionRing, fmt: str) -> None:
+def _print_ring(r, fmt: str) -> None:
+    from .ring import fp_dimensions
     if fmt == "json":
         print(r.dumps())
         return
-    dims = ring_mod.fp_dimensions(r)
+    dims = fp_dimensions(r)
     print(f"rank {r.rank}")
     for i, lab in enumerate(r.labels):
         exact = r.exact_dims[i] if r.exact_dims else ""
@@ -106,12 +107,16 @@ def run(argv) -> int:
 
 
 def _dispatch(args) -> int:
+    # each command imports only the modules it runs, so that `--help`,
+    # usage errors, `count` and `ising2 --count` start without numpy
     fmt = args.format
     if args.cmd == "so2":
+        from . import catalog
         _print_ring(catalog.build_so_n2(args.n), fmt)
         return EXIT_OK
 
     if args.cmd == "census":
+        from . import catalog
         r = catalog.build_so_n2(args.n)
         census = catalog.structure_census(r, args.n)
         payload = {
@@ -125,6 +130,7 @@ def _dispatch(args) -> int:
         return EXIT_OK if census.ok else EXIT_CHECK_FAILED
 
     if args.cmd == "verify":
+        from . import ring as ring_mod
         report = ring_mod.verify_axioms(_load_ring(args.ring))
         if fmt == "json":
             print(json.dumps({"violations": [list(map(str, v)) for v in report.violations]}))
@@ -135,6 +141,7 @@ def _dispatch(args) -> int:
         return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
     if args.cmd == "dims":
+        from . import catalog, ring as ring_mod
         r = _load_ring(args.ring) if args.ring else catalog.build_so_n2(args.n)
         dims = ring_mod.fp_dimensions(r)
         if fmt == "json":
@@ -145,6 +152,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.cmd == "grading":
+        from . import catalog, ring as ring_mod
         r = _load_ring(args.ring) if args.ring else catalog.build_so_n2(args.n)
         g = ring_mod.gn_grading(r) if args.gn else ring_mod.universal_grading(r)
         comps = {
@@ -159,6 +167,7 @@ def _dispatch(args) -> int:
         if args.action == "enumerate":
             if args.n is None:
                 raise ParameterError("metric enumerate needs --n")
+            from . import metric
             # refused before any table is built: classes x n q entries would be printed
             entries = args.n * len(metric.cyclic_class_coefficients(args.n)[0])
             if entries > metric.ORDER_LIMIT:
@@ -175,6 +184,7 @@ def _dispatch(args) -> int:
         else:
             if args.file is None:
                 raise ParameterError("metric autos needs --file")
+            from . import metric
             with open(args.file, "rb") as fh:
                 mg = metric.MetricGroup.loads(fh.read())
             autos = metric.form_preserving_autos(mg)
@@ -183,12 +193,14 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.cmd == "gauge":
+        from . import gauging, metric
         mg = metric.standard_cyclic_metric_group(args.n)
         datum = gauging.GaugingDatum(args.n, alpha=args.alpha)
         _print_ring(gauging.gauge_particle_hole(mg, datum), fmt)
         return EXIT_OK
 
     if args.cmd == "condense":
+        from . import gauging
         r = _load_ring(args.ring)
         if args.boson not in r.labels:
             raise ParameterError(f"no object labeled {args.boson!r}")
@@ -197,17 +209,20 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.cmd == "count":
-        print(gauging.count_metaplectic(args.n))
+        from ._abelian import count_metaplectic
+        print(count_metaplectic(args.n))
         return EXIT_OK
 
     if args.cmd == "ising2":
         if args.count or args.orbits:
-            e = catalog.ising_squared_enumeration()
+            from ._abelian import ising_squared_enumeration
+            e = ising_squared_enumeration()
             payload = {"histogram": e["histogram"], "total": e["count"]}
             if args.orbits:
                 payload["orbits"] = [[list(p) for p in o] for o in e["orbits"]]
             print(json.dumps(payload) if fmt == "json" else payload)
             return EXIT_OK
+        from . import catalog, modular
         rd = catalog.ising_squared_data(catalog.IsingParams(*args.data))
         if fmt == "json":
             print(rd.dumps())
@@ -222,6 +237,7 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.cmd == "sixteen-m":
+        from . import catalog
         report = catalog.sixteen_m_component_census(args.m)
         payload = {
             "m": report["m"], "n": report["n"], "rank": report["rank"],

@@ -16,16 +16,15 @@ from itertools import product
 
 import numpy as np
 
-from ._abelian import factorint, invariant_factors
+from ._abelian import invariant_factors, is_cyclic
 from .errors import (
     MalformedInputError,
     ParameterError,
     PreconditionError,
-    RedirectError,
     UnsupportedInputError,
 )
 from .metric import MetricGroup
-from .ring import AlgebraicReal, FusionRing, _distinct, exact_dimensions
+from .ring import AlgebraicReal, FusionRing, _distinct, _refuse_dense, exact_dimensions
 
 
 # ---------------------------------------------------------------------------
@@ -522,30 +521,23 @@ def condense_boson(ring: FusionRing, b: int) -> CondensationReport:
 
 
 def _condense_pointed(ring: FusionRing, free, report: CondensationReport) -> None:
-    """Full quotient-group fusion when the input ring is pointed."""
-    pos = {pair: i for i, pair in enumerate(free)}
-    reps = [pair[0] for pair in free]
-
-    def image(x: int) -> int:
-        for pair in free:
-            if x in pair:
-                return pos[pair]
+    """Full quotient-group fusion when the input ring is pointed: each row
+    x (x) y is one object, read for every pair of representatives at once."""
+    m, r = len(free), ring.rank
+    _refuse_dense("condensed fusion tensor", m)
+    pairs = np.array(free, dtype=np.int64).reshape(m, 2)
+    image = np.full(r, -1)  # object -> position of its pair
+    image[pairs[:, 0]] = image[pairs[:, 1]] = np.arange(m)
+    rows = (pairs[:, :1] * r + pairs[:, 0]) * r
+    table = image[ring.cells[np.searchsorted(ring.cells, rows)] % r]
+    if (table < 0).any():
         raise PreconditionError("pointed condensation hit a fixed object")
-
-    m = len(free)
     fusion = np.zeros((m, m, m), dtype=np.int64)
-    table = [[0] * m for _ in range(m)]
-    for i, x in enumerate(reps):
-        for j, y in enumerate(reps):
-            k = image(int(ring.row(x, y)[0][0]))
-            fusion[i, j, k] = 1
-            table[i][j] = k
+    fusion[np.arange(m)[:, None], np.arange(m), table] = 1
     report.fusion = fusion
     report.trivial_component = report.labels
     report.group_order = m
-    from ._abelian import is_cyclic
-
-    report.is_cyclic = is_cyclic(table, image(0))
+    report.is_cyclic = is_cyclic(table.tolist(), int(image[0]))
 
 
 def _probe_cyclicity(ring, b, fixed, inv_pairs, report: CondensationReport) -> None:
@@ -654,21 +646,3 @@ def count_gaugings_per_form(n: int) -> int:
     if n < 2:
         raise ParameterError("counting needs N >= 2")
     return 3 if n % 4 == 0 else 2
-
-
-def count_metaplectic(n: int) -> int:
-    """Number of inequivalent metaplectic modular categories of dimension 4N:
-    2^{s+1+a} when a <= 1, 3 * 2^{s+2} when a > 1, for N = 2^a p1^a1 ... ps^as."""
-    if n < 2:
-        raise ParameterError("counting needs N >= 2")
-    if n == 4:
-        raise RedirectError(
-            "N = 4 is degenerate; use the Ising-squared enumeration "
-            "(catalog.ising_squared_total_count), which yields 20"
-        )
-    fac = factorint(n)
-    a = fac.get(2, 0)
-    s = len([p for p in fac if p != 2])
-    if a <= 1:
-        return 2 ** (s + 1 + a)
-    return 3 * 2 ** (s + 2)

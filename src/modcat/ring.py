@@ -234,11 +234,7 @@ class FusionRing:
         when it would take more than DENSE_LIMIT bytes."""
         if self._dense is None:
             r = self.rank
-            if 8 * r**3 > DENSE_LIMIT:
-                raise ResourceLimitError(
-                    f"the dense fusion tensor of rank {r} needs {8 * r**3 / 2**30:.1f} GiB, "
-                    f"above the limit of {DENSE_LIMIT / 2**30:g} GiB"
-                )
+            _refuse_dense("dense fusion tensor", r)
             dense = np.zeros(r**3, dtype=np.int64)
             dense[self.cells] = self.mults
             dense = dense.reshape(r, r, r)
@@ -343,6 +339,16 @@ class FusionRing:
     @classmethod
     def loads(cls, text: str | bytes) -> "FusionRing":
         return cls.from_json_dict(_parse_json(text, "ring"))
+
+
+def _refuse_dense(what: str, r: int) -> None:
+    """`ResourceLimitError` when an (r, r, r) int64 tensor would take more
+    than DENSE_LIMIT bytes."""
+    if 8 * r**3 > DENSE_LIMIT:
+        raise ResourceLimitError(
+            f"the {what} of rank {r} needs {8 * r**3 / 2**30:.1f} GiB, "
+            f"above the limit of {DENSE_LIMIT / 2**30:g} GiB"
+        )
 
 
 def _parse_json(text: str | bytes, what: str):

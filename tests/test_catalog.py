@@ -3,6 +3,7 @@
 import hashlib
 import json
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -425,6 +426,18 @@ class TestSixteenM:
         for m in (1, 4, 9):
             with pytest.raises(ParameterError):
                 sixteen_m_component_census(m)
+
+    def test_builds_and_checks_the_ring_once(self, monkeypatch):
+        for m in (3, 35):
+            want = sixteen_m_component_census(m)
+            builds = []
+            monkeypatch.setattr(catalog, "build_so_n2",
+                                lambda n: builds.append(n) or build_so_n2(n))
+            with mock.patch.object(ring_module, "_is_character",
+                                   wraps=ring_module._is_character) as check:
+                assert sixteen_m_component_census(m) == want
+            assert builds == [4 * m] and check.call_count == 1
+            monkeypatch.undo()
 
 
 # sha256 of json([labels, dual, exact dims]) followed by fusion.tobytes(),

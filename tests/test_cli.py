@@ -289,14 +289,64 @@ class TestLoaderFuzz:
 
 
 def test_import_loads_no_heavy_optional_module():
-    # setup_s pays for every eager import; scipy, sympy and networkx stay lazy
+    # setup_s pays for every eager import; numpy, scipy, sympy and networkx stay lazy
     src = str(Path(modcat.__file__).resolve().parents[1])
-    code = ("import sys, modcat; "
-            "print(','.join(m for m in ('scipy', 'sympy', 'networkx') if m in sys.modules))")
+    code = ("import sys, modcat; print(','.join(m for m in ('numpy', 'scipy', 'sympy', 'networkx') "
+            "if m in sys.modules))")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == ""
+
+
+def _fresh(code: str) -> str:
+    src = str(Path(modcat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+# the names `import modcat` exported before they were loaded lazily
+EXPORTED = [
+    "AlgebraicReal", "AxiomReport", "CondensationReport", "DegenerateInputError", "FusionRing",
+    "GaugingDatum", "Grading", "InternalConsistencyError", "InvertibleGroup", "IsingParams",
+    "MalformedInputError", "MetaplecticCensus", "MetricGroup", "ModcatError", "ParameterError",
+    "Phase", "PreconditionError", "RedirectError", "ResourceLimitError", "RibbonData",
+    "SMatrix", "UnsupportedInputError", "Z2Module", "adjoint_subring", "asymptotic_dim_ratio",
+    "based_ring_isomorphism", "boson_fermion_census", "build_so_n2", "centralizer",
+    "classify_invertible", "condense_boson", "count_gaugings_per_form", "count_metaplectic",
+    "cyclic_form", "enumerate_cyclic_metric_groups", "equivalence_test", "exact_dimensions",
+    "form_preserving_autos", "fp_dimensions", "gauge_particle_hole", "gauss_sums",
+    "global_fp_dim", "gn_grading", "hom_space_dim", "invertibles", "is_modular",
+    "ising_squared_data", "ising_squared_enumeration", "ising_squared_total_count",
+    "muger_center", "pointed_ribbon_data", "s_matrix", "sixteen_m_component_census",
+    "structure_census", "subring_generated", "transparency_constraint", "universal_grading",
+    "verify_axioms", "z2_cohomology",
+]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], EXIT_OK),
+    (["so2"], EXIT_USAGE),
+    (["metric", "enumerate"], EXIT_USAGE),
+    (["count", "--n", "30"], EXIT_OK),
+    (["ising2", "--count", "--format", "json"], EXIT_OK),
+])
+def test_commands_that_start_without_numpy(argv, code):
+    out = _fresh("import io, sys; from contextlib import redirect_stdout, redirect_stderr; "
+                 "from modcat.cli import run\n"
+                 f"with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()): c = run({argv!r})\n"
+                 "print(c, 'numpy' in sys.modules)")
+    assert out == f"{code} False"
+
+
+def test_lazy_exports_keep_the_public_names():
+    out = _fresh("import json, modcat; ns = {}; exec('from modcat import *', ns); "
+                 "print(json.dumps([sorted(modcat.__all__), sorted(set(ns) - {'__builtins__'})]))")
+    assert json.loads(out) == [EXPORTED, EXPORTED]
+    assert modcat.count_metaplectic is modcat._abelian.count_metaplectic
+    with pytest.raises(AttributeError, match="no_such_name"):
+        modcat.no_such_name  # noqa: B018
 
 
 def test_gradings_and_isomorphism_load_no_masked_arrays():

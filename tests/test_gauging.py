@@ -14,6 +14,7 @@ from modcat import (
     ParameterError,
     PreconditionError,
     RedirectError,
+    ResourceLimitError,
     UnsupportedInputError,
     Z2Module,
     condense_boson,
@@ -24,6 +25,7 @@ from modcat import (
     verify_axioms,
     z2_cohomology,
 )
+import modcat.ring as ring_module
 from modcat.gauging import assemble_ring, particle_hole_rules
 from modcat.metric import (
     enumerate_cyclic_metric_groups,
@@ -340,6 +342,20 @@ class TestCondensation:
         assert same_condensation(ring, 1) is None
         with pytest.raises(PreconditionError, match="dual object"):
             condense_boson(ring, 1)
+
+    def test_matches_oracle_on_large_pointed_rings(self):
+        for n in (100, 200):
+            ring = pointed_ribbon_data(standard_cyclic_metric_group(n)).ring
+            report = same_condensation(ring, n // 2)
+            assert (report.group_order, report.is_cyclic) == (n // 2, True)
+
+    def test_pointed_refuses_a_tensor_above_the_dense_limit(self, monkeypatch):
+        ring = pointed_ribbon_data(standard_cyclic_metric_group(20)).ring
+        monkeypatch.setattr(ring_module, "DENSE_LIMIT", 8 * 10**3)
+        assert condense_boson(ring, 10).fusion.shape == (10, 10, 10)
+        monkeypatch.setattr(ring_module, "DENSE_LIMIT", 8 * 10**3 - 1)
+        with pytest.raises(ResourceLimitError, match="condensed fusion tensor of rank 10"):
+            condense_boson(ring, 10)
 
     def test_round_trip_recovers_cyclic_group(self):
         for n in range(3, 25):
