@@ -16,7 +16,11 @@ from collections import Counter
 from itertools import product
 from math import gcd, prod
 
-from .errors import InternalConsistencyError, ParameterError, RedirectError
+from .errors import InternalConsistencyError, ParameterError, RedirectError, ResourceLimitError
+
+# the largest N that `count_metaplectic` factors: trial division up to
+# sqrt(N) then tries at most 5 * 10^5 odd divisors, about 0.1 s
+COUNT_LIMIT = 10**12
 
 
 def factorint(n: int) -> dict[int, int]:
@@ -140,9 +144,12 @@ def is_cyclic(table: list[list[int]], e: int) -> bool:
 
 def count_metaplectic(n: int) -> int:
     """Number of inequivalent metaplectic modular categories of dimension 4N:
-    2^{s+1+a} when a <= 1, 3 * 2^{s+2} when a > 1, for N = 2^a p1^a1 ... ps^as."""
+    2^{s+1+a} when a <= 1, 3 * 2^{s+2} when a > 1, for N = 2^a p1^a1 ... ps^as.
+    `ResourceLimitError` before factoring when N > COUNT_LIMIT."""
     if n < 2:
         raise ParameterError("counting needs N >= 2")
+    if n > COUNT_LIMIT:
+        raise ResourceLimitError(f"N = {n} is above the limit {COUNT_LIMIT} for factoring")
     if n == 4:
         raise RedirectError(
             "N = 4 is degenerate; use the Ising-squared enumeration "

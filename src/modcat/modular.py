@@ -14,6 +14,7 @@ import cmath
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,10 @@ class Phase:
 
 @dataclass(frozen=True)
 class RibbonData:
+    """Twists and dims on a fusion ring.  Kept on first use, outside the value:
+    `_floats`, the read-only float dims and complex twists, and `_s_matrix`,
+    built once `validate()` has passed; a failed validation keeps nothing."""
+
     ring: FusionRing
     dims: tuple[AlgebraicReal, ...]
     twists: tuple[Phase, ...]
@@ -83,9 +88,29 @@ class RibbonData:
         if not _is_character(self.ring, self.dims, positive=False):
             raise MalformedInputError("dims do not satisfy the fusion homomorphism")
 
+    @cached_property
+    def _floats(self) -> tuple[np.ndarray, np.ndarray]:
+        d = np.array([float(x) for x in self.dims])
+        th = np.array([complex(t) for t in self.twists])
+        d.flags.writeable = th.flags.writeable = False
+        return d, th
+
+    @cached_property
+    def _s_matrix(self) -> SMatrix:
+        self.validate()
+        d, th = self._floats
+        # sum_k N[i, j, k] d_k theta_k from the nonzeros, then rows i*
+        r = self.ring.rank
+        ij, k = np.divmod(self.ring.cells, r)
+        w = self.ring.mults * (d * th)[k]
+        S = np.bincount(ij, w.real, r * r) + 1j * np.bincount(ij, w.imag, r * r)
+        S = S.reshape(r, r)[list(self.ring.dual)] / np.outer(th, th)
+        S.flags.writeable = False
+        return SMatrix(S)
+
     @property
     def global_dim(self) -> float:
-        return float(sum(float(d) ** 2 for d in self.dims))
+        return float(self._floats[0] @ self._floats[0])
 
     # -- JSON: the ring format plus "dims" and "twists" rows --
 
@@ -132,23 +157,15 @@ class SMatrix:
 
 
 def s_matrix(rd: RibbonData) -> SMatrix:
-    """Balancing-relation S-matrix in complex doubles."""
-    rd.validate()
-    d = np.array([float(x) for x in rd.dims])
-    th = np.array([complex(t) for t in rd.twists])
-    # sum_k N[i, j, k] d_k theta_k from the nonzeros, then rows i*
-    r = rd.ring.rank
-    ij, k = np.divmod(rd.ring.cells, r)
-    w = rd.ring.mults * (d * th)[k]
-    S = np.bincount(ij, w.real, r * r) + 1j * np.bincount(ij, w.imag, r * r)
-    return SMatrix(S.reshape(r, r)[list(rd.ring.dual)] / np.outer(th, th))
+    """Balancing-relation S-matrix in complex doubles: the one `rd` keeps."""
+    return rd._s_matrix
 
 
 def is_modular(rd: RibbonData) -> bool:
-    """Invertibility of S, scale-aware: for modular data |det S| = D^{r/2}."""
+    """Invertibility of S, scale-aware: for modular data |det S| = D^{r/2}, in logs."""
     S = s_matrix(rd)
-    expected = rd.global_dim ** (S.rank / 2)
-    return bool(abs(np.linalg.det(S.entries)) > 0.5 * expected)
+    log_det = np.linalg.slogdet(S.entries)[1]
+    return bool(log_det > np.log(0.5) + S.rank / 2 * np.log(rd.global_dim))
 
 
 def centralizer(rd: RibbonData, sub) -> tuple[int, ...]:
@@ -160,13 +177,9 @@ def centralizer(rd: RibbonData, sub) -> tuple[int, ...]:
     if not inside[k[inside[i] & inside[j]]].all():
         raise MalformedInputError("sub-basis is not fusion-closed")
     S = s_matrix(rd).entries
-    d = np.array([float(x) for x in rd.dims])
-    out = [
-        i
-        for i in range(rd.ring.rank)
-        if all(abs(S[i, j] - d[i] * d[j]) < FLOAT_TOL for j in sub)
-    ]
-    return tuple(out)
+    d = rd._floats[0]
+    near = np.abs(S[:, sub] - np.outer(d, d[sub])) < FLOAT_TOL
+    return tuple(np.flatnonzero(near.all(axis=1)).tolist())
 
 
 def muger_center(rd: RibbonData) -> tuple[int, ...]:
@@ -209,12 +222,9 @@ def transparency_constraint(ring: FusionRing, dims, g: int, x: int) -> Phase:
 
 
 def gauss_sums(rd: RibbonData) -> tuple[complex, complex]:
-    """(tau_plus, tau_minus) = sum_i d_i^2 theta_i^{+-1}."""
-    plus = sum(float(d) ** 2 * complex(t) for d, t in zip(rd.dims, rd.twists))
-    minus = sum(
-        float(d) ** 2 * complex(t.inverse()) for d, t in zip(rd.dims, rd.twists)
-    )
-    return (complex(plus), complex(minus))
+    """(tau_plus, tau_minus) = sum_i d_i^2 theta_i^{+-1}, unvalidated."""
+    d, th = rd._floats
+    return (complex(d * d @ th), complex(d * d @ th.conj()))
 
 
 def ribbon_from_ring(ring: FusionRing, twists) -> RibbonData:

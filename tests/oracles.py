@@ -3,7 +3,8 @@
 Each oracle deliberately uses a different algorithm from the production
 code: the based-ring axioms, commutativity, the sum of the fusion matrices,
 characters and the invertibles by nested loops over the dense tensor in
-Python ints, the S-matrix by one dense einsum,
+Python ints, the S-matrix by one dense einsum, and modularity, centralizers
+and Gauss sums from it by det, a double loop and one object at a time,
 based-ring isomorphisms by trying every permutation on the dense tensor,
 hom-space dimensions by divide-and-conquer multiset expansion, boson
 condensation by one fusion row at a time,
@@ -115,6 +116,30 @@ def s_matrix_dense(rd):
     th = np.array([complex(t) for t in rd.twists])
     S = np.einsum("ijk,k->ij", dense.reshape(r, r, r), d * th)
     return S[list(ring.dual)] / np.outer(th, th)
+
+
+def is_modular_det(rd) -> bool:
+    """|det S| > D^{r/2} / 2 for the dense S, with D = sum_i d_i^2: the
+    plain determinant, which overflows a float at large rank."""
+    S = s_matrix_dense(rd)
+    D = sum(float(d) ** 2 for d in rd.dims)
+    return bool(abs(np.linalg.det(S)) > 0.5 * D ** (len(S) / 2))
+
+
+def centralizer_bruteforce(rd, sub, tol=1e-9) -> tuple[int, ...]:
+    """i with |S[i, j] - d_i d_j| < tol for every j in `sub`, entry by entry."""
+    S = s_matrix_dense(rd)
+    d = [float(x) for x in rd.dims]
+    return tuple(
+        i for i in range(rd.ring.rank) if all(abs(S[i, j] - d[i] * d[j]) < tol for j in sub)
+    )
+
+
+def gauss_sums_bruteforce(rd) -> tuple[complex, complex]:
+    """sum_i d_i^2 theta_i^{+-1}, one object at a time."""
+    plus = sum(float(d) ** 2 * complex(t) for d, t in zip(rd.dims, rd.twists))
+    minus = sum(float(d) ** 2 * complex(t.inverse()) for d, t in zip(rd.dims, rd.twists))
+    return complex(plus), complex(minus)
 
 
 def invertibles_bruteforce(fusion, dual):

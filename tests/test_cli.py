@@ -153,6 +153,15 @@ class TestExitCodes:
         assert out.out == ""
         assert out.err.startswith("error: ") and "Traceback" not in out.err
 
+    def test_count_refuses_a_large_n_fast(self, capsys):
+        # a prime of 19 digits would take minutes of trial division
+        start = time.perf_counter()
+        assert run(["count", "--n", "1000000000000000003"]) == EXIT_USAGE
+        assert time.perf_counter() - start < 1.0
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and "Traceback" not in out.err
+
     def test_census_ok(self, capsys):
         assert run(["census", "--n", "12"]) == EXIT_OK
 
@@ -330,6 +339,7 @@ EXPORTED = [
     (["so2"], EXIT_USAGE),
     (["metric", "enumerate"], EXIT_USAGE),
     (["count", "--n", "30"], EXIT_OK),
+    (["count", "--n", "1000000000000000003"], EXIT_USAGE),
     (["ising2", "--count", "--format", "json"], EXIT_OK),
 ])
 def test_commands_that_start_without_numpy(argv, code):

@@ -449,6 +449,16 @@ class TestCounting:
         with pytest.raises(RedirectError):
             count_metaplectic(4)
 
+    def test_refuses_n_above_the_limit_before_factoring(self):
+        from modcat._abelian import COUNT_LIMIT
+
+        assert count_metaplectic(COUNT_LIMIT) == 24  # 2^12 5^12
+        start = time.perf_counter()
+        for n in (COUNT_LIMIT + 1, 10**18 + 3):  # 10^18 + 3 is prime
+            with pytest.raises(ResourceLimitError, match="limit"):
+                count_metaplectic(n)
+        assert time.perf_counter() - start < 0.1
+
 
 # ring_digest of gauge_particle_hole(standard_cyclic_metric_group(n),
 # GaugingDatum(n, alpha)) for N in 2-130 and 196-204, recorded from the

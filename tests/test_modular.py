@@ -1,6 +1,7 @@
 """Ribbon data, S-matrices, modularity, centralizers, boson/fermion tests."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,9 +28,11 @@ from modcat.metric import (
     enumerate_cyclic_metric_groups,
     enumerate_forms,
     pointed_ribbon_data,
+    standard_cyclic_metric_group,
 )
 from modcat.modular import FLOAT_TOL, format_complex, ribbon_from_ring
 from modcat import catalog
+import modcat.modular as modular_module
 import modcat.ring as ring_module
 
 import oracles
@@ -46,6 +49,11 @@ def rep_z2_data():
 
 def svec_data():
     return pointed_ribbon_data(cyclic_metric_group(2, Fraction(1, 2)))
+
+
+def all_ising_data():
+    return [catalog.ising_squared_data(catalog.IsingParams(nu1, nu2))
+            for nu1 in range(1, 16, 2) for nu2 in range(1, 16, 2)]
 
 
 class TestPhase:
@@ -138,11 +146,8 @@ class TestSMatrix:
     def test_ribbon_layer_never_builds_the_dense_view(self, monkeypatch):
         # with no room for a dense tensor, a layer that built one would raise
         monkeypatch.setattr(ring_module, "DENSE_LIMIT", 0)
-        data = [pointed_ribbon_data(mg) for mg in enumerate_cyclic_metric_groups(24)] + [
-            catalog.ising_squared_data(catalog.IsingParams(nu1, nu2))
-            for nu1 in range(1, 16, 2)
-            for nu2 in range(1, 16, 2)
-        ]
+        data = [pointed_ribbon_data(mg) for mg in enumerate_cyclic_metric_groups(24)]
+        data += all_ising_data()
         for rd in data:
             rd.validate()
             S = s_matrix(rd).entries
@@ -164,6 +169,47 @@ class TestSMatrix:
             SMatrix(np.array([[1.0, 2.0], [3.0, 1.0]]))
 
 
+class TestSharedView:
+    def count_checks(self):
+        return mock.patch.object(modular_module, "_is_character", wraps=ring_module._is_character)
+
+    def test_one_validation_and_one_s_per_datum(self):
+        for rd in (catalog.ising_squared_data(catalog.IsingParams(3, 5)),
+                   pointed_ribbon_data(enumerate_forms((24,), nondegenerate_only=False)[5])):
+            with self.count_checks() as check:
+                gauss_sums(rd)
+                assert check.call_count == 0  # Gauss sums do not validate
+                for _ in range(2):
+                    s_matrix(rd), is_modular(rd), muger_center(rd), gauss_sums(rd)
+            assert check.call_count == 1
+            assert s_matrix(rd) is s_matrix(rd)
+
+    def test_invalid_data_raises_on_every_call(self):
+        rd = semion_data()
+        unit_twist = RibbonData(rd.ring, rd.dims, (Phase.of(1, 4), Phase.of(1, 4)))
+        not_character = RibbonData(pointed_z(2), (AlgebraicReal.of(1), AlgebraicReal.of(2)),
+                                   (Phase.of(0), Phase.of(0)))
+        readers = (s_matrix, is_modular, muger_center, lambda rd: centralizer(rd, (0,)))
+        for bad in (unit_twist, not_character):
+            with self.count_checks() as check:
+                for _ in range(2):
+                    for reader in readers:
+                        with pytest.raises(MalformedInputError):
+                            reader(bad)
+            assert check.call_count == (8 if bad is not_character else 0)
+            gauss_sums(bad)  # still unvalidated
+
+    def test_entries_are_read_only(self):
+        rd = catalog.ising_squared_data(catalog.IsingParams(1, 7))
+        S = s_matrix(rd).entries
+        kept = S.copy()
+        with pytest.raises(ValueError):
+            S[0, 0] = 0
+        with pytest.raises(ValueError):
+            S[:, 1] *= 2
+        assert np.array_equal(s_matrix(rd).entries, kept)
+
+
 class TestModularity:
     def test_semion_modular_rep_z2_not(self):
         assert is_modular(semion_data())
@@ -174,6 +220,18 @@ class TestModularity:
         for n in range(2, 33):
             for mg in enumerate_forms((n,), nondegenerate_only=False):
                 assert is_modular(pointed_ribbon_data(mg)) == mg.is_nondegenerate
+
+    def test_log_determinant_agrees_with_the_determinant(self):
+        for n in range(2, 61):
+            for mg in enumerate_forms((n,), nondegenerate_only=False):
+                rd = pointed_ribbon_data(mg)
+                assert is_modular(rd) == oracles.is_modular_det(rd), (n, mg.q[1])
+
+    def test_large_rank_does_not_overflow(self):
+        # D^{r/2} = 300^150 is past the largest float
+        assert is_modular(pointed_ribbon_data(standard_cyclic_metric_group(300)))
+        degenerate = cyclic_metric_group(300, Fraction(1, 150))  # radical of order 4
+        assert is_modular(pointed_ribbon_data(degenerate)) is False
 
     def test_modular_iff_nondegenerate_products(self):
         for facs in [(2, 2), (2, 4), (2, 6), (2, 8), (3, 3), (4, 4), (2, 2, 2)]:
@@ -194,6 +252,17 @@ class TestCentralizer:
     def test_muger_center_trivial_iff_modular(self):
         assert muger_center(semion_data()) == (0,)
         assert len(muger_center(rep_z2_data())) == 2
+
+    def test_matches_the_double_loop(self):
+        subgroups = [tuple(range(0, 24, d)) for d in (1, 2, 3, 4, 6, 8, 12, 24)]
+        for mg in enumerate_forms((24,), nondegenerate_only=False):
+            rd = pointed_ribbon_data(mg)
+            for sub in subgroups:
+                assert centralizer(rd, sub) == oracles.centralizer_bruteforce(rd, sub)
+        for rd in all_ising_data():
+            invertibles = tuple(i for i, d in enumerate(rd.dims) if d == 1)
+            for sub in ((0,), invertibles, tuple(range(rd.ring.rank))):
+                assert centralizer(rd, sub) == oracles.centralizer_bruteforce(rd, sub)
 
     def test_rejects_non_closed_subbasis(self):
         rd = pointed_ribbon_data(cyclic_metric_group(4, Fraction(1, 8)))
@@ -270,6 +339,11 @@ class TestGaussSums:
             assert abs(plus) == pytest.approx(n**0.5, abs=1e-9)
             assert abs(minus) == pytest.approx(n**0.5, abs=1e-9)
             assert plus * minus == pytest.approx(n, abs=1e-9)
+
+    def test_match_the_per_object_sums(self):
+        for rd in all_ising_data():
+            for got, want in zip(gauss_sums(rd), oracles.gauss_sums_bruteforce(rd)):
+                assert abs(got - want) < 1e-12
 
 
 class TestFormatting:
