@@ -339,8 +339,8 @@ EXPORTED = [
     (["so2"], EXIT_USAGE),
     (["metric", "enumerate"], EXIT_USAGE),
     (["count", "--n", "30"], EXIT_OK),
-    (["count", "--n", "1000000000000000003"], EXIT_USAGE),
     (["ising2", "--count", "--format", "json"], EXIT_OK),
+    (["count", "--n", "1000000000000000003"], EXIT_USAGE),
 ])
 def test_commands_that_start_without_numpy(argv, code):
     out = _fresh("import io, sys; from contextlib import redirect_stdout, redirect_stderr; "
