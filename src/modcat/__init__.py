@@ -16,12 +16,12 @@ _SUBMODULE = {name: module for module, names in {
     "ring": (
         "AlgebraicReal", "AxiomReport", "FusionRing", "Grading", "InvertibleGroup",
         "adjoint_subring", "asymptotic_dim_ratio", "exact_dimensions", "fp_dimensions",
-        "global_fp_dim", "gn_grading", "hom_space_dim", "invertibles", "subring_generated",
-        "universal_grading", "verify_axioms",
+        "gn_grading", "hom_space_dim", "invertibles", "subring_generated", "universal_grading",
+        "verify_axioms",
     ),
     "modular": (
         "Phase", "RibbonData", "SMatrix", "centralizer", "classify_invertible",
-        "gauss_sums", "is_modular", "muger_center", "s_matrix", "transparency_constraint",
+        "gauss_sums", "is_modular", "muger_center", "s_matrix",
     ),
     "metric": (
         "MetricGroup", "cyclic_form", "enumerate_cyclic_metric_groups", "equivalence_test",

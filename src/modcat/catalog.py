@@ -27,7 +27,7 @@ from .gauging import (
     stack_rows,
 )
 from .metric import classify_forms, enumerate_cyclic_metric_groups, enumerate_forms
-from .modular import Phase, RibbonData, transparency_constraint
+from .modular import Phase, RibbonData
 from .ring import (
     AlgebraicReal,
     FusionRing,
@@ -201,13 +201,12 @@ class MetaplecticCensus:
         return not self.mismatches
 
 
-def structure_census(ring: FusionRing, n: int | None = None) -> MetaplecticCensus:
-    """Count sectors of a metaplectic ring against the three-case table."""
+def structure_census(ring: FusionRing, n: int) -> MetaplecticCensus:
+    """Count sectors of a metaplectic ring against the three-case table of
+    SO(n)_2."""
     dims, of = _distinct(exact_dimensions(ring))
     counts = np.bincount(of, minlength=len(dims)).tolist()
     total = sum((d * d * c for d, c in zip(dims, counts)), AlgebraicReal.of(0))
-    if n is None:
-        n = round(float(total) / 4)
     # dimension classifies except in the degenerate cases N = 2 and N = 8,
     # where the defect dimension collides with 1 or 2; there the V/W labels
     # carried by every constructed metaplectic ring decide
@@ -265,20 +264,11 @@ def boson_fermion_census(n: int) -> dict[str, str]:
 
 def _boson_fermion(ring: FusionRing, n: int) -> dict[str, str]:
     """`boson_fermion_census` on the already built SO(n)_2, 4 | n."""
-    fg = ring.index("fg")
     r = n // 4 - 1
-    # transparency against any fg-fixed object forces the fg twist to 1
-    witness = ring.index("Y0") if r == 0 else next(
-        i for i, lab in enumerate(ring.labels) if lab.startswith("X")
-    )
-    if transparency_constraint(ring, exact_dimensions(ring), fg, witness).r != 0:
-        raise InternalConsistencyError("transparency did not force twist 1 on fg")
     all_bosons = n % 8 == 0
-    # structural cross-check: r is even iff 8 does not divide N, and then the
+    # structural cross-check: when 8 does not divide N, r is even and the
     # middle Y is fixed by every invertible, so its square sees all four
-    if (r % 2 == 0) != (n % 8 != 0):
-        raise InternalConsistencyError("parity bookkeeping broke")
-    if r % 2 == 0:
+    if not all_bosons:
         mid = ring.index(f"Y{r // 2:0{len(str(r))}d}")
         hits = {ring.labels[k] for k in ring.row(mid, mid)[0].tolist()}
         if not {"1", "f", "g", "fg"} <= hits:
@@ -402,7 +392,6 @@ def sixteen_m_component_census(m: int) -> dict:
         ),
     )
     report["spinor_dim"] = target
-    report["twist_pairing"] = "not-checked"
     return report
 
 

@@ -243,7 +243,6 @@ def _dispatch(args) -> int:
             "m": report["m"], "n": report["n"], "rank": report["rank"],
             "checks": [[name, ok] for name, ok in report["checks"]],
             "spinor_dim": str(report["spinor_dim"]),
-            "twist_pairing": report["twist_pairing"],
             "ok": report["ok"],
         }
         print(json.dumps(payload) if fmt == "json" else payload)

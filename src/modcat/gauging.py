@@ -10,7 +10,7 @@ dimension sqrt(N) for odd N or 4 objects of dimension sqrt(N/2) for even N.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .metric import MetricGroup
-from .ring import AlgebraicReal, FusionRing, _distinct, _refuse_dense, exact_dimensions
+from .ring import AlgebraicReal, FusionRing, _distinct, exact_dimensions
 
 
 # ---------------------------------------------------------------------------
@@ -130,30 +130,21 @@ def z2_cohomology(mod: Z2Module, n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GaugingDatum:
-    """Labels one Z2 gauging: alpha in H^2_rho(Z2, Z_N), beta in H^3(Z2, U(1)),
-    and the normalized 2-cocycle representative omega(1, 1) in Z_N."""
+    """Labels one Z2 gauging of Z_N by alpha in H^2_rho(Z2, Z_N), whose
+    cocycle is omega(1, 1) = (N/2) alpha; the fusion ring depends on N and
+    alpha alone."""
 
     n: int
     alpha: int = 0
-    beta: int = 0
-    omega: int = field(default=-1)
 
     def __post_init__(self):
         if self.n < 2:
             raise ParameterError("gauging needs N >= 2")
-        if self.alpha not in (0, 1) or self.beta not in (0, 1):
-            raise ParameterError("alpha and beta must be 0 or 1")
+        if self.alpha not in (0, 1):
+            raise ParameterError("alpha must be 0 or 1")
         if self.alpha == 1 and self.n % 2:
             raise ParameterError(
                 f"H^2 of Z_{self.n} under negation is trivial; alpha must be 0"
-            )
-        expected = (self.n // 2) * self.alpha
-        if self.omega == -1:
-            object.__setattr__(self, "omega", expected)
-        elif self.omega % self.n != expected:
-            raise ParameterError(
-                f"cocycle representative omega(1,1) = {self.omega} does not "
-                f"match alpha = {self.alpha}"
             )
 
 
@@ -252,10 +243,10 @@ def gauge_particle_hole(mg: MetricGroup, datum: GaugingDatum | None = None) -> F
 
 def particle_hole_rules(datum: GaugingDatum) -> tuple:
     """The gauged object algebra as `assemble_ring` arguments
-    (objects, dims, i, j, k); it depends on N and the datum only."""
+    (objects, dims, i, j, k); it depends on N and alpha only."""
     if datum.n % 2:
         return _gauge_odd(datum.n)
-    return _gauge_even(datum.n, datum)
+    return _gauge_even(datum.n, datum.alpha)
 
 
 def _invertible_rows(action) -> list:
@@ -317,7 +308,7 @@ def _gauge_odd(n: int) -> tuple:
     )
 
 
-def _gauge_even(n: int, datum: GaugingDatum) -> tuple:
+def _gauge_even(n: int, alpha: int) -> tuple:
     h = n // 2
     # defect parity: the orbit part of a defect square runs over this parity
     # class.  Base convention: even for 4|N (the sigma+ (x) sigma+ rule), odd
@@ -325,7 +316,7 @@ def _gauge_even(n: int, datum: GaugingDatum) -> tuple:
     # alpha-twist tensors defect squares by [N/2], flipping parity iff N/2 is
     # odd -- hence a no-op exactly when 4|N.
     base_p = 0 if h % 2 == 0 else 1
-    p = (base_p + datum.alpha * h) % 2
+    p = (base_p + alpha * h) % 2
     klein = h % 2 == 0  # invertible group Z2 x Z2 when N/2 even, Z4 otherwise
 
     orbit_reps = list(range(1, h))
@@ -422,7 +413,7 @@ class CondensationReport:
     group_order: int | None = None
     is_cyclic: bool | None = None
     ambiguous: bool = False
-    fusion: np.ndarray | None = None
+    table: np.ndarray | None = None  # pointed input: (m, m) quotient group law
     reason: str | None = None
 
     def to_json_dict(self) -> dict:
@@ -441,12 +432,9 @@ class CondensationReport:
             "ambiguous": self.ambiguous,
             "reason": self.reason,
         }
-        if self.fusion is not None:
-            out["fusion"] = [
-                [int(i), int(j), int(k), int(m)]
-                for i, j, k in zip(*np.nonzero(self.fusion))
-                for m in [self.fusion[i, j, k]]
-            ]
+        if self.table is not None:
+            out["fusion"] = [[i, j, k, 1] for i, row in enumerate(self.table.tolist())
+                             for j, k in enumerate(row)]
         return out
 
 
@@ -482,9 +470,8 @@ def condense_boson(ring: FusionRing, b: int) -> CondensationReport:
     free = [divmod(p, r) for p in pairs[np.diff(pairs, prepend=-1) != 0].tolist()]
     fixed = np.flatnonzero(partner == every)
 
-    # boson-compatibility: transparency against a fixed object x forces
-    # twist 1 on b when x* (x) b = x* (`modular.transparency_constraint`),
-    # so the collapse below is consistent
+    # the fixing relation x* (x) b = x* for every fixed x, so that each
+    # fixed object splits consistently
     dual = np.asarray(ring.dual)[fixed]
     row = (dual * r + b) * r
     lo, hi = np.searchsorted(cells, row), np.searchsorted(cells, row + r)
@@ -521,10 +508,10 @@ def condense_boson(ring: FusionRing, b: int) -> CondensationReport:
 
 
 def _condense_pointed(ring: FusionRing, free, report: CondensationReport) -> None:
-    """Full quotient-group fusion when the input ring is pointed: each row
-    x (x) y is one object, read for every pair of representatives at once."""
+    """The quotient group law as a table when the input ring is pointed:
+    each row x (x) y is one object, read for every pair of representatives
+    at once."""
     m, r = len(free), ring.rank
-    _refuse_dense("condensed fusion tensor", m)
     pairs = np.array(free, dtype=np.int64).reshape(m, 2)
     image = np.full(r, -1)  # object -> position of its pair
     image[pairs[:, 0]] = image[pairs[:, 1]] = np.arange(m)
@@ -532,9 +519,7 @@ def _condense_pointed(ring: FusionRing, free, report: CondensationReport) -> Non
     table = image[ring.cells[np.searchsorted(ring.cells, rows)] % r]
     if (table < 0).any():
         raise PreconditionError("pointed condensation hit a fixed object")
-    fusion = np.zeros((m, m, m), dtype=np.int64)
-    fusion[np.arange(m)[:, None], np.arange(m), table] = 1
-    report.fusion = fusion
+    report.table = table
     report.trivial_component = report.labels
     report.group_order = m
     report.is_cyclic = is_cyclic(table.tolist(), int(image[0]))

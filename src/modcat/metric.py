@@ -380,10 +380,6 @@ def form_preserving_autos(mg: MetricGroup) -> list[tuple[int, ...]]:
     return sorted(tuple(phi.tolist()) for phi in _isomorphisms(mg, mg, AUTOS_SEARCH_LIMIT))
 
 
-def negation_auto(mg: MetricGroup) -> tuple[int, ...]:
-    return tuple(_ravel(-_coords(mg._shape), mg._shape).tolist())
-
-
 def enumerate_forms(facs, nondegenerate_only: bool = True) -> list[MetricGroup]:
     """Every quadratic form on the given group, by its Gram values: c_i with
     2 d_i c_i integral (d_i c_i when d_i is odd) and b_ij killed by gcd(d_i, d_j)."""

@@ -19,9 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MalformedInputError, PreconditionError
-from .ring import (
-    ONE, AlgebraicReal, FusionRing, _int_row, _is_character, _parse_json, exact_dimensions,
-)
+from .ring import ONE, AlgebraicReal, FusionRing, _int_row, _is_character, _parse_json
 
 # the one float tolerance, for the complex S-matrix numerics only (and the
 # printing of complex values); dimension and isomorphism questions are
@@ -200,36 +198,10 @@ def classify_invertible(rd: RibbonData, i: int) -> tuple[str, Phase]:
     return ("not-order-2", t)
 
 
-def transparency_constraint(ring: FusionRing, dims, g: int, x: int) -> Phase:
-    """Twist of an invertible g forced by transparency against a fixed object x.
-
-    When g fixes x (g (x) x = x) the balancing relation collapses to
-    S[x, g] = d_x / theta_g independently of theta_x, so S[x, g] = d_x d_g
-    forces theta_g = 1.
-    """
-    if AlgebraicReal.of(dims[g]) != ONE:
-        raise PreconditionError(f"object {ring.labels[g]} is not invertible")
-    ks, ms = ring.row(g, x)
-    if ms[ks == x].tolist() != [1]:
-        raise PreconditionError(
-            f"{ring.labels[g]} does not fix {ring.labels[x]}"
-        )
-    xd = ring.dual[x]
-    ks, ms = ring.row(xd, g)
-    if ks.tolist() != [xd] or ms.tolist() != [1]:
-        raise PreconditionError("fixing relation fails on the dual object")
-    return Phase(Fraction(0))
-
-
 def gauss_sums(rd: RibbonData) -> tuple[complex, complex]:
     """(tau_plus, tau_minus) = sum_i d_i^2 theta_i^{+-1}, unvalidated."""
     d, th = rd._floats
     return (complex(d * d @ th), complex(d * d @ th.conj()))
-
-
-def ribbon_from_ring(ring: FusionRing, twists) -> RibbonData:
-    """Attach twists to a ring whose exact dims are known (or computable)."""
-    return RibbonData(ring, exact_dimensions(ring), tuple(twists))
 
 
 def format_complex(z: complex) -> str:

@@ -234,7 +234,11 @@ class FusionRing:
         when it would take more than DENSE_LIMIT bytes."""
         if self._dense is None:
             r = self.rank
-            _refuse_dense("dense fusion tensor", r)
+            if 8 * r**3 > DENSE_LIMIT:
+                raise ResourceLimitError(
+                    f"the dense fusion tensor of rank {r} needs {8 * r**3 / 2**30:.1f} GiB, "
+                    f"above the limit of {DENSE_LIMIT / 2**30:g} GiB"
+                )
             dense = np.zeros(r**3, dtype=np.int64)
             dense[self.cells] = self.mults
             dense = dense.reshape(r, r, r)
@@ -339,16 +343,6 @@ class FusionRing:
     @classmethod
     def loads(cls, text: str | bytes) -> "FusionRing":
         return cls.from_json_dict(_parse_json(text, "ring"))
-
-
-def _refuse_dense(what: str, r: int) -> None:
-    """`ResourceLimitError` when an (r, r, r) int64 tensor would take more
-    than DENSE_LIMIT bytes."""
-    if 8 * r**3 > DENSE_LIMIT:
-        raise ResourceLimitError(
-            f"the {what} of rank {r} needs {8 * r**3 / 2**30:.1f} GiB, "
-            f"above the limit of {DENSE_LIMIT / 2**30:g} GiB"
-        )
 
 
 def _parse_json(text: str | bytes, what: str):
@@ -709,11 +703,6 @@ def _distinct(dims) -> tuple[list, list[int]]:
     return list(values), [position[id(d)] for d in dims]
 
 
-def global_fp_dim(ring: FusionRing) -> float:
-    dims = fp_dimensions(ring)
-    return float(np.sum(dims**2))
-
-
 def hom_space_dim(ring: FusionRing, word: list[int], target: int) -> int:
     """Multiplicity of X_target in the ordered product of the word.
 
@@ -732,7 +721,10 @@ def hom_space_dim(ring: FusionRing, word: list[int], target: int) -> int:
 
 
 def asymptotic_dim_ratio(ring: FusionRing, i: int, n: int) -> float:
-    """Growth ratio of invariants in consecutive nonvanishing tensor powers."""
+    """dim Hom(1, X^(kn)) / dim Hom(1, X^(k(n-1))) for X = X_i, k the least
+    power with Hom(1, X^k) != 0: the growth of invariants over one period,
+    which tends to d_i^k, not d_i^2.  The spinors of SO(N)_2 with N = 2
+    mod 4 have k = 4, so SO(6)_2's V+ (d = sqrt(3)) gives 9."""
     if n < 2:
         raise MalformedInputError("asymptotic ratio needs n >= 2")
     k = next(
@@ -850,16 +842,6 @@ class Grading:
         for d in self.group:
             n *= d
         return n
-
-    @property
-    def is_faithful(self) -> bool:
-        return len(self.components()) == self.order
-
-    def check_tensor_compatible(self, ring: FusionRing) -> bool:
-        """deg X_k = deg X_i + deg X_j for every nonzero N[i, j, k]."""
-        g = np.array(self.assignment, dtype=np.int64).reshape(ring.rank, len(self.group))
-        i, j, k = ring.nonzero()
-        return bool(np.array_equal((g[i] + g[j]) % np.array(self.group, dtype=np.int64), g[k]))
 
 
 def universal_grading(ring: FusionRing) -> Grading:

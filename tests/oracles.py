@@ -6,8 +6,9 @@ characters and the invertibles by nested loops over the dense tensor in
 Python ints, the S-matrix by one dense einsum, and modularity, centralizers
 and Gauss sums from it by det, a double loop and one object at a time,
 based-ring isomorphisms by trying every permutation on the dense tensor,
-hom-space dimensions by divide-and-conquer multiset expansion, boson
-condensation by one fusion row at a time,
+hom-space dimensions by divide-and-conquer multiset expansion, gradings
+by every cell of the dense tensor, boson condensation by one fusion row
+at a time,
 Z2-cohomology by direct evaluation of the inhomogeneous cochain
 differential, quadratic-form classification on Z_N by exhaustive
 parametrization plus unit-permutation canonicalization, cyclic classes by
@@ -158,6 +159,20 @@ def invertibles_bruteforce(fusion, dual):
     return tuple(elems), product
 
 
+def grading_bruteforce(grading, fusion) -> tuple[bool, bool]:
+    """(faithful, tensor-compatible) of a grading, over every cell of the
+    dense tensor: every element of the group has an object, and every
+    nonzero N[i, j, k] has deg k = deg i + deg j."""
+    group, deg = grading.group, grading.assignment
+    faithful = set(deg) == set(product(*(range(d) for d in group)))
+    r = len(deg)
+    compatible = all(
+        deg[k] == tuple((a + b) % d for a, b, d in zip(deg[i], deg[j], group))
+        for i in range(r) for j in range(r) for k in range(r) if fusion[i, j, k]
+    )
+    return faithful, compatible
+
+
 def based_ring_isomorphism_bruteforce(r1, r2):
     """The first permutation phi fixing 0, in lexicographic order, with
     r2.fusion[phi i, phi j, phi k] == r1.fusion[i, j, k] everywhere and
@@ -212,12 +227,11 @@ def _expand(ring, word) -> Counter:
 
 
 def condense_bruteforce(ring, b):
-    """`condense_boson` computed row by row: b (x) x, the transparency
-    relation and every step of the generator walk each read one `ring.row`,
-    and every dimension is tested per object."""
+    """`condense_boson` computed row by row: b (x) x, the fixing relation
+    x* (x) b = x* and every step of the generator walk each read one
+    `ring.row`, and every dimension is tested per object."""
     from modcat.errors import PreconditionError
     from modcat.gauging import CondensationReport
-    from modcat.modular import transparency_constraint
     from modcat.ring import exact_dimensions
 
     dims = exact_dimensions(ring)
@@ -236,7 +250,9 @@ def condense_bruteforce(ring, b):
     fixed = [x for x in range(r) if partner[x] == x]
     free = sorted({tuple(sorted((x, partner[x]))) for x in range(r) if partner[x] != x})
     for x in fixed:
-        transparency_constraint(ring, dims, b, x)
+        ks, ms = ring.row(ring.dual[x], b)
+        if ks.tolist() != [ring.dual[x]] or ms.tolist() != [1]:
+            raise PreconditionError("fixing relation fails on the dual object")
 
     labels, out_dims = [], []
     for x, _ in free:
@@ -275,14 +291,11 @@ def _condense_pointed_bruteforce(ring, free, report):
         raise PreconditionError("pointed condensation hit a fixed object")
 
     m = len(free)
-    fusion = np.zeros((m, m, m), dtype=np.int64)
     table = [[0] * m for _ in range(m)]
     for i, (x, _) in enumerate(free):
         for j, (y, _) in enumerate(free):
-            k = image(int(ring.row(x, y)[0][0]))
-            fusion[i, j, k] = 1
-            table[i][j] = k
-    report.fusion = fusion
+            table[i][j] = image(int(ring.row(x, y)[0][0]))
+    report.table = np.array(table, dtype=np.int64).reshape(m, m)
     report.trivial_component = report.labels
     report.group_order = m
     report.is_cyclic = is_cyclic(table, image(0))

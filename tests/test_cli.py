@@ -326,10 +326,10 @@ EXPORTED = [
     "classify_invertible", "condense_boson", "count_gaugings_per_form", "count_metaplectic",
     "cyclic_form", "enumerate_cyclic_metric_groups", "equivalence_test", "exact_dimensions",
     "form_preserving_autos", "fp_dimensions", "gauge_particle_hole", "gauss_sums",
-    "global_fp_dim", "gn_grading", "hom_space_dim", "invertibles", "is_modular",
+    "gn_grading", "hom_space_dim", "invertibles", "is_modular",
     "ising_squared_data", "ising_squared_enumeration", "ising_squared_total_count",
     "muger_center", "pointed_ribbon_data", "s_matrix", "sixteen_m_component_census",
-    "structure_census", "subring_generated", "transparency_constraint", "universal_grading",
+    "structure_census", "subring_generated", "universal_grading",
     "verify_axioms", "z2_cohomology",
 ]
 

@@ -1,6 +1,7 @@
 """Z2 cohomology, particle-hole gauging, condensation, counting."""
 
 import dataclasses
+import json
 import time
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from modcat.metric import (
     pointed_ribbon_data,
     standard_cyclic_metric_group,
 )
-from modcat.ring import AlgebraicReal, exact_dimensions, fp_dimensions, global_fp_dim
+from modcat.ring import AlgebraicReal, exact_dimensions, fp_dimensions
 
 import oracles
 from test_catalog import ring_digest
@@ -164,14 +165,6 @@ class TestGaugingDatum:
         with pytest.raises(ParameterError):
             GaugingDatum(5, alpha=1)
 
-    def test_omega_defaults_to_half_n(self):
-        assert GaugingDatum(12, alpha=1).omega == 6
-        assert GaugingDatum(12, alpha=0).omega == 0
-
-    def test_inconsistent_omega_rejected(self):
-        with pytest.raises(ParameterError):
-            GaugingDatum(12, alpha=1, omega=3)
-
 
 # ---------------------------------------------------------------------------
 # ring assembly
@@ -227,7 +220,7 @@ class TestGauging:
         for n in range(2, 26):
             ring = gauge_particle_hole(first_form(n))
             assert verify_axioms(ring).ok, n
-            assert global_fp_dim(ring) == pytest.approx(4 * n, abs=1e-6)
+            assert (fp_dimensions(ring) ** 2).sum() == pytest.approx(4 * n, abs=1e-6)
 
     def test_invertible_group(self):
         assert invertibles(gauge_particle_hole(first_form(5))).invariant_factors() == [
@@ -284,7 +277,7 @@ def same_condensation(ring, b):
     report = condense_boson(ring, b)
     for f in dataclasses.fields(report):
         got, expected = getattr(report, f.name), getattr(want, f.name)
-        if f.name == "fusion" and expected is not None:
+        if f.name == "table" and expected is not None:
             assert np.array_equal(got, expected)
         else:
             assert got == expected, f.name
@@ -349,13 +342,28 @@ class TestCondensation:
             report = same_condensation(ring, n // 2)
             assert (report.group_order, report.is_cyclic) == (n // 2, True)
 
-    def test_pointed_refuses_a_tensor_above_the_dense_limit(self, monkeypatch):
-        ring = pointed_ribbon_data(standard_cyclic_metric_group(20)).ring
-        monkeypatch.setattr(ring_module, "DENSE_LIMIT", 8 * 10**3)
-        assert condense_boson(ring, 10).fusion.shape == (10, 10, 10)
-        monkeypatch.setattr(ring_module, "DENSE_LIMIT", 8 * 10**3 - 1)
-        with pytest.raises(ResourceLimitError, match="condensed fusion tensor of rank 10"):
-            condense_boson(ring, 10)
+    def test_pointed_condensation_builds_no_dense_tensor(self, monkeypatch):
+        # Z_2000 by its element of order 2: the quotient Z_1000 as a dense
+        # (m, m, m) tensor would take 7.5 GiB; with the dense limit at zero
+        # neither that nor the ring's own dense view can be built
+        ring = pointed_ribbon_data(standard_cyclic_metric_group(2000)).ring
+        monkeypatch.setattr(ring_module, "DENSE_LIMIT", 0)
+        report = condense_boson(ring, 1000)
+        assert (report.group_order, report.is_cyclic) == (1000, True)
+        assert report.table.shape == (1000, 1000)
+        a = np.arange(1000)
+        assert np.array_equal(report.table, (a[:, None] + a) % 1000)
+
+    def test_json_fusion_rows_come_from_the_oracle_table(self):
+        # the rows [i, j, k, 1] of the dense quotient tensor, in index order
+        for n in (12, 20):
+            ring = pointed_ribbon_data(standard_cyclic_metric_group(n)).ring
+            m, table = n // 2, oracles.condense_bruteforce(ring, n // 2).table
+            dense = np.zeros((m, m, m), dtype=np.int64)
+            dense[np.arange(m)[:, None], np.arange(m), table] = 1
+            want = [[*map(int, ijk), 1] for ijk in zip(*np.nonzero(dense))]
+            got = condense_boson(ring, n // 2).to_json_dict()["fusion"]
+            assert json.dumps(got) == json.dumps(want), n
 
     def test_round_trip_recovers_cyclic_group(self):
         for n in range(3, 25):
@@ -398,7 +406,7 @@ class TestCondensation:
         # fusion rules are not determined at the based-ring level
         ring = so_rings(12)
         report = condense_boson(ring, ring.index("f"))
-        assert report.fusion is None
+        assert report.table is None
         assert report.reason is not None
 
     def test_report_json(self, so_rings):
@@ -416,7 +424,7 @@ class TestCondensation:
 
         ring = _ising_squared_ring()
         report = condense_boson(ring, ring.index("psi*psi"))
-        assert report.fusion is None
+        assert report.table is None
         assert report.reason is not None
 
 

@@ -20,7 +20,6 @@ from modcat.metric import (
     equivalence_test,
     form_preserving_autos,
     ORDER_LIMIT,
-    negation_auto,
     pointed_ribbon_data,
     standard_cyclic_metric_group,
 )
@@ -214,7 +213,7 @@ class TestAutomorphisms:
                 autos = form_preserving_autos(mg)
                 ident = tuple(range(n))
                 assert ident in autos
-                assert negation_auto(mg) in autos
+                assert tuple((-a) % n for a in range(n)) in autos
 
     def test_exactly_the_form_preserving_units(self):
         # brute-force check against the definition: units u with q(u a) = q(a)

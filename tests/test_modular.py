@@ -20,7 +20,6 @@ from modcat import (
     is_modular,
     muger_center,
     s_matrix,
-    transparency_constraint,
 )
 from modcat.metric import (
     cyclic_form,
@@ -30,7 +29,7 @@ from modcat.metric import (
     pointed_ribbon_data,
     standard_cyclic_metric_group,
 )
-from modcat.modular import FLOAT_TOL, format_complex, ribbon_from_ring
+from modcat.modular import FLOAT_TOL, format_complex
 from modcat import catalog
 import modcat.modular as modular_module
 import modcat.ring as ring_module
@@ -308,28 +307,6 @@ class TestClassifyInvertible:
             assert classify_invertible(rd2, inv[i]) == classify_invertible(rd, i)
 
 
-class TestTransparency:
-    def test_forces_trivial_twist(self, so_rings):
-        r = so_rings(12)
-        dims = r.exact_dims
-        fg = r.index("fg")
-        x0 = next(i for i, lab in enumerate(r.labels) if lab.startswith("X"))
-        assert transparency_constraint(r, dims, fg, x0) == Phase.of(0)
-
-    def test_rejects_non_fixing_pair(self, so_rings):
-        r = so_rings(12)
-        f = r.index("f")
-        w0 = next(i for i, lab in enumerate(r.labels) if lab.startswith("W"))
-        with pytest.raises(PreconditionError):
-            transparency_constraint(r, r.exact_dims, f, w0)
-
-    def test_rejects_non_invertible_boson(self, so_rings):
-        r = so_rings(12)
-        xs = [i for i, lab in enumerate(r.labels) if lab.startswith("X")]
-        with pytest.raises(PreconditionError):
-            transparency_constraint(r, r.exact_dims, xs[0], xs[0])
-
-
 class TestGaussSums:
     def test_pointed_gauss_sum_magnitude(self):
         # for modular pointed data |tau| = sqrt(|A|)
@@ -352,9 +329,3 @@ class TestFormatting:
         assert format_complex(0.0 - 1.0j) == "-1i"
         assert format_complex(0.5 + 0.5j) == "1/2+1/2i"
         assert format_complex(0.123456789 + 0j) == "0.123457+0.000000i"
-
-    def test_ribbon_from_ring_attaches_exact_dims(self, ising):
-        rd = ribbon_from_ring(
-            ising, (Phase.of(0), Phase.of(1, 2), Phase.of(1, 16))
-        )
-        assert rd.dims[ising.index("sig")] == AlgebraicReal.sqrt(2)

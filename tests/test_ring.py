@@ -28,7 +28,6 @@ from modcat import (
     condense_boson,
     exact_dimensions,
     fp_dimensions,
-    global_fp_dim,
     gn_grading,
     hom_space_dim,
     invertibles,
@@ -751,7 +750,7 @@ class TestDimensions:
             assert np.max(np.abs(d[list(r.dual)] - d)) < 1e-9
 
     def test_global_dim(self, ising):
-        assert global_fp_dim(ising) == pytest.approx(4.0, abs=1e-9)
+        assert (fp_dimensions(ising) ** 2).sum() == pytest.approx(4.0, abs=1e-9)
 
     def test_exact_dim_mismatch_raises(self, ising):
         wrong = (AlgebraicReal.of(1), AlgebraicReal.of(1), AlgebraicReal.of(2))
@@ -860,6 +859,22 @@ class TestHom:
         with pytest.raises(MalformedInputError):
             asymptotic_dim_ratio(ising, ising.index("sig"), 0)
 
+    def test_so_n2_ratio_is_d_to_the_period(self, so_rings):
+        # dimension as a quantum statistic: over one period k, the least
+        # power with Hom(1, X^k) != 0, invariants grow by d^k
+        for n in range(2, 13):
+            r = so_rings(n)
+            dims = exact_dimensions(r)
+            for i in range(r.rank):
+                k = next(k for k in range(1, r.rank + 1) if hom_space_dim(r, [i] * k, 0))
+                want = float(dims[i]) ** k
+                assert asymptotic_dim_ratio(r, i, 60) == pytest.approx(want, rel=2e-3), (n, i)
+        # the N = 2 mod 4 spinors have period 4: SO(6)_2's V+ gives 3^2, not 3
+        r = so_rings(6)
+        v = r.index("V+")
+        assert [hom_space_dim(r, [v] * k, 0) for k in range(1, 5)] == [0, 0, 0, 1]
+        assert asymptotic_dim_ratio(r, v, 60) == pytest.approx(9, rel=2e-3)
+
     @pytest.mark.parametrize("word, target", [([], 0), ([3], 0), ([0, 3], 0), ([2, 2], 3)])
     def test_word_outside_the_basis_rejected(self, ising, word, target):
         with pytest.raises(MalformedInputError):
@@ -911,8 +926,7 @@ class TestStructure:
         for n in (5, 6, 8, 9, 12, 14):
             r = so_rings(n)
             g = universal_grading(r)
-            assert g.is_faithful
-            assert g.check_tensor_compatible(r)
+            assert oracles.grading_bruteforce(g, r.fusion) == (True, True)
             d = fp_dimensions(r)
             comps = g.components()
             sizes = [sum(d[i] ** 2 for i in comp) for comp in comps.values()]
