@@ -12,7 +12,7 @@ them meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -185,7 +185,7 @@ def build_so_n2(n: int) -> FusionRing:
 # censuses
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetaplecticCensus:
     n: int
     rank: int
@@ -194,7 +194,7 @@ class MetaplecticCensus:
     spinor_count: int
     spinor_dim: AlgebraicReal | None
     self_dual: tuple[bool, ...]
-    mismatches: list[str] = field(default_factory=list)
+    mismatches: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -219,40 +219,40 @@ def structure_census(ring: FusionRing, n: int) -> MetaplecticCensus:
     spinor_dim = spinor_dims.pop() if len(spinor_dims) == 1 else None
     self_dual = tuple(ring.dual[i] == i for i in range(ring.rank))
 
-    census = MetaplecticCensus(
-        n=n, rank=ring.rank, invertible_count=inv, dim2_count=dim2,
-        spinor_count=spin, spinor_dim=spinor_dim, self_dual=self_dual,
-    )
     if n % 2:
         expected = (2, (n - 1) // 2, 2, AlgebraicReal.sqrt(n))
     else:
         expected = (4, n // 2 - 1, 4, AlgebraicReal.sqrt(n // 2))
-    for name, got, want in (
-        ("invertible_count", inv, expected[0]),
-        ("dim2_count", dim2, expected[1]),
-        ("spinor_count", spin, expected[2]),
-    ):
-        if got != want:
-            census.mismatches.append(f"{name}: got {got}, expected {want}")
-    if spinor_dim is not None and spinor_dim != expected[3]:
-        census.mismatches.append(
-            f"spinor_dim: got {spinor_dim}, expected {expected[3]}"
+    mismatches = [
+        f"{name}: got {got}, expected {want}"
+        for name, got, want in (
+            ("invertible_count", inv, expected[0]),
+            ("dim2_count", dim2, expected[1]),
+            ("spinor_count", spin, expected[2]),
         )
+        if got != want
+    ]
+    if spinor_dim is not None and spinor_dim != expected[3]:
+        mismatches.append(f"spinor_dim: got {spinor_dim}, expected {expected[3]}")
     if len(spinor_dims) > 1:
-        census.mismatches.append("spinor dimensions are not all equal")
+        mismatches.append("spinor dimensions are not all equal")
     if total != 4 * n:
-        census.mismatches.append(f"global dimension {total} != 4N = {4 * n}")
+        mismatches.append(f"global dimension {total} != 4N = {4 * n}")
     non_self_dual = [i for i in range(ring.rank) if ring.dual[i] != i]
     if n % 4 == 2 and n > 2:
         bad = [i for i in non_self_dual if sectors[i] == "dim2"]
         if len(non_self_dual) != 6 or bad:
-            census.mismatches.append(
+            mismatches.append(
                 "expected exactly one invertible pair and all four spinors "
                 "to be non-self-dual"
             )
     elif n != 2 and non_self_dual:
-        census.mismatches.append("all objects should be self-dual")
-    return census
+        mismatches.append("all objects should be self-dual")
+    return MetaplecticCensus(
+        n=n, rank=ring.rank, invertible_count=inv, dim2_count=dim2,
+        spinor_count=spin, spinor_dim=spinor_dim, self_dual=self_dual,
+        mismatches=tuple(mismatches),
+    )
 
 
 def boson_fermion_census(n: int) -> dict[str, str]:
@@ -361,38 +361,26 @@ def sixteen_m_component_census(m: int) -> dict:
         raise InternalConsistencyError("universal grading is not Z2 x Z2")
     comps = grading.components()
     trivial = comps[(0, 0)]
-    report = {"m": m, "n": n, "rank": ring.rank, "checks": [], "ok": True}
-
-    def check(name, cond):
-        report["checks"].append((name, bool(cond)))
-        if not cond:
-            report["ok"] = False
-
     inv0 = [i for i in trivial if dims[i] == 1]
     dim2_0 = [i for i in trivial if dims[i] == 2]
-    check("C0 has 4 invertibles", len(inv0) == 4)
-    check("C0 has m-1 objects of dimension 2", len(dim2_0) == m - 1)
     bf = _boson_fermion(ring, n)
-    check("one boson and two fermions expected among f, g, fg",
-          sorted(bf.values()) == ["boson", "fermion", "fermion"])
-
     others = [comps[g] for g in comps if g != (0, 0)]
     dim2_comps = [c for c in others if all(dims[i] == 2 for i in c)]
     spinor_comps = [c for c in others if c not in dim2_comps]
-    check("one component of m dimension-2 objects",
-          len(dim2_comps) == 1 and len(dim2_comps[0]) == m)
     target = AlgebraicReal.sqrt(2 * m)
-    check(
-        "two components of 2 objects of dimension sqrt(2m)",
-        len(spinor_comps) == 2
-        and all(
-            len(c) == 2
-            and all(dims[i] == target for i in c)
-            for c in spinor_comps
-        ),
-    )
-    report["spinor_dim"] = target
-    return report
+    checks = [
+        ("C0 has 4 invertibles", len(inv0) == 4),
+        ("C0 has m-1 objects of dimension 2", len(dim2_0) == m - 1),
+        ("one boson and two fermions expected among f, g, fg",
+         sorted(bf.values()) == ["boson", "fermion", "fermion"]),
+        ("one component of m dimension-2 objects",
+         len(dim2_comps) == 1 and len(dim2_comps[0]) == m),
+        ("two components of 2 objects of dimension sqrt(2m)",
+         len(spinor_comps) == 2
+         and all(len(c) == 2 and all(dims[i] == target for i in c) for c in spinor_comps)),
+    ]
+    return {"m": m, "n": n, "rank": ring.rank, "checks": checks,
+            "ok": all(ok for _, ok in checks), "spinor_dim": target}
 
 
 # ---------------------------------------------------------------------------

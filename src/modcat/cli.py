@@ -124,7 +124,7 @@ def _dispatch(args) -> int:
             "invertible": census.invertible_count,
             "dim2": census.dim2_count, "spinor": census.spinor_count,
             "spinor_dim": str(census.spinor_dim),
-            "mismatches": census.mismatches,
+            "mismatches": list(census.mismatches),
         }
         print(json.dumps(payload) if fmt == "json" else payload)
         return EXIT_OK if census.ok else EXIT_CHECK_FAILED

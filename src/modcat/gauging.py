@@ -16,7 +16,7 @@ from itertools import product
 
 import numpy as np
 
-from ._abelian import invariant_factors, is_cyclic
+from ._abelian import is_cyclic
 from .errors import (
     MalformedInputError,
     ParameterError,
@@ -46,6 +46,8 @@ class Z2Module:
                 raise UnsupportedInputError("only the trivial action on Q/Z is supported")
             return
         object.__setattr__(self, "facs", tuple(int(d) for d in self.facs))
+        if any(d < 1 for d in self.facs):
+            raise MalformedInputError("invariant factors must be positive")
         if isinstance(self.action, str):
             if self.action not in ("trivial", "negation"):
                 raise MalformedInputError(f"unknown action {self.action!r}")
@@ -88,23 +90,12 @@ class Z2Module:
         return self.action[pos]
 
 
-def _quotient_invariants(mod: Z2Module, top: set, bottom: set) -> tuple[int, ...]:
-    """Invariant factors of top/bottom for subgroups of a finite module."""
-    reps = []
-    index = {}
-    for a in sorted(top):
-        if a not in index:
-            for b in bottom:
-                index[mod.add(a, b)] = len(reps)
-            reps.append(a)
-    table = [[index[mod.add(x, y)] for y in reps] for x in reps]
-    e = index[tuple(0 for _ in mod.facs)]
-    return tuple(invariant_factors(table, e))
-
-
 def z2_cohomology(mod: Z2Module, n: int) -> tuple[int, ...]:
     """H^n(Z2, M) with the given action, as invariant factors (2-periodic:
-    H^{even >= 2} = M^rho / im(1 + rho), H^{odd} = ker(1 + rho) / im(1 - rho))."""
+    H^{even >= 2} = M^rho / im(1 + rho), H^{odd} = ker(1 + rho) / im(1 - rho)).
+
+    For n >= 1 the order 2 of the group kills H^n (Brown, Cohomology of
+    Groups, III.10), so H^n is (Z2)^k with 2^k = |top| / |bottom|."""
     if n not in (2, 3, 4):
         raise ParameterError(f"cohomological degree {n} is not supported")
     if mod.facs == "Q/Z":
@@ -112,16 +103,15 @@ def z2_cohomology(mod: Z2Module, n: int) -> tuple[int, ...]:
         # degree ker(2) = {0, 1/2} and im(0) = 0.
         return () if n % 2 == 0 else (2,)
     elems = mod.elements()
-    zero = tuple(0 for _ in mod.facs)
     if n % 2 == 0:
         top = {a for a in elems if mod.rho(a) == a}
         bottom = {mod.add(a, mod.rho(a)) for a in elems}
     else:
-        top = {a for a in elems if mod.add(a, mod.rho(a)) == zero}
+        top = {a for a in elems if not any(mod.add(a, mod.rho(a)))}
         bottom = {mod.add(a, mod.neg(mod.rho(a))) for a in elems}
     if not bottom <= top:
         raise MalformedInputError("boundary image escapes the cocycle group")
-    return _quotient_invariants(mod, top, bottom)
+    return (2,) * ((len(top) // len(bottom)).bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +311,9 @@ def _gauge_even(n: int, alpha: int) -> tuple:
 
     orbit_reps = list(range(1, h))
     width = len(str(max(orbit_reps, default=1)))
-    inv_keys = ["1", "u1", "u2", "z"]
     one, two, root = AlgebraicReal.of(1), AlgebraicReal.of(2), AlgebraicReal.sqrt(h)
-    objects = {("inv", g): g for g in inv_keys}
-    dims = {("inv", g): one for g in inv_keys}
+    objects = {("inv", g): g for g in ("1", "u1", "u2", "z")}
+    dims = dict.fromkeys(objects, one)
     for a in orbit_reps:
         objects[("orb", a)] = f"O{a:0{width}d}"
         dims[("orb", a)] = two
@@ -360,39 +349,16 @@ def _gauge_even(n: int, alpha: int) -> tuple:
     e = h + 3 + 2 * ((d >> 1) ^ (a & 1)) + np.arange(2)
     blocks = [(3 + a, h + 3 + d, e), (h + 3 + d, 3 + a, e)]
 
-    # defect x defect: invertible parts per case, and the orbits of one parity
-    def defect_product(s1, j1, s2, j2) -> list:
-        same_split = j1 == j2
-        if s1 == s2:
-            parity = p
-            if klein:
-                u = "u1" if s1 == "v" else "u2"
-                invs = ("1", u) if same_split else ("z", "u2" if u == "u1" else "u1")
-            elif p == 1:
-                invs = (("u1",) if same_split else ("u2",)) if s1 == "v" else (
-                    ("u2",) if same_split else ("u1",)
-                )
-            else:
-                invs = (("1",) if same_split else ("z",)) if s1 == "v" else (
-                    ("z",) if same_split else ("1",)
-                )
-        else:
-            parity = (p + h) % 2 if not klein else 1
-            if klein:
-                invs = ()
-            elif p == 1:
-                invs = ("1",) if same_split else ("z",)
-            else:
-                invs = ("u1",) if same_split else ("u2",)
-        # <a> is orbits[a - 1]
-        return [inv_keys.index(x) for x in invs] + orbits[1 - parity::2].tolist()
-
-    defects = [("v", 1), ("v", 2), ("w", 1), ("w", 2)]
-    blocks += [
-        (h + 3 + x, h + 3 + y, defect_product(*dx, *dy))
-        for x, dx in enumerate(defects)
-        for y, dy in enumerate(defects)
-    ]
+    # defect x defect.  For an invertible g, N_XY^g = N_{X* g}^Y (Frobenius
+    # reciprocity), so g is in X (x) Y exactly when g X* = Y; the defect
+    # duals are v1, v2, w1, w2 for Klein, v_j <-> w_j for p = 1, and
+    # w1 <-> w2 for p = 0.  The orbit part runs over one parity class.
+    dual = g if klein else g ^ 2 if p == 1 else g ^ (g >> 1)
+    blocks.append((h + 3 + g, h + 3 + on_defects[:, dual], g[:, None]))
+    parity = (p, 1 if klein else (p + h) % 2)  # same letter, other letter
+    # <a> is orbits[a - 1]
+    blocks += [(h + 3 + x, h + 3 + y, orbits[1 - parity[(x ^ y) >> 1]::2])
+               for x in range(4) for y in range(4)]
     return objects, dims, *stack_rows(
         _invertible_rows(action) + _orbit_block(n, 4, {0: (0, 3), h: (1, 2)}) + blocks
     )
@@ -402,10 +368,10 @@ def _gauge_even(n: int, alpha: int) -> tuple:
 # boson condensation (de-equivariantization at the fusion-rule level)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CondensationReport:
-    free_pairs: list[tuple[str, str]]
-    split: list[str]
+    free_pairs: tuple[tuple[str, str], ...]
+    split: tuple[str, ...]
     labels: tuple[str, ...]
     dims: tuple[AlgebraicReal, ...]
     total_dim: float
@@ -416,6 +382,10 @@ class CondensationReport:
     table: np.ndarray | None = None  # pointed input: (m, m) quotient group law
     reason: str | None = None
 
+    def __post_init__(self):
+        if self.table is not None:
+            self.table.flags.writeable = False
+
     def to_json_dict(self) -> dict:
         out = {
             "free_pairs": [list(p) for p in self.free_pairs],
@@ -424,9 +394,7 @@ class CondensationReport:
             "dims": [d.to_json() for d in self.dims],
             "dims_float": [float(d) for d in self.dims],
             "total_dim": self.total_dim,
-            "trivial_component": (
-                list(self.trivial_component) if self.trivial_component else None
-            ),
+            "trivial_component": list(self.trivial_component) if self.trivial_component else None,
             "group_order": self.group_order,
             "is_cyclic": self.is_cyclic,
             "ambiguous": self.ambiguous,
@@ -482,32 +450,29 @@ def condense_boson(ring: FusionRing, b: int) -> CondensationReport:
     halves = [d * Fraction(1, 2) for d in values]
     out_dims = [values[of[x]] for x, _ in free] + [halves[of[x]] for x in fixed for _ in (1, 2)]
     square = {id(d): float(d) ** 2 for d in values + halves}
-    report = CondensationReport(
-        free_pairs=[(ring.labels[x], ring.labels[y]) for x, y in free],
-        split=[ring.labels[x] for x in fixed],
-        labels=tuple([ring.labels[x] for x, _ in free]
-                     + [f"{ring.labels[x]}^({s})" for x in fixed for s in (1, 2)]),
+    labels = tuple([ring.labels[x] for x, _ in free]
+                   + [f"{ring.labels[x]}^({s})" for x in fixed for s in (1, 2)])
+    two = [d == 2 for d in values]
+    if all(one):
+        fields = {"trivial_component": labels, **_condense_pointed(ring, free)}
+    elif fixed and all(two[of[x]] for x in fixed):
+        fields = _probe_cyclicity(ring, b, fixed, [p for p in free if one[of[p[0]]]])
+    else:
+        fields = {"reason": (
+            "input is not of generalized Tambara-Yamagami shape; the condensed "
+            "fusion rules are not determined by the based ring"
+        )}
+    return CondensationReport(
+        free_pairs=tuple((ring.labels[x], ring.labels[y]) for x, y in free),
+        split=tuple(ring.labels[x] for x in fixed),
+        labels=labels,
         dims=tuple(out_dims),
         total_dim=sum(square[id(d)] for d in out_dims),
+        **fields,
     )
 
-    if all(one):
-        _condense_pointed(ring, free, report)
-        return report
 
-    two = [d == 2 for d in values]
-    if fixed and all(two[of[x]] for x in fixed):
-        _probe_cyclicity(ring, b, fixed, [p for p in free if one[of[p[0]]]], report)
-        return report
-
-    report.reason = (
-        "input is not of generalized Tambara-Yamagami shape; the condensed "
-        "fusion rules are not determined by the based ring"
-    )
-    return report
-
-
-def _condense_pointed(ring: FusionRing, free, report: CondensationReport) -> None:
+def _condense_pointed(ring: FusionRing, free) -> dict:
     """The quotient group law as a table when the input ring is pointed:
     each row x (x) y is one object, read for every pair of representatives
     at once."""
@@ -519,20 +484,14 @@ def _condense_pointed(ring: FusionRing, free, report: CondensationReport) -> Non
     table = image[ring.cells[np.searchsorted(ring.cells, rows)] % r]
     if (table < 0).any():
         raise PreconditionError("pointed condensation hit a fixed object")
-    report.table = table
-    report.trivial_component = report.labels
-    report.group_order = m
-    report.is_cyclic = is_cyclic(table.tolist(), int(image[0]))
+    return {"table": table, "group_order": m, "is_cyclic": is_cyclic(table.tolist(), int(image[0]))}
 
 
-def _probe_cyclicity(ring, b, fixed, inv_pairs, report: CondensationReport) -> None:
+def _probe_cyclicity(ring, b, fixed, inv_pairs) -> dict:
     n_inv = 2 * len(fixed) + len(inv_pairs)
-    report.group_order = n_inv
     trivial = [ring.labels[x] for x, _ in inv_pairs]
-    for x in fixed:
-        trivial.append(f"{ring.labels[x]}^(1)")
-        trivial.append(f"{ring.labels[x]}^(2)")
-    report.trivial_component = tuple(sorted(trivial))
+    trivial += [f"{ring.labels[x]}^({s})" for x in fixed for s in (1, 2)]
+    fields = {"group_order": n_inv, "trivial_component": tuple(sorted(trivial))}
 
     # the fixed y whose square holds 1 and b once each
     r, cells, mults = ring.rank, ring.cells, ring.mults
@@ -542,29 +501,20 @@ def _probe_cyclicity(ring, b, fixed, inv_pairs, report: CondensationReport) -> N
     candidates = y[((cells[at] == want) & (mults[at] == 1)).all(axis=1)].tolist()
     fixed_set = set(fixed)
     inv_pair_set = {frozenset(p) for p in inv_pairs}
-    best = None
     for start in candidates:
         outcome = _generator_walk(ring, b, start, fixed_set, inv_pair_set)
-        if outcome is None:
-            continue
-        order, visited = outcome
-        if order == n_inv and len(visited) == len(fixed):
-            best = (order, visited)
+        if outcome is not None and outcome[0] == n_inv and len(outcome[1]) == len(fixed):
             break
-    if best is None:
-        report.is_cyclic = False
-        return
-    if best[0] == 4 and n_inv == 4:
+    else:
+        return {**fields, "is_cyclic": False}
+    if n_inv == 4:
         # the only relation seen is Y^2 = 1 + b + (invertible pair), which a
         # Klein-group assignment satisfies equally well
-        report.ambiguous = True
-        report.is_cyclic = None
-        report.reason = (
+        return {**fields, "ambiguous": True, "reason": (
             "generator walk terminates immediately; both the cyclic group of "
             "order 4 and Z2 x Z2 are consistent with the fusion rules"
-        )
-        return
-    report.is_cyclic = True
+        )}
+    return {**fields, "is_cyclic": True}
 
 
 def _generator_walk(ring, b, start, fixed_set, inv_pair_set):

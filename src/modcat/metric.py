@@ -23,7 +23,7 @@ import numpy as np
 from ._abelian import factorint
 from .errors import MalformedInputError, ParameterError, ResourceLimitError
 from .modular import Phase, RibbonData
-from .ring import AlgebraicReal, FusionRing, _parse_json
+from .ring import AlgebraicReal, FusionRing, _int_rows, _parse_json
 
 BRUTE_FORCE_LIMIT = 10_000
 ORDER_LIMIT = 1_000_000  # largest group order the JSON loader and enumeration accept
@@ -213,19 +213,7 @@ class MetricGroup:
         order = prod(facs)
         if order > ORDER_LIMIT:
             raise ResourceLimitError(f"group order {order} exceeds the limit {ORDER_LIMIT}")
-        rows = data["q"]
-        flat = []
-        if type(rows) is list:
-            flat = [x for row in rows if type(row) is list and len(row) == 3 for x in row]
-        if type(rows) is not list or len(flat) != 3 * len(rows) or not set(map(type, flat)) <= {int}:
-            raise MalformedInputError("q must be a list of [index, num, den] integer rows")
-        try:
-            entries = np.array(flat, dtype=np.int64).reshape(-1, 3)
-            if np.any(entries == np.iinfo(np.int64).min):  # its negation is no int64
-                raise OverflowError
-        except OverflowError:
-            raise MalformedInputError("a q entry lies outside the int64 range") from None
-        idx, num, den = entries.T
+        idx, num, den = _int_rows(data["q"], 3, "q").T
         outside = (idx < 0) | (idx >= order)
         if outside.any():
             raise MalformedInputError(f"q index {idx[outside][0]} out of range for order {order}")

@@ -307,19 +307,7 @@ class FusionRing:
         if r**3 > np.iinfo(np.int64).max:
             raise ResourceLimitError(f"rank {r} is too large to index its fusion cells")
         dual = _int_row(data["dual"], r, "dual")
-        rows = data["fusion"]
-        if not isinstance(rows, list):
-            raise MalformedInputError("fusion must be a list of [i, j, k, mult] rows")
-        # C-level scans: every row a list of four, then every entry an int
-        flat = []
-        if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {4}:
-            flat = list(chain.from_iterable(rows))
-        if len(flat) != 4 * len(rows) or not set(map(type, flat)) <= {int}:
-            raise MalformedInputError("every fusion row must be 4 integers [i, j, k, mult]")
-        try:
-            entries = np.array(flat, dtype=np.int64).reshape(-1, 4)
-        except OverflowError:
-            raise MalformedInputError("a fusion entry lies outside the int64 range") from None
+        entries = _int_rows(data["fusion"], 4, "fusion")
         ijk, mult = entries[:, :3], entries[:, 3]
         outside = np.any((ijk < 0) | (ijk >= r), axis=1)
         if outside.any():
@@ -350,6 +338,25 @@ def _parse_json(text: str | bytes, what: str):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise MalformedInputError(f"{what} is not valid JSON: {exc}") from None
+
+
+def _int_rows(rows, width: int, what: str) -> np.ndarray:
+    """`rows`, a list of rows of `width` JSON integers each (bools rejected),
+    as an (n, width) int64 array.  An entry outside the int64 range or equal
+    to -2^63, whose negation is no int64, is refused."""
+    # C-level scans: every row a list of `width`, then every entry an int
+    flat = []
+    if type(rows) is list and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {width}:
+        flat = list(chain.from_iterable(rows))
+    if type(rows) is not list or len(flat) != width * len(rows) or not set(map(type, flat)) <= {int}:
+        raise MalformedInputError(f"{what} must be a list of rows of {width} integers")
+    try:
+        entries = np.array(flat, dtype=np.int64).reshape(-1, width)
+        if (entries == np.iinfo(np.int64).min).any():
+            raise OverflowError
+    except OverflowError:
+        raise MalformedInputError(f"a {what} entry lies outside the int64 range") from None
+    return entries
 
 
 def _int_row(row, length: int, what: str) -> list[int]:

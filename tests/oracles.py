@@ -261,26 +261,26 @@ def condense_bruteforce(ring, b):
     for x in fixed:
         labels += [f"{ring.labels[x]}^(1)", f"{ring.labels[x]}^(2)"]
         out_dims += [dims[x] * Fraction(1, 2)] * 2
-    report = CondensationReport(
-        free_pairs=[(ring.labels[x], ring.labels[y]) for x, y in free],
-        split=[ring.labels[x] for x in fixed],
+    if all(d == 1 for d in dims):
+        fields = {"trivial_component": tuple(labels), **_condense_pointed_bruteforce(ring, free)}
+    elif fixed and all(dims[x] == 2 for x in fixed):
+        fields = _probe_cyclicity_bruteforce(ring, dims, b, fixed, free)
+    else:
+        fields = {"reason": (
+            "input is not of generalized Tambara-Yamagami shape; the condensed "
+            "fusion rules are not determined by the based ring"
+        )}
+    return CondensationReport(
+        free_pairs=tuple((ring.labels[x], ring.labels[y]) for x, y in free),
+        split=tuple(ring.labels[x] for x in fixed),
         labels=tuple(labels),
         dims=tuple(out_dims),
         total_dim=sum(float(d) ** 2 for d in out_dims),
+        **fields,
     )
-    if all(d == 1 for d in dims):
-        _condense_pointed_bruteforce(ring, free, report)
-    elif fixed and all(dims[x] == 2 for x in fixed):
-        _probe_cyclicity_bruteforce(ring, dims, b, fixed, free, report)
-    else:
-        report.reason = (
-            "input is not of generalized Tambara-Yamagami shape; the condensed "
-            "fusion rules are not determined by the based ring"
-        )
-    return report
 
 
-def _condense_pointed_bruteforce(ring, free, report):
+def _condense_pointed_bruteforce(ring, free):
     from modcat._abelian import is_cyclic
     from modcat.errors import PreconditionError
 
@@ -295,20 +295,20 @@ def _condense_pointed_bruteforce(ring, free, report):
     for i, (x, _) in enumerate(free):
         for j, (y, _) in enumerate(free):
             table[i][j] = image(int(ring.row(x, y)[0][0]))
-    report.table = np.array(table, dtype=np.int64).reshape(m, m)
-    report.trivial_component = report.labels
-    report.group_order = m
-    report.is_cyclic = is_cyclic(table, image(0))
+    return {
+        "table": np.array(table, dtype=np.int64).reshape(m, m),
+        "group_order": m,
+        "is_cyclic": is_cyclic(table, image(0)),
+    }
 
 
-def _probe_cyclicity_bruteforce(ring, dims, b, fixed, free, report):
+def _probe_cyclicity_bruteforce(ring, dims, b, fixed, free):
     inv_pairs = [p for p in free if dims[p[0]] == 1]
     n_inv = 2 * len(fixed) + len(inv_pairs)
-    report.group_order = n_inv
     trivial = [ring.labels[x] for x, _ in inv_pairs]
     for x in fixed:
         trivial += [f"{ring.labels[x]}^(1)", f"{ring.labels[x]}^(2)"]
-    report.trivial_component = tuple(sorted(trivial))
+    fields = {"group_order": n_inv, "trivial_component": tuple(sorted(trivial))}
 
     def square(y):
         return dict(zip(*(x.tolist() for x in ring.row(y, y))))
@@ -322,16 +322,17 @@ def _probe_cyclicity_bruteforce(ring, dims, b, fixed, free, report):
             best = outcome
             break
     if best is None:
-        report.is_cyclic = False
+        fields["is_cyclic"] = False
     elif best[0] == 4 and n_inv == 4:
-        report.ambiguous = True
-        report.is_cyclic = None
-        report.reason = (
+        fields["ambiguous"] = True
+        fields["is_cyclic"] = None
+        fields["reason"] = (
             "generator walk terminates immediately; both the cyclic group of "
             "order 4 and Z2 x Z2 are consistent with the fusion rules"
         )
     else:
-        report.is_cyclic = True
+        fields["is_cyclic"] = True
+    return fields
 
 
 def _walk_bruteforce(ring, b, start, fixed_set, inv_pair_set):

@@ -1,5 +1,6 @@
 """Metaplectic family constructors, censuses, Ising^2 data, based isomorphism."""
 
+import dataclasses
 import hashlib
 import json
 import time
@@ -73,6 +74,18 @@ class TestBuild:
         for n in range(2, 41):
             census = structure_census(so_rings(n), n)
             assert census.ok, (n, census.mismatches)
+
+    def test_census_is_frozen(self, so_rings):
+        good = structure_census(so_rings(12), 12)
+        assert good.mismatches == () and good.ok
+        # SO(12)_2 read as SO(10)_2: every count and the global dimension disagree
+        bad = structure_census(so_rings(12), 10)
+        assert isinstance(bad.mismatches, tuple) and not bad.ok
+        assert "dim2_count: got 5, expected 4" in bad.mismatches
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            bad.mismatches = ()
+        with pytest.raises(AttributeError):
+            bad.mismatches.append("x")
 
     def test_census_counts_odd(self, so_rings):
         c = structure_census(so_rings(9), 9)

@@ -70,6 +70,9 @@ class TestExitCodes:
             pytest.param('{"labels": ["1"], "dual": [0], "fusion": [[0, 0, 0, %d]]}' % 2**63,
                          id="multiplicity_past_int64"),
             pytest.param('{"labels": [], "dual": [], "fusion": []}', id="empty_ring"),
+            pytest.param('{"labels": ["1"], "dual": [0], "fusion": [[0, 0, 0, %d]]}' % -(2**63),
+                         id="multiplicity_at_int64_min"),
+            pytest.param('{"labels": ["1"], "dual": [0], "fusion": {}}', id="fusion_not_a_list"),
         ],
     )
     def test_malformed_ring_is_a_usage_error(self, tmp_path, capsys, text):
@@ -91,6 +94,10 @@ class TestExitCodes:
             pytest.param('{"group": [5], "q": [[1, 1, 0]]}', id="zero_denominator"),
             pytest.param('{"group": [5], "q": [[5, 1, 5]]}', id="index_out_of_range"),
             pytest.param('{"group": [2, %d], "q": []}' % -(2**63), id="negative_factor"),
+            pytest.param('{"group": [5], "q": [[1, %d, 5]]}' % -(2**63), id="q_at_int64_min"),
+            pytest.param('{"group": [5], "q": [[1, 1, %d]]}' % 2**63, id="q_past_int64"),
+            pytest.param('{"group": [5], "q": [[1, 1]]}', id="short_q_row"),
+            pytest.param('{"group": [5], "q": {}}', id="q_not_a_list"),
         ],
     )
     def test_malformed_metric_group_is_a_usage_error(self, tmp_path, capsys, text):
@@ -164,6 +171,11 @@ class TestExitCodes:
 
     def test_census_ok(self, capsys):
         assert run(["census", "--n", "12"]) == EXIT_OK
+
+    def test_census_table_lists_no_mismatches(self, capsys):
+        # the table format prints the payload dict; its mismatches stay a list
+        assert run(["census", "--n", "30"]) == EXIT_OK
+        assert "'mismatches': []" in capsys.readouterr().out
 
     def test_dims_and_census_near_n_600(self, capsys):
         assert run(["dims", "--n", "501"]) == EXIT_OK

@@ -155,6 +155,12 @@ class TestCohomology:
         with pytest.raises(ParameterError):
             z2_cohomology(Z2Module((2,), "trivial"), 1)
 
+    @pytest.mark.parametrize("facs", [(0,), (-3,), (2, 0)])
+    def test_rejects_non_positive_factors(self, facs):
+        for action in ("trivial", "negation"):
+            with pytest.raises(MalformedInputError, match="must be positive"):
+                z2_cohomology(Z2Module(facs, action), 2)
+
 
 # ---------------------------------------------------------------------------
 # gauging data
@@ -364,6 +370,21 @@ class TestCondensation:
             want = [[*map(int, ijk), 1] for ijk in zip(*np.nonzero(dense))]
             got = condense_boson(ring, n // 2).to_json_dict()["fusion"]
             assert json.dumps(got) == json.dumps(want), n
+
+    def test_reports_are_frozen(self, so_rings):
+        # pointed Z_12 by its element of order 2, and SO(12)_2 by its boson fg
+        pointed = pointed_ribbon_data(standard_cyclic_metric_group(12)).ring
+        for ring, b in ((pointed, 6), (so_rings(12), so_rings(12).index("fg"))):
+            report = condense_boson(ring, b)
+            for name in ("is_cyclic", "table", "free_pairs", "reason"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(report, name, None)
+            assert isinstance(report.free_pairs, tuple) and isinstance(report.split, tuple)
+        assert report.table is None
+        table = condense_boson(pointed, 6).table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 5
 
     def test_round_trip_recovers_cyclic_group(self):
         for n in range(3, 25):

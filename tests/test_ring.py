@@ -127,6 +127,21 @@ class TestConstruction:
                 assert ring.dumps() == json.dumps(ring.to_json_dict(), sort_keys=True)
                 assert FusionRing.loads(ring.dumps()) == ring
 
+    @pytest.mark.parametrize("bad", [-(2**63), 2**63])
+    def test_loaders_share_one_int64_reader(self, bad):
+        # the fusion rows of a ring and the q rows of a metric group are read
+        # by the same strict scan; -2^63 is refused, its negation is no int64
+        from modcat import MetricGroup
+
+        ring = {"labels": ["1"], "dual": [0], "fusion": [[0, 0, 0, bad]]}
+        with pytest.raises(MalformedInputError, match="a fusion entry lies outside the int64"):
+            FusionRing.from_json_dict(ring)
+        with pytest.raises(MalformedInputError, match="a q entry lies outside the int64"):
+            MetricGroup.from_json_dict({"group": [5], "q": [[1, bad, 5]]})
+        for rows in ({}, [[0, 0, 0]], [[0, 0, 0, True]], [(0, 0, 0, 1)]):
+            with pytest.raises(MalformedInputError, match="fusion must be a list of rows of 4"):
+                FusionRing.from_json_dict({**ring, "fusion": rows})
+
     def test_json_round_trip(self, ising):
         again = FusionRing.loads(ising.dumps())
         assert again.labels == ising.labels
