@@ -3,20 +3,21 @@ groups, and the closed-form counts (`count_metaplectic`, the Ising x Ising
 orbit enumeration), so that `modcat count` and `modcat ising2 --count`
 never import numpy.
 
-Groups produced inside this package (universal grading groups, invertible
-object groups, cohomology quotients) arrive as multiplication tables on
-0..n-1.  This module recovers their invariant-factor decomposition and an
-explicit isomorphism onto Z_{d1} x ... x Z_{dk}.  Everything here is desk
-scale (n <= a few hundred), so brute force is fine.
+Groups produced inside this package (universal and dimension grading
+groups, invertible objects) arrive as multiplication tables on 0..n-1.
+`decompose` recovers their invariant factors and an explicit isomorphism
+onto Z_{d1} x ... x Z_{dk}.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
 from math import gcd, prod
 
-from .errors import InternalConsistencyError, ParameterError, RedirectError, ResourceLimitError
+from .errors import (
+    InternalConsistencyError, ParameterError, RedirectError, ResourceLimitError,
+    UnsupportedInputError,
+)
 
 # the largest N that `count_metaplectic` factors: trial division up to
 # sqrt(N) then tries at most 5 * 10^5 odd divisors, about 0.1 s
@@ -48,20 +49,6 @@ def squarefree_part(n: int) -> int:
     return t
 
 
-def divisors(n: int) -> list[int]:
-    ds = [1]
-    for p, k in factorint(n).items():
-        ds = [d * p**i for d in ds for i in range(k + 1)]
-    return sorted(ds)
-
-
-def _power(table: list[list[int]], e: int, g: int, m: int) -> int:
-    acc = e
-    for _ in range(m):
-        acc = table[acc][g]
-    return acc
-
-
 def element_order(table: list[list[int]], e: int, g: int) -> int:
     acc = g
     order = 1
@@ -73,69 +60,55 @@ def element_order(table: list[list[int]], e: int, g: int) -> int:
     return order
 
 
-def _invariant_chains(n: int, max_factor: int | None = None) -> list[list[int]]:
-    """All chains d1 | d2 | ... | dk (ascending) with product n and dk <= max_factor."""
-    if n == 1:
-        return [[]]
-    out = []
-    for dk in divisors(n):
-        if dk == 1 or (max_factor is not None and dk > max_factor):
-            continue
-        for head in _invariant_chains(n // dk, dk):
-            if not head or dk % head[-1] == 0:
-                out.append(head + [dk])
-    return out
+def decompose(table, e: int) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Invariant factors (d1, ..., dk), d_i | d_{i+1}, of an abelian group
+    table, and an isomorphism: element index -> exponent tuple in
+    Z_d1 x ... x Z_dk.
 
-
-def invariant_factors(table: list[list[int]], e: int) -> list[int]:
-    """Invariant factors [d1, ..., dk], d_i | d_{i+1}, of an abelian group table.
-
-    Matches the multiset of m-torsion counts #{x : x^m = e} against every
-    candidate divisor chain; for abelian groups the match is unique.
+    For Z_d1 x ... x Z_dk the m-torsion count #{x : x^m = e} is the product
+    of gcd(m, d_i).  So with the top factors F found and the rest of order
+    R, the next factor is the least m with count R * prod(gcd(m, d), d in F),
+    and it divides both R and the last factor found.  Generators follow
+    greedily, largest factor first: the first element of that order whose
+    powers meet the span so far only in e maps onto a largest cyclic
+    summand of the quotient, so no choice is undone.  The commutativity
+    check reads n^2 / 2 cells; the rest takes O(n * exponent) lookups.
     """
     n = len(table)
+    if any(table[a][b] != table[b][a] for a in range(n) for b in range(a)):
+        raise UnsupportedInputError(f"the group of order {n} is not abelian")
     orders = [element_order(table, e, g) for g in range(n)]
-    counts = {m: sum(1 for o in orders if m % o == 0) for m in divisors(n)}
-    matches = []
-    for chain in _invariant_chains(n):
-        if all(counts[m] == prod(gcd(m, d) for d in chain) for m in counts):
-            matches.append(chain)
-    if len(matches) != 1:
-        raise InternalConsistencyError(
-            f"torsion counts do not determine a unique abelian group (order {n})"
-        )
-    return matches[0]
+    how_many = Counter(orders)
 
+    def torsion(m):
+        return sum(c for o, c in how_many.items() if m % o == 0)
 
-def assignment(table: list[list[int]], e: int, invs: list[int]) -> list[tuple[int, ...]]:
-    """Explicit isomorphism: element index -> exponent tuple in Z_d1 x ... x Z_dk.
-
-    Brute-force search over generator tuples of the right orders.
-    """
-    n = len(table)
-    if not invs:
-        return [()] if n == 1 else _fail(n)
-    orders = [element_order(table, e, g) for g in range(n)]
-    candidates = [[g for g in range(n) if orders[g] == d] for d in invs]
-    for gens in product(*candidates):
-        elt_of: dict[tuple[int, ...], int] = {}
-        ok = True
-        for exps in product(*(range(d) for d in invs)):
-            x = e
-            for g, a in zip(gens, exps):
-                x = table[x][_power(table, e, g, a)]
-            if exps in elt_of:
-                ok = False
+    top: list[int] = []
+    rest = last = n
+    while rest > 1:
+        bound = gcd(last, rest)
+        last = next((m for m in range(2, bound + 1) if bound % m == 0
+                     and torsion(m) == rest * prod(gcd(m, d) for d in top)), 0)
+        if not last:
+            raise InternalConsistencyError(f"torsion counts fit no abelian group of order {n}")
+        top.append(last)
+        rest //= last
+    invs = top[::-1]
+    span = {e: (0,) * len(invs)}
+    for i in sorted(range(len(invs)), key=lambda i: -invs[i]):
+        for g in (g for g in range(n) if orders[g] == invs[i]):
+            powers = [e, g]
+            while len(powers) < invs[i]:
+                powers.append(table[powers[-1]][g])
+            if not any(x in span for x in powers[1:]):
                 break
-            elt_of[exps] = x
-        if ok and len(set(elt_of.values())) == n:
-            back = {v: k for k, v in elt_of.items()}
-            return [back[g] for g in range(n)]
-    return _fail(n)
-
-
-def _fail(n: int):
-    raise InternalConsistencyError(f"no generator tuple realizes the decomposition (order {n})")
+        else:
+            raise InternalConsistencyError(f"no generator of order {invs[i]} (group order {n})")
+        span = {table[x][y]: v[:i] + (a,) + v[i + 1:] for x, v in span.items()
+                for a, y in enumerate(powers)}
+    if len(span) != n:
+        raise InternalConsistencyError(f"the generators do not span the group of order {n}")
+    return tuple(invs), [span[x] for x in range(n)]
 
 
 def is_cyclic(table: list[list[int]], e: int) -> bool:

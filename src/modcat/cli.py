@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 
 from .errors import ModcatError, ParameterError, ResourceLimitError
@@ -252,6 +253,11 @@ def _dispatch(args) -> int:
 
 
 def main() -> None:
+    # a reader that closes the pipe early (`modcat so2 ... | head`) ends the
+    # process as it does other command-line tools, instead of raising the
+    # OSError that `run` reports as an input error
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
 
 

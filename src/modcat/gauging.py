@@ -45,7 +45,9 @@ class Z2Module:
             if self.action != "trivial":
                 raise UnsupportedInputError("only the trivial action on Q/Z is supported")
             return
-        object.__setattr__(self, "facs", tuple(int(d) for d in self.facs))
+        if isinstance(self.facs, str) or any(type(d) is not int for d in self.facs):
+            raise MalformedInputError(f"invariant factors must be ints, got {self.facs!r:.80}")
+        object.__setattr__(self, "facs", tuple(self.facs))
         if any(d < 1 for d in self.facs):
             raise MalformedInputError("invariant factors must be positive")
         if isinstance(self.action, str):
@@ -56,8 +58,11 @@ class Z2Module:
         object.__setattr__(self, "action", tuple(tuple(a) for a in self.action))
         elems = self.elements()
         rho = dict(zip(elems, self.action))
-        if len(rho) != len(elems):
+        if len(self.action) != len(elems):
             raise MalformedInputError("action table length does not match group order")
+        images = set(self.action)
+        if not images <= set(elems) or any(type(x) is not int for a in images for x in a):
+            raise MalformedInputError("action images must be group elements, as tuples of ints")
         # additive iff rho(a + e) = rho(a) + rho(e) for every a and every
         # generator e (one coordinate 1, the rest 0), by induction on the
         # length of a word in the generators

@@ -269,7 +269,7 @@ def cyclic_metric_group(n: int, coeff: Fraction) -> MetricGroup:
 def cyclic_form(p_power: int, u: int) -> MetricGroup:
     """Standard form on Z_{p^k}: q(a) = u a^2 / p^k for odd p (u a unit),
     q(a) = u a^2 / 2^{k+1} for p = 2 (u odd)."""
-    fac = factorint(p_power)
+    fac = factorint(p_power) if p_power > 0 else {}
     if len(fac) != 1:
         raise ParameterError(f"{p_power} is not a prime power")
     (p, k), = fac.items()

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import isqrt, lcm
 
 import numpy as np
 
-from ._abelian import assignment, invariant_factors, squarefree_part
+from ._abelian import decompose, squarefree_part
 from .errors import (
     DegenerateInputError,
     InternalConsistencyError,
@@ -366,9 +366,9 @@ def _int_row(row, length: int, what: str) -> list[int]:
     return row
 
 
-@dataclass
+@dataclass(frozen=True)
 class AxiomReport:
-    violations: list[tuple[str, tuple[int, ...]]] = field(default_factory=list)
+    violations: tuple[tuple[str, tuple[int, ...]], ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -423,8 +423,7 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     """
     r, cells, mults = ring.rank, ring.cells, ring.mults
     dual = np.asarray(ring.dual)
-    report = AxiomReport()
-    found = report.violations
+    found: list[tuple[str, tuple[int, ...]]] = []
 
     if dual[0] != 0:
         found.append(("dual_of_unit", (0,)))
@@ -462,10 +461,10 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     if not found:
         middle = _generators(ring, block, i, j, k)
         if not _associativity(ring, vals, block, i, j, k, ij, jk, middle):
-            return report
+            return AxiomReport()
         middle[:] = True
     found += _associativity(ring, vals, block, i, j, k, ij, jk, middle)
-    return report
+    return AxiomReport(tuple(found))
 
 
 def _generators(ring: FusionRing, block, i, j, k) -> np.ndarray:
@@ -755,27 +754,15 @@ def asymptotic_dim_ratio(ring: FusionRing, i: int, n: int) -> float:
 
 @dataclass(frozen=True)
 class InvertibleGroup:
-    """A set of invertible indices together with its fusion group law."""
+    """The invertible objects, increasing, and their fusion group law:
+    elements[table[a][b]] = elements[a] (x) elements[b]."""
 
     elements: tuple[int, ...]
-    product: dict  # (i, j) -> k on elements
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.elements
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def _table(self) -> tuple[list[list[int]], int]:
-        pos = {g: n for n, g in enumerate(self.elements)}
-        table = [
-            [pos[self.product[(a, b)]] for b in self.elements] for a in self.elements
-        ]
-        return table, pos[self.elements[0]] if 0 not in pos else pos[0]
+    table: tuple[tuple[int, ...], ...]
 
     def invariant_factors(self) -> list[int]:
-        table, e = self._table()
-        return invariant_factors(table, e)
+        # the unit, object 0, is the first element
+        return list(decompose(self.table, 0)[0])
 
 
 def invertibles(ring: FusionRing) -> InvertibleGroup:
@@ -798,8 +785,10 @@ def invertibles(ring: FusionRing) -> InvertibleGroup:
         or not inv[k[among]].all()
     ):
         raise InternalConsistencyError("invertible objects are not closed under fusion")
-    product = {(a, b): c for a, b, c in zip(*(x[among].tolist() for x in (i, j, k)))}
-    return InvertibleGroup(elems, product)
+    pos = np.cumsum(inv) - 1
+    table = np.empty((len(elems), len(elems)), dtype=np.int64)
+    table[pos[i[among]], pos[j[among]]] = pos[k[among]]
+    return InvertibleGroup(elems, tuple(map(tuple, table.tolist())))
 
 
 def subring_generated(ring: FusionRing, seeds) -> tuple[int, ...]:
@@ -891,10 +880,8 @@ def universal_grading(ring: FusionRing) -> Grading:
         )
     table = (triples % n_comp).reshape(n_comp, n_comp).tolist()
 
-    e = int(comp[0])
-    invs = invariant_factors(table, e)
-    comp_assign = assignment(table, e, invs)
-    return Grading(group=tuple(invs), assignment=tuple(comp_assign[c] for c in comp.tolist()))
+    invs, comp_assign = decompose(table, int(comp[0]))
+    return Grading(group=invs, assignment=tuple(comp_assign[c] for c in comp.tolist()))
 
 
 def gn_grading(ring: FusionRing) -> Grading:
@@ -916,9 +903,5 @@ def gn_grading(ring: FusionRing) -> Grading:
             if t3 not in pos:
                 raise InternalConsistencyError("square-free parts are not closed")
             table[pos[t1]][pos[t2]] = pos[t3]
-    invs = invariant_factors(table, pos[1])
-    comp_assign = assignment(table, pos[1], invs)
-    return Grading(
-        group=tuple(invs),
-        assignment=tuple(comp_assign[pos[parts[v]]] for v in of),
-    )
+    invs, comp_assign = decompose(table, pos[1])
+    return Grading(group=invs, assignment=tuple(comp_assign[pos[parts[v]]] for v in of))

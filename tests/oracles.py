@@ -144,19 +144,21 @@ def gauss_sums_bruteforce(rd) -> tuple[complex, complex]:
 
 
 def invertibles_bruteforce(fusion, dual):
-    """(elements, {(a, b): c}) for the X with X (x) X* = 1, or None when a
-    product of two of them is not a single one of them."""
+    """(elements, table) for the X with X (x) X* = 1, where elements[table[a][b]]
+    is the product of elements[a] and elements[b], or None when a product of
+    two of them is not a single one of them."""
     N = _ints(fusion)
     r = len(N)
     elems = [i for i in range(r) if sum(N[i][dual[i]]) == 1]
-    product = {}
+    table = []
     for a in elems:
+        table.append([])
         for b in elems:
             ks = [k for k in range(r) if N[a][b][k]]
             if len(ks) != 1 or N[a][b][ks[0]] != 1 or ks[0] not in elems:
                 return None
-            product[(a, b)] = ks[0]
-    return tuple(elems), product
+            table[-1].append(elems.index(ks[0]))
+    return tuple(elems), tuple(map(tuple, table))
 
 
 def grading_bruteforce(grading, fusion) -> tuple[bool, bool]:
@@ -468,12 +470,15 @@ def _lcm_order(chain, elem):
     return out
 
 
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def _chains(order):
     """All invariant-factor chains (d_1 | d_2 | ... , product = order)."""
     if order == 1:
         yield ()
         return
-    from modcat._abelian import divisors
 
     def rec(remaining, max_d):
         if remaining == 1:

@@ -371,6 +371,29 @@ def test_lazy_exports_keep_the_public_names():
         modcat.no_such_name  # noqa: B018
 
 
+def test_a_reader_that_closes_the_pipe_early_is_no_input_error(tmp_path):
+    src = str(Path(modcat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def main(*argv):
+        return [sys.executable, "-c", f"import sys; from modcat.cli import main; "
+                f"sys.argv[1:] = {list(argv)!r}; main()"]
+
+    with open(tmp_path / "err", "w+") as err:
+        proc = subprocess.Popen(main("so2", "--n", "2000", "--format", "json"), env=env,
+                                stdout=subprocess.PIPE, stderr=err)
+        proc.stdout.read(50)
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err.seek(0)
+        assert "error:" not in err.read()
+    assert code != EXIT_USAGE
+    # a ring file that is not there is still an input error
+    missing = subprocess.run(main("grading", "--ring", str(tmp_path / "none.json")), env=env,
+                             capture_output=True, text=True)
+    assert missing.returncode == EXIT_USAGE and missing.stderr.startswith("error:")
+
+
 def test_gradings_and_isomorphism_load_no_masked_arrays():
     # the first np.unique in a process imports numpy.ma, about 16 ms
     src = str(Path(modcat.__file__).resolve().parents[1])

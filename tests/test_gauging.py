@@ -161,6 +161,18 @@ class TestCohomology:
             with pytest.raises(MalformedInputError, match="must be positive"):
                 z2_cohomology(Z2Module(facs, action), 2)
 
+    @pytest.mark.parametrize(
+        "args",
+        [((2.5,),), (("4",),), ((True, 2),), ((3,), ((0,), (2.0,), (1.0,))), ("Z2",),
+         ((3,), ((5,), (1,), (2,))), ((3,), ((0,), (2,), (1,), (0,)))],
+        ids=["float_factor", "str_factor", "bool_factor", "float_images", "unknown_name",
+             "image_outside_group", "action_too_long"],
+    )
+    def test_rejects_what_is_not_a_module(self, args):
+        # nothing is coerced: a float, string or bool is refused, not read as an int
+        with pytest.raises(MalformedInputError):
+            Z2Module(*args)
+
 
 # ---------------------------------------------------------------------------
 # gauging data
@@ -294,7 +306,7 @@ def _all_condensations(ring) -> int:
     """Compare every nontrivial invertible and the first non-invertible
     object; returns how many gave a report."""
     group = invertibles(ring)
-    others = [x for x in range(ring.rank) if x not in group]
+    others = [x for x in range(ring.rank) if x not in group.elements]
     return sum(same_condensation(ring, b) is not None for b in [*group.elements[1:], *others[:1]])
 
 

@@ -144,8 +144,9 @@ class TestCyclicForms:
             cyclic_form(8, 2)
 
     def test_rejects_non_prime_power(self):
-        with pytest.raises(ParameterError):
-            cyclic_form(12, 1)
+        for p_power in (12, 1, 0, -4):
+            with pytest.raises(ParameterError, match="not a prime power"):
+                cyclic_form(p_power, 1)
 
 
 class TestEnumeration:

@@ -1,8 +1,11 @@
 """Fusion-ring core: axioms, dimensions, gradings, hom spaces."""
 
 import hashlib
+import itertools
 import json
+import random
 import time
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -37,6 +40,7 @@ from modcat import (
     verify_axioms,
 )
 import modcat.ring as ring_module
+from modcat._abelian import decompose
 from modcat.catalog import fibonacci_ring, ising_ring
 from modcat.modular import FLOAT_TOL
 from modcat.ring import ONE, _is_character, _sum_matrix, is_commutative
@@ -202,7 +206,7 @@ class TestStorage:
                 invertibles(ring)
         else:
             group = invertibles(ring)
-            assert (group.elements, group.product) == want
+            assert (group.elements, group.table) == want
 
     def test_large_ring_never_builds_the_dense_view(self, monkeypatch):
         # with no room for a dense tensor, a layer that built one would raise
@@ -235,7 +239,7 @@ class TestStorage:
         for a, b, c in (np.unravel_index(cell, (r, r, r)) for cell in (raised, added)):
             for x, y in np.ndindex(r, r):
                 quads |= {(a, b, x, y), (x, y, b, c), (x, a, b, y), (a, x, y, c)}
-        violations = verify_axioms(bad).violations
+        violations = list(verify_axioms(bad).violations)
         assert any(kind == "associativity" for kind, _ in violations)
         assert violations == oracles.verify_axioms_bruteforce(
             dense.reshape(r, r, r), ring.dual, quads
@@ -347,7 +351,7 @@ def _certified(ring):
         return real(*args)
 
     with mock.patch.object(ring_module, "_associativity", side_effect=spy):
-        violations = verify_axioms(ring).violations
+        violations = list(verify_axioms(ring).violations)
     gens = None if masks[0].all() else np.flatnonzero(masks[0]).tolist()
     return gens, violations, any(mask.all() for mask in masks)
 
@@ -382,6 +386,9 @@ class TestAxioms:
         report = verify_axioms(bad)
         assert not report.ok
         assert any("assoc" in name for name, _ in report.violations)
+        assert isinstance(report.violations, tuple)
+        with pytest.raises(FrozenInstanceError):
+            report.violations = ()
 
     def test_broken_unit_reported(self):
         fusion = np.zeros((2, 2, 2), dtype=np.int64)
@@ -440,7 +447,7 @@ class TestAxioms:
             dual[a], dual[b] = b, a
         ring = FusionRing(tuple(map(str, range(r))), dual, fusion)
         with mock.patch.object(ring_module, "ASSOC_BATCH", batch):
-            violations = verify_axioms(ring).violations
+            violations = list(verify_axioms(ring).violations)
         assert violations == oracles.verify_axioms_bruteforce(fusion, dual)
 
     def test_noncommutative_group_ring(self):
@@ -461,7 +468,7 @@ class TestAxioms:
         assert {kind for kind, _ in report.violations} == {
             "frobenius_left", "frobenius_right", "associativity"
         }
-        assert report.violations == oracles.verify_axioms_bruteforce(fusion, dual)
+        assert list(report.violations) == oracles.verify_axioms_bruteforce(fusion, dual)
 
     def test_sums_without_packed_positions(self):
         # keys too large to carry their positions in the low bits are argsorted
@@ -496,7 +503,7 @@ class TestAxioms:
         fusion, dual = case
         ring = FusionRing(tuple(map(str, range(len(fusion)))), dual, fusion)
         with mock.patch.object(ring_module, "ASSOC_BATCH", batch):
-            violations = verify_axioms(ring).violations
+            violations = list(verify_axioms(ring).violations)
         assert {kind for kind, _ in violations} <= {"associativity"}
         assert violations == oracles.verify_axioms_bruteforce(fusion, dual)
 
@@ -919,6 +926,75 @@ class TestStructure:
         assert invertibles(so_rings(7)).invariant_factors() == [2]
         assert invertibles(so_rings(12)).invariant_factors() == [2, 2]
         assert invertibles(so_rings(10)).invariant_factors() == [4]
+        # a value: frozen, and hashable since the group law is a tuple table
+        group = invertibles(so_rings(12))
+        assert hash(group) == hash(invertibles(so_rings(12)))
+        with pytest.raises(FrozenInstanceError):
+            group.table = ()
+
+    def test_decompose_every_small_abelian_group(self):
+        # Z_d1 x ... x Z_dk with its elements relabelled at random: the
+        # factors are the chain, and the exponents an isomorphism onto it
+        rng = random.Random(0)
+        for order in range(1, 65):
+            for chain in oracles._chains(order):
+                elems = list(itertools.product(*(range(d) for d in chain)))
+                label = rng.sample(range(order), order)
+                at = {x: label[n] for n, x in enumerate(elems)}
+                table = [[0] * order for _ in elems]
+                for x in elems:
+                    for y in elems:
+                        z = tuple((a + b) % d for a, b, d in zip(x, y, chain))
+                        table[at[x]][at[y]] = at[z]
+                invs, exps = decompose(table, at[elems[0]])
+                assert invs == chain
+                assert sorted(exps) == elems
+                for x in range(order):
+                    for y in range(order):
+                        assert exps[table[x][y]] == tuple(
+                            (a + b) % d for a, b, d in zip(exps[x], exps[y], chain)
+                        ), (chain, x, y)
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "A4", "Heisenberg"])
+    def test_decompose_refuses_non_abelian_groups(self, name):
+        if name == "Heisenberg":
+            # exponent 3 and the torsion counts of Z3^3: only commutativity tells
+            elems = list(itertools.product(range(3), repeat=3))
+
+            def law(x, y):
+                return tuple((a + b + (x[0] * y[1] if i == 2 else 0)) % 3
+                             for i, (a, b) in enumerate(zip(x, y)))
+        else:
+            perms = {
+                "S3": permutations(range(3)),
+                "D4": [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2),
+                       (3, 2, 1, 0), (0, 3, 2, 1), (1, 0, 3, 2), (2, 1, 0, 3)],
+                "A4": [p for p in permutations(range(4))
+                       if sum(p[a] > p[b] for a in range(4) for b in range(a)) % 2 == 0],
+            }[name]
+            elems = list(perms)
+
+            def law(x, y):
+                return tuple(x[i] for i in y)
+        table = [[elems.index(law(x, y)) for y in elems] for x in elems]
+        with pytest.raises(UnsupportedInputError, match="not abelian"):
+            decompose(table, 0)
+
+    def test_decompose_refuses_tables_that_are_no_group(self):
+        # commutative, with a unit and inverses, but not associative
+        with pytest.raises(InternalConsistencyError, match="torsion counts"):
+            decompose([[0, 1, 2], [1, 0, 0], [2, 0, 0]], 0)
+        with pytest.raises(InternalConsistencyError, match="do not span"):
+            decompose([[0, 1, 2, 3], [1, 0, 2, 1], [2, 2, 0, 2], [3, 1, 2, 0]], 0)
+
+    def test_grading_of_a_large_elementary_group_is_fast(self):
+        # generators are picked greedily, not searched among all tuples
+        fusion = oracles.pointed_fusion_bruteforce((2,) * 5)
+        ring = FusionRing(tuple(map(str, range(32))), tuple(range(32)), fusion)
+        start = time.perf_counter()
+        grading = universal_grading(ring)
+        assert time.perf_counter() - start < 0.5
+        assert grading.group == (2,) * 5
 
     def test_subring_generated_contains_seeds_and_closes(self, so_rings):
         r = so_rings(12)
