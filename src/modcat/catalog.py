@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,12 +23,12 @@ from .errors import InternalConsistencyError, ParameterError
 from .gauging import (
     GaugingDatum,
     assemble_ring,
+    check_ring_size,
     count_gaugings_per_form,
     particle_hole_rules,
     stack_rows,
 )
 from .metric import classify_forms, enumerate_cyclic_metric_groups, enumerate_forms
-from .modular import Phase, RibbonData
 from .ring import (
     AlgebraicReal,
     FusionRing,
@@ -35,6 +36,9 @@ from .ring import (
     exact_dimensions,
     universal_grading,
 )
+
+if TYPE_CHECKING:
+    from .modular import RibbonData
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +80,7 @@ def _build_four_divides(n: int) -> FusionRing:
     sqrt(N/2).  Index reflections xi (X-range) and rho (Y-range) fold
     out-of-range sums back into the basis.
     """
+    check_ring_size(n)
     r = n // 4 - 1
     h = n // 2
     one, two, root = AlgebraicReal.of(1), AlgebraicReal.of(2), AlgebraicReal.sqrt(h)
@@ -316,6 +321,8 @@ def _ising_squared_ring() -> FusionRing:
 def ising_squared_data(p: IsingParams) -> RibbonData:
     """Ribbon data of Ising^{nu1} x Ising^{nu2}: factor twists multiply,
     with theta_sig = e^{pi i nu / 8}."""
+    from .modular import Phase, RibbonData  # only the ribbon data loads modular
+
     ring = _ising_squared_ring()
     factor_twists = {
         "1": Fraction(0),

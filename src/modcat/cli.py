@@ -7,6 +7,7 @@ Exit codes: 0 = success / all checks pass, 1 = a check failed,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import signal
 import sys
@@ -80,6 +81,14 @@ def _load_ring(path: str):
         return FusionRing.loads(fh.read())
 
 
+def _ring_or_so_n2(args):
+    # the catalog, and with it the gauging and metric modules, only for --n
+    if args.ring is not None:
+        return _load_ring(args.ring)
+    from .catalog import build_so_n2
+    return build_so_n2(args.n)
+
+
 def _print_ring(r, fmt: str) -> None:
     from .ring import fp_dimensions
     if fmt == "json":
@@ -142,8 +151,8 @@ def _dispatch(args) -> int:
         return EXIT_OK if report.ok else EXIT_CHECK_FAILED
 
     if args.cmd == "dims":
-        from . import catalog, ring as ring_mod
-        r = _load_ring(args.ring) if args.ring else catalog.build_so_n2(args.n)
+        from . import ring as ring_mod
+        r = _ring_or_so_n2(args)
         dims = ring_mod.fp_dimensions(r)
         if fmt == "json":
             print(json.dumps({"labels": list(r.labels), "dims": list(map(float, dims))}))
@@ -153,8 +162,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.cmd == "grading":
-        from . import catalog, ring as ring_mod
-        r = _load_ring(args.ring) if args.ring else catalog.build_so_n2(args.n)
+        from . import ring as ring_mod
+        r = _ring_or_so_n2(args)
         g = ring_mod.gn_grading(r) if args.gn else ring_mod.universal_grading(r)
         comps = {
             ",".join(map(str, k)): [r.labels[i] for i in v]
@@ -258,7 +267,12 @@ def main() -> None:
     # OSError that `run` reports as an input error
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # the answer is printed: freezing moves every object numpy and modcat
+    # allocated into the permanent generation, which the full collections
+    # at shutdown skip; atexit handlers and stream flushes still run
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -21,10 +21,15 @@ from .errors import (
     MalformedInputError,
     ParameterError,
     PreconditionError,
+    ResourceLimitError,
     UnsupportedInputError,
 )
 from .metric import MetricGroup
 from .ring import AlgebraicReal, FusionRing, _distinct, exact_dimensions
+
+# nonzeros of the largest metaplectic ring built: 1 GiB of int64 cells and
+# multiplicities, about N = 11 600
+NONZERO_LIMIT = 2**26
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +244,23 @@ def gauge_particle_hole(mg: MetricGroup, datum: GaugingDatum | None = None) -> F
 def particle_hole_rules(datum: GaugingDatum) -> tuple:
     """The gauged object algebra as `assemble_ring` arguments
     (objects, dims, i, j, k); it depends on N and alpha only."""
+    check_ring_size(datum.n)
     if datum.n % 2:
         return _gauge_odd(datum.n)
     return _gauge_even(datum.n, datum.alpha)
+
+
+def check_ring_size(n: int) -> None:
+    """Refuse, before any rule is emitted, a ring of SO(N)_2 or of the
+    particle-hole gauging of Z_N whose nonzeros would pass NONZERO_LIMIT."""
+    # every multiplicity is 1, for both routes and every alpha: 2h^2 + 30h + 32
+    # nonzeros for N = 2h and 2h^2 + 17h + 16 for N = 2h + 1
+    h = n // 2
+    nonzeros = 2 * h * h + (17 * h + 16 if n % 2 else 30 * h + 32)
+    if nonzeros > NONZERO_LIMIT:
+        raise ResourceLimitError(
+            f"the ring for N = {n} would have {nonzeros} nonzeros, "
+            f"above the limit {NONZERO_LIMIT}")
 
 
 def _invertible_rows(action) -> list:

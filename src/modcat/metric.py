@@ -17,13 +17,16 @@ import json
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._abelian import factorint
 from .errors import MalformedInputError, ParameterError, ResourceLimitError
-from .modular import Phase, RibbonData
 from .ring import AlgebraicReal, FusionRing, _int_rows, _parse_json
+
+if TYPE_CHECKING:
+    from .modular import RibbonData
 
 BRUTE_FORCE_LIMIT = 10_000
 ORDER_LIMIT = 1_000_000  # largest group order the JSON loader and enumeration accept
@@ -398,6 +401,8 @@ def classify_forms(forms: list[MetricGroup]) -> list[list[MetricGroup]]:
 
 def pointed_ribbon_data(mg: MetricGroup) -> RibbonData:
     """Pointed ribbon data: fusion = group law, dims 1, twist of a = q(a)."""
+    from .modular import Phase, RibbonData  # only the ribbon data loads modular
+
     n, shape = mg.order, mg._shape
     width = len(str(n - 1))
     labels = tuple(f"g{i:0{width}d}" for i in range(n))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from modcat import (
     AlgebraicReal,
     FusionRing,
+    GaugingDatum,
     ParameterError,
     ResourceLimitError,
     based_ring_isomorphism,
@@ -31,9 +32,9 @@ from modcat import (
     verify_axioms,
 )
 import modcat.ring as ring_module
-from modcat import catalog
+from modcat import catalog, gauging
 from modcat.catalog import IsingParams
-from modcat.metric import enumerate_cyclic_metric_groups
+from modcat.metric import enumerate_cyclic_metric_groups, standard_cyclic_metric_group
 from modcat.ring import fp_dimensions
 
 import oracles
@@ -131,6 +132,23 @@ class TestBuild:
     def test_rejects_bad_n(self):
         with pytest.raises(ParameterError):
             build_so_n2(1)
+
+    def test_size_cap_counts_the_nonzeros_exactly(self, monkeypatch):
+        # with the cap at a ring's own nonzero count the ring is built, and
+        # one below it is refused, on both routes and for every alpha
+        for n in range(2, 70):
+            mg = standard_cyclic_metric_group(n)
+            builds = [lambda: build_so_n2(n)] + [
+                lambda a=a: gauge_particle_hole(mg, GaugingDatum(n, a)) for a in range(2 - n % 2)
+            ]
+            for build in builds:
+                nonzeros = len(build().cells)
+                monkeypatch.setattr(gauging, "NONZERO_LIMIT", nonzeros)
+                build()
+                monkeypatch.setattr(gauging, "NONZERO_LIMIT", nonzeros - 1)
+                with pytest.raises(ResourceLimitError, match="nonzeros"):
+                    build()
+                monkeypatch.undo()
 
     def test_bit_identical_to_recorded_digests(self):
         # labels, duality, exact dims and the tensor, order included, for

@@ -1,5 +1,6 @@
 """CLI: dispatch, exit codes, JSON round trips, malformed input files."""
 
+import gc
 import io
 import json
 import os
@@ -40,6 +41,9 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert run(["verify", "--ring", "/nonexistent.json"]) == EXIT_USAGE
+        # an empty path is a file that is not there, not a missing --n
+        assert run(["dims", "--ring", ""]) == EXIT_USAGE
+        assert run(["grading", "--ring", ""]) == EXIT_USAGE
 
     def test_verify_pass_and_fail(self, tmp_path, capsys):
         good = tmp_path / "good.json"
@@ -320,11 +324,17 @@ def test_import_loads_no_heavy_optional_module():
     assert out.stdout.strip() == ""
 
 
-def _fresh(code: str) -> str:
+def _python(*args, text=True):
+    """A fresh interpreter on this checkout's package, with its output captured."""
     src = str(Path(modcat.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True).stdout.strip()
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=text)
+
+
+def _fresh(code: str) -> str:
+    proc = _python("-c", code)
+    proc.check_returncode()
+    return proc.stdout.strip()
 
 
 # the names `import modcat` exported before they were loaded lazily
@@ -405,3 +415,69 @@ def test_gradings_and_isomorphism_load_no_masked_arrays():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("cmd", [
+    "so2 --n 10000000", "sixteen-m --m 10001", "so2 --n 40000", "so2 --n 40001",
+    "so2 --n 999998", "so2 --n 999999", "gauge --n 999999",
+])
+def test_oversized_builds_are_refused_fast(cmd):
+    # under a 3 GiB address space, so that a build that is not refused fails
+    # in the child instead of filling the memory of the host; the modules are
+    # imported before the clock starts
+    proc = _python("-c", "import resource, time\n"
+                   "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+                   "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, hard))\n"
+                   "import modcat.catalog; from modcat.cli import run\n"
+                   f"start = time.perf_counter(); code = run({cmd.split()!r})\n"
+                   "print(code, time.perf_counter() - start)")
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    code, seconds = proc.stdout.split()
+    assert int(code) == EXIT_USAGE and float(seconds) < 1.0
+
+
+def test_main_keeps_the_exit_contract(tmp_path, capsys):
+    # main() freezes the heap before it exits; the output is still flushed
+    # in full and the exit code is still run's
+    def main(*argv):
+        return _python("-m", "modcat.cli", *argv, text=False)
+
+    big = main("so2", "--n", "600", "--format", "json")
+    assert big.returncode == EXIT_OK
+    assert run(["so2", "--n", "600", "--format", "json"]) == EXIT_OK
+    assert big.stdout == capsys.readouterr().out.encode()
+
+    r = build_so_n2(6)
+    fusion = r.fusion.copy()
+    fusion[1, 1, 2] += 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(FusionRing(r.labels, r.dual, fusion).dumps())
+    assert main("verify", "--ring", str(bad)).returncode == EXIT_CHECK_FAILED
+    assert main("so2").returncode == EXIT_USAGE
+    # only main() freezes: in-process callers keep a heap the collector can clear
+    assert gc.get_freeze_count() == 0
+
+
+@pytest.mark.parametrize("cmd, loaded", [
+    ("so2 --n 12", "catalog gauging"),
+    ("census --n 12", "catalog gauging"),
+    ("gauge --n 12", "gauging"),
+    ("condense --ring {ring} --boson fg", "gauging"),
+    ("metric enumerate --n 12", ""),
+    ("metric autos --file {form}", ""),
+    ("sixteen-m --m 3", "catalog gauging"),
+    ("verify --ring {ring}", ""),
+    ("dims --ring {ring}", ""),
+    ("grading --ring {ring}", ""),
+    ("ising2 --data 1 3", "catalog gauging modular"),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, cmd, loaded):
+    ring, form = tmp_path / "ring.json", tmp_path / "form.json"
+    ring.write_text(build_so_n2(12).dumps())
+    form.write_text(modcat.enumerate_cyclic_metric_groups(7)[0].dumps())
+    argv = [a.format(ring=ring, form=form) for a in cmd.split()]
+    out = _fresh("import io, sys; from contextlib import redirect_stdout, redirect_stderr; "
+                 "from modcat.cli import run\n"
+                 f"with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()): c = run({argv!r})\n"
+                 "print(c, *(m for m in ('catalog', 'gauging', 'modular') if 'modcat.' + m in sys.modules))")
+    assert out == f"{EXIT_OK} {loaded}".strip()
