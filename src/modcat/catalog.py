@@ -84,21 +84,11 @@ def _build_four_divides(n: int) -> FusionRing:
     r = n // 4 - 1
     h = n // 2
     one, two, root = AlgebraicReal.of(1), AlgebraicReal.of(2), AlgebraicReal.sqrt(h)
-    objects = {("i", a): a for a in ("1", "f", "g", "fg")}
-    dims = {k: one for k in objects}
-    wx = max(len(str(max(r - 1, 0))), 1)
-    wy = len(str(r))
-    for i in range(r):
-        objects[("X", i)] = f"X{i:0{wx}d}"
-        dims[("X", i)] = two
-    for i in range(r + 1):
-        objects[("Y", i)] = f"Y{i:0{wy}d}"
-        dims[("Y", i)] = two
-    for s in ("V", "W"):
-        for j in (1, 2):
-            objects[(s, j)] = f"{s}{j}"
-            dims[(s, j)] = root
-    return assemble_ring(objects, dims, *_four_divides_products(r), unit=("i", "1"))
+    wx, wy = len(str(r - 1)), len(str(r))
+    labels = ["1", "f", "g", "fg", *(f"X{i:0{wx}d}" for i in range(r)),
+              *(f"Y{i:0{wy}d}" for i in range(r + 1)), "V1", "V2", "W1", "W2"]
+    dims = [one] * 4 + [two] * (2 * r + 1) + [root] * 4
+    return assemble_ring(labels, dims, *_four_divides_products(r))
 
 
 def _four_divides_products(r: int) -> tuple:
@@ -180,10 +170,9 @@ def build_so_n2(n: int) -> FusionRing:
         return _build_four_divides(n)
     # the particle-hole gauging, assembled once under the SO(N)_2 labels,
     # which keep the canonical order of `assemble_ring`
-    objects, dims, *ijk = particle_hole_rules(GaugingDatum(n))
+    labels, dims, *ijk = particle_hole_rules(GaugingDatum(n))
     table = _RELABEL_ODD if n % 2 else _RELABEL_EVEN
-    objects = {k: table.get(lab, lab.replace("O", "X")) for k, lab in objects.items()}
-    return assemble_ring(objects, dims, *ijk)
+    return assemble_ring([table.get(lab, lab.replace("O", "X")) for lab in labels], dims, *ijk)
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +291,16 @@ class IsingParams:
 
 def _ising_squared_ring() -> FusionRing:
     ising = ising_ring()
-    names = ising.labels
-    objects = {}
-    dims = {}
-    for a in range(3):
-        for b in range(3):
-            objects[(a, b)] = f"{names[a]}*{names[b]}"
-            dims[(a, b)] = ising.exact_dims[a] * ising.exact_dims[b]
+    # (a, b) is key 3a + b
+    labels = [f"{a}*{b}" for a in ising.labels for b in ising.labels]
+    dims = [x * y for x in ising.exact_dims for y in ising.exact_dims]
 
     # N[(a, b), (c, d), (e, f)] = N[a, c, e] N[b, d, f]: every pair of
-    # nonzeros gives a row, repeated by its multiplicity; (a, b) is key 3a + b
+    # nonzeros gives a row, repeated by its multiplicity
     ijk, mults = np.array(ising.nonzero()), ising.mults
     p, q = np.divmod(np.arange(len(mults) ** 2), len(mults))
     rows = np.repeat(3 * ijk[:, p] + ijk[:, q], mults[p] * mults[q], axis=1)
-    return assemble_ring(objects, dims, *rows, unit=(0, 0))
+    return assemble_ring(labels, dims, *rows)
 
 
 def ising_squared_data(p: IsingParams) -> RibbonData:

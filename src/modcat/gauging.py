@@ -152,31 +152,24 @@ class GaugingDatum:
 # ring assembly from an abstract object algebra
 
 
-def assemble_ring(objects: dict, dims: dict, i, j, k, unit=None) -> FusionRing:
-    """Build a FusionRing from the products of an object-key algebra.
+def assemble_ring(labels: list, dims: list, i, j, k) -> FusionRing:
+    """Build a FusionRing from the products of an object algebra.
 
-    objects: key -> label; dims: key -> AlgebraicReal; unit: the unit key
-    (defaults to the key labeled '1').  Keys are numbered in the order of
-    `objects`; i, j, k are equal-length integer arrays of key numbers, each
-    row adding one to N[i, j, k], so a row listed twice gives multiplicity
-    2.  Objects are put in canonical order (unit, then invertibles by
-    label, then the rest by (dim, label)).
+    labels and dims are lists indexed by key number, with the unit at key 0;
+    i, j, k are equal-length integer arrays of key numbers, each row adding
+    one to N[i, j, k], so a row listed twice gives multiplicity 2.  Objects
+    are put in canonical order (unit, then invertibles by label, then the
+    rest by (dim, label)).
     """
-    keys = list(objects)
-    if unit is None:
-        unit = next(key for key in keys if objects[key] == "1")
     i, j, k = map(np.asarray, (i, j, k))
     # each distinct dims object is ranked once: callers share them
-    distinct = {id(d): d for d in dims.values()}
+    distinct = {id(d): d for d in dims}
     rank = {at: (d != 1, float(d)) for at, d in distinct.items()}
-    order = [unit] + sorted(
-        (key for key in keys if key != unit),
-        key=lambda key: (*rank[id(dims[key])], objects[key]),
-    )
+    order = [0] + sorted(range(1, len(labels)),
+                         key=lambda key: (*rank[id(dims[key])], labels[key]))
     r = len(order)
-    number = {key: n for n, key in enumerate(keys)}
     pos = np.empty(r, dtype=np.int64)
-    pos[[number[key] for key in order]] = np.arange(r)
+    pos[order] = np.arange(r)
 
     # the raveled cells (i * r + j) * r + k in canonical numbers, sorted in
     # place; a cell's multiplicity is the length of its run
@@ -193,19 +186,14 @@ def assemble_ring(objects: dict, dims: dict, i, j, k, unit=None) -> FusionRing:
     else:
         mult = np.ones(len(cells), dtype=np.int64)
     # X (x) Y contains the unit for exactly one Y, the dual of X
-    at = k == number[unit]
+    at = k == 0
     xy = np.sort(pos[i[at]] * r + pos[j[at]])
     x, y = np.divmod(xy[np.r_[True, xy[1:] != xy[:-1]]], r)
     once = np.bincount(x, minlength=r) == 1
     if not once.all():
         raise MalformedInputError(f"object {int(np.flatnonzero(~once)[0])} has no unique dual")
-    return FusionRing.from_nonzeros(
-        tuple(objects[key] for key in order),
-        tuple(y.tolist()),
-        cells,
-        mult,
-        tuple(dims[key] for key in order),
-    )
+    return FusionRing.from_nonzeros(tuple(labels[key] for key in order), tuple(y.tolist()),
+                                    cells, mult, tuple(dims[key] for key in order))
 
 
 def stack_rows(blocks) -> tuple:
@@ -243,7 +231,7 @@ def gauge_particle_hole(mg: MetricGroup, datum: GaugingDatum | None = None) -> F
 
 def particle_hole_rules(datum: GaugingDatum) -> tuple:
     """The gauged object algebra as `assemble_ring` arguments
-    (objects, dims, i, j, k); it depends on N and alpha only."""
+    (labels, dims, i, j, k); it depends on N and alpha only."""
     check_ring_size(datum.n)
     if datum.n % 2:
         return _gauge_odd(datum.n)
@@ -296,26 +284,18 @@ def _orbit_block(n: int, first: int, fixed: dict) -> list:
 
 
 def _gauge_odd(n: int) -> tuple:
-    orbit_reps = list(range(1, (n + 1) // 2))
-    width = len(str(max(orbit_reps, default=1)))
+    m = (n - 1) // 2
     one, two, root = AlgebraicReal.of(1), AlgebraicReal.of(2), AlgebraicReal.sqrt(n)
-    objects = {("inv", 0): "1", ("inv", 1): "z"}
-    dims = {("inv", 0): one, ("inv", 1): one}
-    for a in orbit_reps:
-        objects[("orb", a)] = f"O{a:0{width}d}"
-        dims[("orb", a)] = two
-    for j in (1, 2):
-        objects[("def", j)] = f"s{j}"
-        dims[("def", j)] = root
-
     # key numbers: 1 and z are 0 and 1, <a> is 1 + a, s1 and s2 follow
-    m = len(orbit_reps)
+    w = len(str(m))
+    labels = ["1", "z", *(f"O{a:0{w}d}" for a in range(1, m + 1)), "s1", "s2"]
+    dims = [one, one] + [two] * m + [root, root]
     orbits, s = np.arange(2, m + 2), np.array([m + 2, m + 3])
     # z fixes every orbit and swaps s1 and s2
     action = np.array([np.r_[0, 1, orbits, s], np.r_[1, 0, orbits, s[::-1]]])
     # <a> (x) s_j = s1 + s2, and s_i (x) s_j = 1 (z when i != j) + every orbit
     a, d = orbits[:, None, None], s[:, None]
-    return objects, dims, *stack_rows(
+    return labels, dims, *stack_rows(
         _invertible_rows(action)
         + _orbit_block(n, 2, {0: (0, 1)})
         + [(a, d, s), (d, a, s), (d, s, 1 - np.eye(2, dtype=np.int64)), (d[..., None], d, orbits)]
@@ -333,21 +313,12 @@ def _gauge_even(n: int, alpha: int) -> tuple:
     p = (base_p + alpha * h) % 2
     klein = h % 2 == 0  # invertible group Z2 x Z2 when N/2 even, Z4 otherwise
 
-    orbit_reps = list(range(1, h))
-    width = len(str(max(orbit_reps, default=1)))
     one, two, root = AlgebraicReal.of(1), AlgebraicReal.of(2), AlgebraicReal.sqrt(h)
-    objects = {("inv", g): g for g in ("1", "u1", "u2", "z")}
-    dims = dict.fromkeys(objects, one)
-    for a in orbit_reps:
-        objects[("orb", a)] = f"O{a:0{width}d}"
-        dims[("orb", a)] = two
-    for s in ("v", "w"):
-        for j in (1, 2):
-            objects[("def", s, j)] = f"{s}{j}"
-            dims[("def", s, j)] = root
-
     # key numbers: 1, u1, u2, z are 0..3, <a> is 3 + a, and v1, v2, w1, w2
     # are h + 3 + d for d = 0..3
+    w = len(str(h - 1))
+    labels = ["1", "u1", "u2", "z", *(f"O{a:0{w}d}" for a in range(1, h)), "v1", "v2", "w1", "w2"]
+    dims = [one] * 4 + [two] * (h - 1) + [root] * 4
     g = np.arange(4)
     orbits = np.arange(4, h + 3)
     # invertible group law: Klein on {1, u1, u2, z = u1 u2} when N/2 is even,
@@ -383,7 +354,7 @@ def _gauge_even(n: int, alpha: int) -> tuple:
     # <a> is orbits[a - 1]
     blocks += [(h + 3 + x, h + 3 + y, orbits[1 - parity[(x ^ y) >> 1]::2])
                for x in range(4) for y in range(4)]
-    return objects, dims, *stack_rows(
+    return labels, dims, *stack_rows(
         _invertible_rows(action) + _orbit_block(n, 4, {0: (0, 3), h: (1, 2)}) + blocks
     )
 
@@ -525,10 +496,15 @@ def _probe_cyclicity(ring, b, fixed, inv_pairs) -> dict:
     candidates = y[((cells[at] == want) & (mults[at] == 1)).all(axis=1)].tolist()
     fixed_set = set(fixed)
     inv_pair_set = {frozenset(p) for p in inv_pairs}
+    covered = set()  # a start inside a proper subgroup already walked generates no more
     for start in candidates:
+        if start in covered:
+            continue
         outcome = _generator_walk(ring, b, start, fixed_set, inv_pair_set)
         if outcome is not None and outcome[0] == n_inv and len(outcome[1]) == len(fixed):
             break
+        if outcome is not None and outcome[0] < n_inv:
+            covered |= outcome[1]
     else:
         return {**fields, "is_cyclic": False}
     if n_inv == 4:

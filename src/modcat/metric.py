@@ -30,8 +30,8 @@ if TYPE_CHECKING:
 
 BRUTE_FORCE_LIMIT = 10_000
 ORDER_LIMIT = 1_000_000  # largest group order the JSON loader and enumeration accept
-# largest product of the generator-image candidate counts `form_preserving_autos`
-# searches: (Z_2)^4 with the zero form (65 536, 20 160 automorphisms) takes 2 s
+# largest product of the generator-image candidate counts an isomorphism search
+# makes: (Z_2)^4 with the zero form (65 536, 20 160 automorphisms) takes 2 s
 # on a 2-vCPU VM; (Z_6)^3 with the zero form (10^7, 1.9 M automorphisms) is refused
 AUTOS_SEARCH_LIMIT = 100_000
 
@@ -311,14 +311,14 @@ def standard_cyclic_metric_group(n: int) -> MetricGroup:
     return _cyclic(n, coeffs[:1], den)[0]
 
 
-def _isomorphisms(m1: MetricGroup, m2: MetricGroup, limit: int | None = None):
+def _isomorphisms(m1: MetricGroup, m2: MetricGroup):
     """Yield the element map (index array) of every isomorphism A1 -> A2
     carrying q1 to q2.  Each generator image x_i is chosen in turn among the
     x with d_i x = 0, q2(x) = q1(e_i) and sigma2(x_j, x) = sigma1(e_j, e_i)
     for the x_j already chosen: a homomorphism keeping these Gram values
     keeps q, so only complete choices are expanded, and kept if bijective.
-    `ResourceLimitError` before the search when the product of the numbers
-    of candidates for each x_i, which bounds its leaves, exceeds `limit`."""
+    `ResourceLimitError` before the search when the leaves could pass
+    AUTOS_SEARCH_LIMIT, by the product of the candidate counts of the x_i."""
     if m1.facs != m2.facs or m1.den != m2.den:
         return
     shape, den, num = m1._shape, m2.den, m2.num
@@ -329,10 +329,10 @@ def _isomorphisms(m1: MetricGroup, m2: MetricGroup, limit: int | None = None):
         for i, d in enumerate(shape)
     ]
     leaves = prod(map(len, cands))
-    if limit is not None and leaves > limit:
+    if leaves > AUTOS_SEARCH_LIMIT:
         raise ResourceLimitError(
-            f"the automorphism search on {m1.facs} could reach {leaves} choices of "
-            f"generator images, above the limit of {limit}"
+            f"the isomorphism search on {m1.facs} could reach {leaves} choices of "
+            f"generator images, above the limit of {AUTOS_SEARCH_LIMIT}"
         )
 
     def extend(images):
@@ -353,7 +353,8 @@ def _isomorphisms(m1: MetricGroup, m2: MetricGroup, limit: int | None = None):
 
 
 def equivalence_test(m1: MetricGroup, m2: MetricGroup) -> bool:
-    """True iff some isomorphism phi has q2(phi(a)) = q1(a) for all a."""
+    """True iff some isomorphism phi has q2(phi(a)) = q1(a) for all a;
+    refused when the search could pass AUTOS_SEARCH_LIMIT leaves."""
     if m1.order != m2.order:
         return False
     if m1.order > BRUTE_FORCE_LIMIT:
@@ -368,7 +369,7 @@ def form_preserving_autos(mg: MetricGroup) -> list[tuple[int, ...]]:
     refused when the search could pass AUTOS_SEARCH_LIMIT leaves."""
     if mg.order > BRUTE_FORCE_LIMIT:
         raise ResourceLimitError(f"group order {mg.order} exceeds brute-force limit")
-    return sorted(tuple(phi.tolist()) for phi in _isomorphisms(mg, mg, AUTOS_SEARCH_LIMIT))
+    return sorted(tuple(phi.tolist()) for phi in _isomorphisms(mg, mg))
 
 
 def enumerate_forms(facs, nondegenerate_only: bool = True) -> list[MetricGroup]:

@@ -26,6 +26,7 @@ from modcat import (
     verify_axioms,
     z2_cohomology,
 )
+import modcat.gauging as gauging_module
 import modcat.ring as ring_module
 from modcat.gauging import assemble_ring, particle_hole_rules
 from modcat.metric import (
@@ -194,7 +195,7 @@ class TestAssembleRing:
     def test_a_row_listed_twice_has_multiplicity_two(self):
         # X (x) X = 1 + 2X, the row (X, X, X) listed twice
         ring = assemble_ring(
-            {"u": "1", "x": "X"}, {"u": self.ONE, "x": self.SILVER},
+            ["1", "X"], [self.ONE, self.SILVER],
             [0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 1, 1], [0, 1, 1, 0, 1, 1],
         )
         assert [m.tolist() for m in ring.row(1, 1)] == [[0, 1], [1, 2]]
@@ -203,18 +204,17 @@ class TestAssembleRing:
 
     @pytest.mark.parametrize("n, alpha", [(12, 0), (15, 0), (18, 0), (18, 1), (20, 1)])
     def test_row_order_does_not_matter(self, n, alpha):
-        objects, dims, *ijk = particle_hole_rules(GaugingDatum(n, alpha=alpha))
+        labels, dims, *ijk = particle_hole_rules(GaugingDatum(n, alpha=alpha))
         shuffle = np.random.default_rng(n).permutation(len(ijk[0]))
-        assert assemble_ring(objects, dims, *(x[shuffle] for x in ijk)) == assemble_ring(
-            objects, dims, *ijk
+        assert assemble_ring(labels, dims, *(x[shuffle] for x in ijk)) == assemble_ring(
+            labels, dims, *ijk
         )
 
     def test_no_unique_dual_is_malformed(self):
         # X (x) X = X: no object pairs with X to the unit
         with pytest.raises(MalformedInputError, match="no unique dual"):
             assemble_ring(
-                {"u": "1", "x": "X"}, {"u": self.ONE, "x": self.ONE},
-                [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1],
+                ["1", "X"], [self.ONE, self.ONE], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1],
             )
 
 
@@ -397,6 +397,24 @@ class TestCondensation:
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = 5
+
+    def test_walks_skip_starts_inside_a_walked_subgroup(self, so_rings, monkeypatch):
+        # condensing fg walked from every candidate start, 50 on SO(200)_2 and
+        # 250 on SO(1000)_2, though a start inside a proper subgroup already
+        # walked cannot generate the whole group
+        walk, calls = gauging_module._generator_walk, []
+
+        def counted(*args):
+            calls.append(args[2])
+            return walk(*args)
+
+        monkeypatch.setattr(gauging_module, "_generator_walk", counted)
+        for n in (200, 1000):
+            calls.clear()
+            ring = so_rings(n)
+            report = condense_boson(ring, ring.index("fg"))
+            assert (report.group_order, report.is_cyclic) == (n, True)
+            assert 1 <= len(calls) <= 2, (n, len(calls))
 
     def test_round_trip_recovers_cyclic_group(self):
         for n in range(3, 25):

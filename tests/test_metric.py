@@ -206,6 +206,15 @@ class TestEquivalence:
     def test_group_mismatch(self):
         assert not equivalence_test(cyclic_form(4, 1), cyclic_form(8, 1))
 
+    def test_search_size_is_bounded(self):
+        # the zero form on (Z_2)^5 could reach 32^5 choices of generator
+        # images; the unbounded search ran 14 s
+        zero = MetricGroup((2,) * 5, [Fraction(0)] * 32)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="isomorphism search"):
+            equivalence_test(zero, zero)
+        assert time.perf_counter() - start < 1.0
+
 
 class TestAutomorphisms:
     def test_contains_identity_and_negation(self):
