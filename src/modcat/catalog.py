@@ -4,10 +4,11 @@ the Ising x Ising modular data, and the dimension-16m component census.
 The 4|N fusion rules are hand-coded from the generator relations of the
 family (V1^2 = 1 + f + sum X_i, the X/Y index case formulas, and f/g
 translation); rings for 4-nondividing N are produced by the particle-hole
-gauging construction.  The two routes share no fusion arithmetic, only
-`assemble_ring` and `stack_rows`, which order, stack and sort the rows each
-route emits; that is what makes the based-ring isomorphism check between
-them meaningful.
+gauging construction.  Each route emits its rules as blocks of key numbers,
+broadcast arrays whose tables are views of one vector, and the two share no
+fusion arithmetic, only `assemble_ring`, which orders the objects and writes
+each block's cells into the ring; that is what makes the based-ring
+isomorphism check between them meaningful.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from ._abelian import squarefree_part
 from .errors import InternalConsistencyError, ParameterError
 from .gauging import (
     GaugingDatum,
+    _hankel,
+    _invertible_blocks,
     assemble_ring,
     check_ring_size,
     count_gaugings_per_form,
     particle_hole_rules,
-    stack_rows,
 )
 from .metric import classify_forms, enumerate_cyclic_metric_groups, enumerate_forms
 from .ring import (
@@ -72,8 +74,9 @@ def ising_ring() -> FusionRing:
 # SO(N)_2
 
 
-def _build_four_divides(n: int) -> FusionRing:
-    """The 4|N metaplectic ring from its listed fusion rules.
+def _four_divides_rules(n: int) -> tuple:
+    """The 4|N metaplectic ring's listed fusion rules as `assemble_ring`
+    arguments (labels, dims, blocks).
 
     Basis 1, f, g, fg, X_0..X_{r-1}, Y_0..Y_r, V_1, V_2, W_1, W_2 with
     r = N/4 - 1; X_i and Y_i have dimension 2, V/W have dimension
@@ -88,12 +91,12 @@ def _build_four_divides(n: int) -> FusionRing:
     labels = ["1", "f", "g", "fg", *(f"X{i:0{wx}d}" for i in range(r)),
               *(f"Y{i:0{wy}d}" for i in range(r + 1)), "V1", "V2", "W1", "W2"]
     dims = [one] * 4 + [two] * (2 * r + 1) + [root] * 4
-    return assemble_ring(labels, dims, *_four_divides_products(r))
+    return labels, dims, _four_divides_products(r)
 
 
-def _four_divides_products(r: int) -> tuple:
-    """Every product of the 4|N ring as the i, j, k arrays of `assemble_ring`,
-    in key numbers: 1, f, g, fg are 0..3, X_m is 4 + m, Y_m is 4 + r + m and
+def _four_divides_products(r: int) -> list:
+    """Every product of the 4|N ring as blocks of `assemble_ring`, in key
+    numbers: 1, f, g, fg are 0..3, X_m is 4 + m, Y_m is 4 + r + m and
     V1, V2, W1, W2 are 5 + 2r + d for d = 0..3."""
     one, f, g, fg = range(4)
     a = np.arange(4)
@@ -107,26 +110,27 @@ def _four_divides_products(r: int) -> tuple:
         [ys, ys[::-1], ys[::-1], ys],
         vw[[[0, 1, 2, 3], [0, 1, 3, 2], [1, 0, 2, 3], [1, 0, 3, 2]]],
     ])
-    keys = np.arange(action.shape[1])
-    rows = [row for x in a for row in ((x, keys, action[x]), (keys[4:], x, action[x, 4:]))]
+    blocks = _invertible_blocks(action)
     # X_i (x) V_j = V_1 + V_2, Y_i (x) V_j = W_1 + W_2, and alike for W
     d = a[:, None]
     for left, swap in ((xs, 0), (ys, 1)):
         e = vw[2 * ((d >> 1) ^ swap) + np.arange(2)]
-        rows += [(left[:, None, None], vw[d], e), (vw[d], left[:, None, None], e)]
+        blocks += [(left[:, None, None], vw[d], e), (vw[d], left[:, None, None], e)]
     # V_i V_i = 1 + f + sum X, V_1 V_2 = g + fg + sum X, and alike for W
     # with f and g exchanged; V_i W_j = sum Y
-    for x in a:
-        for y in a:
-            if x >> 1 != y >> 1:
-                rows.append((vw[x], vw[y], ys))
-                continue
-            fixer = (f, g)[x >> 1]
-            rows.append((vw[x], vw[y], np.r_[(one, fixer) if x == y else (fg ^ fixer, fg), xs]))
+    x, y = np.divmod(np.arange(16), 4)
+    same = x >> 1 == y >> 1
+    blocks.append((vw[x[~same], None], vw[y[~same], None], ys))
+    x, y = vw[x[same]], vw[y[same]]
+    fixer = np.where(x < vw[2], f, g)
+    blocks += [(x, y, np.where(x == y, one, fg ^ fixer)), (x, y, np.where(x == y, fixer, fg)),
+             (x[:, None], y[:, None], xs)]
 
     # X_i X_j = xi(i + j + 1) + (1 + fg if i = j, else X_{|i - j| - 1}) and
     # Y_i Y_j = xi(i + j) + the same second term, where xi(m) = X_m, folded
-    # to X_{2r - m} past r, and f + g at the fixed point m = r
+    # to X_{2r - m} past r, and f + g at the fixed point m = r; both tables
+    # are views, the second of near[|m|] from m = 1 - size up with its
+    # columns reversed
     m = np.arange(2 * r + 1)
     xi = 4 + np.minimum(m, 2 * r - m)
     xi[r] = f
@@ -135,9 +139,9 @@ def _four_divides_products(r: int) -> tuple:
     for size, start, shift in ((r, 4, 1), (r + 1, 4 + r, 0)):
         p = np.arange(size)
         left, right = p[:, None] + start, p + start
-        rows += [
-            (left, right, xi[p[:, None] + p + shift]),
-            (left, right, near[abs(p[:, None] - p)]),
+        blocks += [
+            (left, right, _hankel(xi[shift:], size, size)),
+            (left, right, _hankel(near[abs(np.arange(1 - size, size))], size, size)[:, ::-1]),
             # the second keys: g where i + j + shift = r, fg where i = j
             (p + start, r - shift - p + start, g),
             (p + start, p + start, fg),
@@ -145,14 +149,14 @@ def _four_divides_products(r: int) -> tuple:
 
     # X_p Y_q = Y_{rho(q - p - 1)} + Y_{rho(p + q + 1)}, and Y_q X_p alike;
     # rho folds m into 0..r, to -m - 1 below 0 and 2r + 1 - m past r, and
-    # is tabled here at m + r for m = -r..2r
+    # is tabled here at m + r for m = -r..2r.  Both tables are views: the
+    # first is the Hankel table of rho from m = -r, rows reversed
     m = np.arange(-r, 2 * r + 1)
     rho = 4 + r + np.where(m < 0, -m - 1, np.where(m > r, 2 * r + 1 - m, m))
     p, q = np.arange(r)[:, None], np.arange(r + 1)
-    for m in (q - p - 1, p + q + 1):
-        key = rho[m + r]
-        rows += [(4 + p, 4 + r + q, key), (4 + r + q, 4 + p, key)]
-    return stack_rows(rows)
+    for key in (_hankel(rho, r, r + 1)[::-1], _hankel(rho[r + 1:], r, r + 1)):
+        blocks += [(4 + p, 4 + r + q, key), (4 + r + q, 4 + p, key)]
+    return blocks
 
 
 _RELABEL_ODD = {"z": "Z", "s1": "V+", "s2": "V-"}
@@ -164,15 +168,20 @@ _RELABEL_EVEN = {
 
 def build_so_n2(n: int) -> FusionRing:
     """Metaplectic fusion ring of SO(N)_2 with exact dimensions attached."""
+    return assemble_ring(*so_n2_rules(n))
+
+
+def so_n2_rules(n: int) -> tuple:
+    """The rules of SO(N)_2 as `assemble_ring` arguments (labels, dims,
+    blocks): the listed 4|N rules, or else the particle-hole gauging under
+    the SO(N)_2 labels, which keep the canonical order of `assemble_ring`."""
     if n < 2:
         raise ParameterError("SO(N)_2 needs N >= 2")
     if n % 4 == 0:
-        return _build_four_divides(n)
-    # the particle-hole gauging, assembled once under the SO(N)_2 labels,
-    # which keep the canonical order of `assemble_ring`
-    labels, dims, *ijk = particle_hole_rules(GaugingDatum(n))
+        return _four_divides_rules(n)
+    labels, dims, blocks = particle_hole_rules(GaugingDatum(n))
     table = _RELABEL_ODD if n % 2 else _RELABEL_EVEN
-    return assemble_ring([table.get(lab, lab.replace("O", "X")) for lab in labels], dims, *ijk)
+    return [table.get(lab, lab.replace("O", "X")) for lab in labels], dims, blocks
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +299,20 @@ class IsingParams:
 
 
 def _ising_squared_ring() -> FusionRing:
+    return assemble_ring(*_ising_squared_rules())
+
+
+def _ising_squared_rules() -> tuple:
+    """Ising x Ising as `assemble_ring` arguments (labels, dims, blocks)."""
     ising = ising_ring()
     # (a, b) is key 3a + b
     labels = [f"{a}*{b}" for a in ising.labels for b in ising.labels]
     dims = [x * y for x in ising.exact_dims for y in ising.exact_dims]
 
-    # N[(a, b), (c, d), (e, f)] = N[a, c, e] N[b, d, f]: every pair of
-    # nonzeros gives a row, repeated by its multiplicity
-    ijk, mults = np.array(ising.nonzero()), ising.mults
-    p, q = np.divmod(np.arange(len(mults) ** 2), len(mults))
-    rows = np.repeat(3 * ijk[:, p] + ijk[:, q], mults[p] * mults[q], axis=1)
-    return assemble_ring(labels, dims, *rows)
+    # N[(a, b), (c, d), (e, f)] = N[a, c, e] N[b, d, f]: one block of every
+    # pair of nonzeros, each listed as often as its multiplicity
+    ijk = [np.repeat(x, ising.mults) for x in ising.nonzero()]
+    return labels, dims, [tuple(3 * x[:, None] + x for x in ijk)]
 
 
 def ising_squared_data(p: IsingParams) -> RibbonData:

@@ -12,7 +12,7 @@ import json
 import signal
 import sys
 
-from .errors import ModcatError, ParameterError, ResourceLimitError
+from .errors import ModcatError, ParameterError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -178,12 +178,6 @@ def _dispatch(args) -> int:
             if args.n is None:
                 raise ParameterError("metric enumerate needs --n")
             from . import metric
-            # refused before any table is built: classes x n q entries would be printed
-            entries = args.n * len(metric.cyclic_class_coefficients(args.n)[0])
-            if entries > metric.ORDER_LIMIT:
-                raise ResourceLimitError(
-                    f"metric enumerate --n {args.n} would print {entries} q entries, "
-                    f"above the limit {metric.ORDER_LIMIT}")
             forms = metric.enumerate_cyclic_metric_groups(args.n)
             if fmt == "json":
                 print(json.dumps([m.to_json_dict() for m in forms]))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -30,6 +31,9 @@ from .ring import AlgebraicReal, FusionRing, _distinct, exact_dimensions
 # nonzeros of the largest metaplectic ring built: 1 GiB of int64 cells and
 # multiplicities, about N = 11 600
 NONZERO_LIMIT = 2**26
+# cells `assemble_ring` encodes at a time: each temporary of a chunk then
+# takes at most 512 KiB
+ASSEMBLY_CHUNK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +156,15 @@ class GaugingDatum:
 # ring assembly from an abstract object algebra
 
 
-def assemble_ring(labels: list, dims: list, i, j, k) -> FusionRing:
+def assemble_ring(labels: list, dims: list, blocks) -> FusionRing:
     """Build a FusionRing from the products of an object algebra.
 
-    labels and dims are lists indexed by key number, with the unit at key 0;
-    i, j, k are equal-length integer arrays of key numbers, each row adding
-    one to N[i, j, k], so a row listed twice gives multiplicity 2.  Objects
-    are put in canonical order (unit, then invertibles by label, then the
-    rest by (dim, label)).
+    labels and dims are lists indexed by key number, with the unit at key 0.
+    Each block is a tuple (i, j, k) of integer arrays of key numbers,
+    broadcast together; each entry adds one to N[i, j, k], so a product
+    listed twice gives multiplicity 2.  Objects are put in canonical order
+    (unit, then invertibles by label, then the rest by (dim, label)).
     """
-    i, j, k = map(np.asarray, (i, j, k))
     # each distinct dims object is ranked once: callers share them
     distinct = {id(d): d for d in dims}
     rank = {at: (d != 1, float(d)) for at, d in distinct.items()}
@@ -171,12 +174,32 @@ def assemble_ring(labels: list, dims: list, i, j, k) -> FusionRing:
     pos = np.empty(r, dtype=np.int64)
     pos[order] = np.arange(r)
 
-    # the raveled cells (i * r + j) * r + k in canonical numbers, sorted in
-    # place; a cell's multiplicity is the length of its run
-    cells = pos[i]
-    for a in (j, k):
-        cells *= r
-        cells += pos[a]
+    # the raveled cells (i * r + j) * r + k in canonical numbers, each block
+    # written into its slice by chunks of leading rows, so that a temporary
+    # holds at most ASSEMBLY_CHUNK cells, or one row
+    blocks = [tuple(map(np.asarray, block)) for block in blocks]
+    grids = [np.broadcast(*block) for block in blocks]
+    ends = np.cumsum([0] + [grid.size for grid in grids]).tolist()
+    cells = np.empty(ends[-1], dtype=np.int64)
+    high, mid = pos * (r * r), pos * r
+    units = [high[:0]]  # i * r + j in canonical numbers wherever k is the unit
+    for block, grid, lo, hi in zip(blocks, grids, ends, ends[1:]):
+        shape = grid.shape or (1,)
+        out = cells[lo:hi].reshape(shape)
+        step = max(1, ASSEMBLY_CHUNK // max(prod(shape[1:]), 1))
+        for top in range(0, shape[0], step):
+            # an entry that does not run along the leading axis is used whole
+            i, j, k = block if step >= shape[0] else (
+                x[top:top + step] if x.ndim == len(shape) and len(x) > 1 else x for x in block)
+            part = out[top:top + step]
+            np.add(high[i], mid[j], out=part)
+            part += pos[k]
+            unit = k == 0
+            if unit.any():
+                at = np.zeros(part.shape, dtype=bool)
+                at |= unit
+                units.append(part[at] // r)
+    # sorted in place; a cell's multiplicity is the length of its run
     cells.sort()
     repeat = cells[1:] == cells[:-1]
     if repeat.any():
@@ -185,10 +208,10 @@ def assemble_ring(labels: list, dims: list, i, j, k) -> FusionRing:
         cells = cells[start]
     else:
         mult = np.ones(len(cells), dtype=np.int64)
+    del repeat  # before the ring's own checks allocate theirs
     # X (x) Y contains the unit for exactly one Y, the dual of X
-    at = k == 0
-    xy = np.sort(pos[i[at]] * r + pos[j[at]])
-    x, y = np.divmod(xy[np.r_[True, xy[1:] != xy[:-1]]], r)
+    xy = np.sort(np.concatenate(units))
+    x, y = np.divmod(xy[np.concatenate(([True], xy[1:] != xy[:-1]))], r)
     once = np.bincount(x, minlength=r) == 1
     if not once.all():
         raise MalformedInputError(f"object {int(np.flatnonzero(~once)[0])} has no unique dual")
@@ -196,17 +219,14 @@ def assemble_ring(labels: list, dims: list, i, j, k) -> FusionRing:
                                     cells, mult, tuple(dims[key] for key in order))
 
 
-def stack_rows(blocks) -> tuple:
-    """The i, j, k arguments of `assemble_ring` from a list of (i, j, k)
-    blocks, the three entries of each block broadcast together.  Key numbers
-    fit int32, since r^3 fits int64."""
-    grids = [np.broadcast(*block) for block in blocks]
-    ends = np.cumsum([0] + [grid.size for grid in grids]).tolist()
-    out = np.empty((3, ends[-1]), dtype=np.int32)
-    for block, grid, lo, hi in zip(blocks, grids, ends, ends[1:]):
-        for row, x in zip(out, block):
-            row[lo:hi].reshape(grid.shape)[...] = x
-    return tuple(out)
+def _hankel(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The rows x cols table H[a, b] = x[a + b], as a read-only view of the
+    first rows + cols - 1 entries of x, so that a rule table costs no memory
+    beyond x (`sliding_window_view` builds the same view in 16 us, not 2)."""
+    x = np.ascontiguousarray(x[:max(rows + cols - 1, 0)])
+    table = np.ndarray((rows, cols), x.dtype, x, strides=2 * x.strides)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +251,7 @@ def gauge_particle_hole(mg: MetricGroup, datum: GaugingDatum | None = None) -> F
 
 def particle_hole_rules(datum: GaugingDatum) -> tuple:
     """The gauged object algebra as `assemble_ring` arguments
-    (labels, dims, i, j, k); it depends on N and alpha only."""
+    (labels, dims, blocks); it depends on N and alpha only."""
     check_ring_size(datum.n)
     if datum.n % 2:
         return _gauge_odd(datum.n)
@@ -251,16 +271,16 @@ def check_ring_size(n: int) -> None:
             f"above the limit {NONZERO_LIMIT}")
 
 
-def _invertible_rows(action) -> list:
-    """The rows g (x) x and x (x) g = action[g, x] for every invertible key
+def _invertible_blocks(action) -> list:
+    """The blocks g (x) x and x (x) g = action[g, x] for every invertible key
     number g, which are the first len(action) keys."""
     g, keys = len(action), np.arange(action.shape[1])
-    return [block for x in range(g)
-            for block in ((x, keys, action[x]), (keys[g:], x, action[x, g:]))]
+    x = np.arange(g)[:, None]
+    return [(x, keys, action), (keys[g:], x, action[:, g:])]
 
 
 def _orbit_block(n: int, first: int, fixed: dict) -> list:
-    """The orbit x orbit products <a> (x) <b> = [a + b] + [a - b] as row blocks.
+    """The orbit x orbit products <a> (x) <b> = [a + b] + [a - b] as blocks.
 
     The orbit <c>, 0 < c < N/2, has key number first + c - 1; [c] is the
     orbit of c, or the two invertible key numbers fixed[c] when c = -c.
@@ -272,9 +292,11 @@ def _orbit_block(n: int, first: int, fixed: dict) -> list:
         image[point] = pair[0]
     a = np.arange(1, m + 1)
     left, right = a[:, None] + first - 1, a + first - 1
-    # 0 < a + b < N, and a negative a - b indexes `image` from its end, at
-    # its residue
-    blocks = [(left, right, image[a[:, None] + sign * a]) for sign in (1, -1)]
+    # [a + b] with 0 < a + b < N, and [a - b] read at its residue, as views
+    # of `image`: the second is the Hankel table of the residues from 1 - m
+    # up, with its columns reversed
+    blocks = [(left, right, _hankel(image[2:], m, m)),
+              (left, right, _hankel(image[np.arange(1 - m, m) % n], m, m)[:, ::-1])]
     # the second key of each fixed point c, where a + b = c or a - b = c
     for point, pair in fixed.items():
         for b in ((point - a) % n, (a - point) % n):
@@ -295,8 +317,8 @@ def _gauge_odd(n: int) -> tuple:
     action = np.array([np.r_[0, 1, orbits, s], np.r_[1, 0, orbits, s[::-1]]])
     # <a> (x) s_j = s1 + s2, and s_i (x) s_j = 1 (z when i != j) + every orbit
     a, d = orbits[:, None, None], s[:, None]
-    return labels, dims, *stack_rows(
-        _invertible_rows(action)
+    return labels, dims, (
+        _invertible_blocks(action)
         + _orbit_block(n, 2, {0: (0, 1)})
         + [(a, d, s), (d, a, s), (d, s, 1 - np.eye(2, dtype=np.int64)), (d[..., None], d, orbits)]
     )
@@ -350,12 +372,14 @@ def _gauge_even(n: int, alpha: int) -> tuple:
     # w1 <-> w2 for p = 0.  The orbit part runs over one parity class.
     dual = g if klein else g ^ 2 if p == 1 else g ^ (g >> 1)
     blocks.append((h + 3 + g, h + 3 + on_defects[:, dual], g[:, None]))
-    parity = (p, 1 if klein else (p + h) % 2)  # same letter, other letter
-    # <a> is orbits[a - 1]
-    blocks += [(h + 3 + x, h + 3 + y, orbits[1 - parity[(x ^ y) >> 1]::2])
-               for x in range(4) for y in range(4)]
-    return labels, dims, *stack_rows(
-        _invertible_rows(action) + _orbit_block(n, 4, {0: (0, 3), h: (1, 2)}) + blocks
+    parity = np.array([p, 1 if klein else (p + h) % 2])  # same letter, other letter
+    # <a> is orbits[a - 1]; one block per parity class
+    x, y = np.divmod(np.arange(16), 4)
+    start = 1 - parity[(x ^ y) >> 1]
+    blocks += [(h + 3 + x[start == s, None], h + 3 + y[start == s, None], orbits[s::2])
+               for s in (0, 1)]
+    return labels, dims, (
+        _invertible_blocks(action) + _orbit_block(n, 4, {0: (0, 3), h: (1, 2)}) + blocks
     )
 
 

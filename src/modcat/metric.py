@@ -30,6 +30,10 @@ if TYPE_CHECKING:
 
 BRUTE_FORCE_LIMIT = 10_000
 ORDER_LIMIT = 1_000_000  # largest group order the JSON loader and enumeration accept
+# most q entries, classes x n, `enumerate_cyclic_metric_groups` tables: 32 MiB
+# of int64 numerators; Z_30030 (64 classes, 1.9 M entries) passes and
+# Z_720720 (128 classes, 92 M entries, 0.74 GB) is refused
+ENUMERATION_LIMIT = 2**22
 # largest product of the generator-image candidate counts an isomorphism search
 # makes: (Z_2)^4 with the zero form (65 536, 20 160 automorphisms) takes 2 s
 # on a 2-vCPU VM; (Z_6)^3 with the zero form (10^7, 1.9 M automorphisms) is refused
@@ -301,8 +305,15 @@ def cyclic_class_coefficients(n: int) -> tuple[list[int], int]:
 
 
 def enumerate_cyclic_metric_groups(n: int) -> list[MetricGroup]:
-    """One representative per equivalence class of nondegenerate forms on Z_n."""
-    return _cyclic(n, *cyclic_class_coefficients(n))
+    """One representative per equivalence class of nondegenerate forms on Z_n;
+    `ResourceLimitError` before any table is built when classes x n passes
+    ENUMERATION_LIMIT."""
+    coeffs, den = cyclic_class_coefficients(n)
+    if len(coeffs) * n > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"the {len(coeffs)} classes of forms on Z_{n} have {len(coeffs) * n} q entries, "
+            f"above the limit {ENUMERATION_LIMIT}")
+    return _cyclic(n, coeffs, den)
 
 
 def standard_cyclic_metric_group(n: int) -> MetricGroup:

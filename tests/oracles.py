@@ -13,7 +13,9 @@ Z2-cohomology by direct evaluation of the inhomogeneous cochain
 differential, quadratic-form classification on Z_N by exhaustive
 parametrization plus unit-permutation canonicalization, cyclic classes by
 the per-element CRT product of prime-power forms, and automorphisms and
-equivalences of metric groups by checking whole element maps in Fractions.
+equivalences of metric groups by checking whole element maps in Fractions,
+and ring assembly by stacking every block into (i, j, k) rows and sorting
+their cells whole.
 """
 
 from __future__ import annotations
@@ -23,6 +25,45 @@ from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
+
+
+# ---------------------------------------------------------------------------
+# ring assembly
+
+
+def stack_rows(blocks) -> tuple:
+    """Every block broadcast and stacked into int32 rows (i, j, k)."""
+    grids = [np.broadcast(*block) for block in blocks]
+    ends = np.cumsum([0] + [grid.size for grid in grids]).tolist()
+    out = np.empty((3, ends[-1]), dtype=np.int32)
+    for block, grid, lo, hi in zip(blocks, grids, ends, ends[1:]):
+        for row, x in zip(out, block):
+            row[lo:hi].reshape(grid.shape)[...] = x
+    return tuple(out)
+
+
+def assemble_ring_reference(labels, dims, blocks):
+    """`assemble_ring` by the stack-and-sort route: the rows of every block
+    at once, their cells sorted whole, a multiplicity per run of equal
+    cells and the duals read off the rows with k = 0."""
+    from modcat.errors import MalformedInputError
+    from modcat.ring import FusionRing
+
+    i, j, k = stack_rows(blocks)
+    rank = {id(d): (d != 1, float(d)) for d in dims}
+    order = [0] + sorted(range(1, len(labels)), key=lambda key: (*rank[id(dims[key])], labels[key]))
+    r = len(order)
+    pos = np.empty(r, dtype=np.int64)
+    pos[order] = np.arange(r)
+    cells = (pos[i] * r + pos[j]) * r + pos[k]
+    cells, mult = np.unique(cells, return_counts=True)
+    xy = np.unique(pos[i[k == 0]] * r + pos[j[k == 0]])
+    x, y = np.divmod(xy, r)
+    once = np.bincount(x, minlength=r) == 1
+    if not once.all():
+        raise MalformedInputError(f"object {int(np.flatnonzero(~once)[0])} has no unique dual")
+    return FusionRing.from_nonzeros(tuple(labels[key] for key in order), tuple(y.tolist()),
+                                    cells, mult, tuple(dims[key] for key in order))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Metaplectic family constructors, censuses, Ising^2 data, based isomorphism."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import time
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -178,6 +180,33 @@ class TestBuild:
         assert row[r.index("g")] == 1 and row[r.index("fg")] == 1
         assert all(row[x] == 1 for x in xs)
         assert row.sum() == 2 + len(xs)
+
+
+class TestMemory:
+    """Peaks of the traced allocations against the storage of the ring,
+    its int64 cells and multiplicities, on both build routes."""
+
+    @pytest.fixture(scope="class", autouse=True)
+    def traced(self):
+        if tracemalloc.is_tracing():
+            yield
+            return
+        tracemalloc.start()
+        yield
+        tracemalloc.stop()
+
+    @pytest.mark.parametrize("n", [3000, 3001, 3002])
+    def test_build_and_census_stay_near_the_ring_storage(self, n):
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ring = build_so_n2(n)
+        storage = ring.cells.nbytes + ring.mults.nbytes
+        assert tracemalloc.get_traced_memory()[1] - before <= 1.3 * storage
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert structure_census(ring, n).ok
+        assert tracemalloc.get_traced_memory()[1] - held <= 0.1 * storage
 
 
 class TestGradings:

@@ -28,6 +28,7 @@ from modcat import (
 )
 import modcat.gauging as gauging_module
 import modcat.ring as ring_module
+from modcat.catalog import _ising_squared_rules, so_n2_rules
 from modcat.gauging import assemble_ring, particle_hole_rules
 from modcat.metric import (
     enumerate_cyclic_metric_groups,
@@ -193,10 +194,11 @@ class TestAssembleRing:
     ONE, SILVER = AlgebraicReal.of(1), AlgebraicReal(Fraction(1), Fraction(1), 2)
 
     def test_a_row_listed_twice_has_multiplicity_two(self):
-        # X (x) X = 1 + 2X, the row (X, X, X) listed twice
+        # X (x) X = 1 + 2X, the product (X, X, X) listed once more in a
+        # block of scalars
         ring = assemble_ring(
             ["1", "X"], [self.ONE, self.SILVER],
-            [0, 0, 1, 1, 1, 1], [0, 1, 0, 1, 1, 1], [0, 1, 1, 0, 1, 1],
+            [([0, 0, 1, 1, 1], [0, 1, 0, 1, 1], [0, 1, 1, 0, 1]), (1, 1, 1)],
         )
         assert [m.tolist() for m in ring.row(1, 1)] == [[0, 1], [1, 2]]
         assert verify_axioms(ring).ok
@@ -204,18 +206,57 @@ class TestAssembleRing:
 
     @pytest.mark.parametrize("n, alpha", [(12, 0), (15, 0), (18, 0), (18, 1), (20, 1)])
     def test_row_order_does_not_matter(self, n, alpha):
-        labels, dims, *ijk = particle_hole_rules(GaugingDatum(n, alpha=alpha))
-        shuffle = np.random.default_rng(n).permutation(len(ijk[0]))
-        assert assemble_ring(labels, dims, *(x[shuffle] for x in ijk)) == assemble_ring(
-            labels, dims, *ijk
-        )
+        # every product as a row, the rows shuffled and cut into blocks at
+        # random places
+        labels, dims, blocks = particle_hole_rules(GaugingDatum(n, alpha=alpha))
+        ijk = oracles.stack_rows(blocks)
+        rng = np.random.default_rng(n)
+        shuffle = rng.permutation(len(ijk[0]))
+        cuts = [0, *sorted(rng.integers(0, len(shuffle), 6).tolist()), len(shuffle)]
+        rows = [tuple(x[shuffle[lo:hi]] for x in ijk) for lo, hi in zip(cuts, cuts[1:])]
+        assert assemble_ring(labels, dims, rows) == assemble_ring(labels, dims, blocks)
 
     def test_no_unique_dual_is_malformed(self):
         # X (x) X = X: no object pairs with X to the unit
         with pytest.raises(MalformedInputError, match="no unique dual"):
             assemble_ring(
-                ["1", "X"], [self.ONE, self.ONE], [0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1],
+                ["1", "X"], [self.ONE, self.ONE], [([0, 0, 1, 1], [0, 1, 0, 1], [0, 1, 1, 1])],
             )
+
+
+class TestAssemblyOracle:
+    """`assemble_ring` against the stack-and-sort route of `oracles`, with
+    chunks of one cell, of a few cells and of the default size."""
+
+    @pytest.fixture(params=[1, 7, gauging_module.ASSEMBLY_CHUNK], autouse=True)
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(gauging_module, "ASSEMBLY_CHUNK", request.param)
+
+    def test_every_so_n2_ring(self):
+        for n in range(2, 131):
+            rules = so_n2_rules(n)
+            assert assemble_ring(*rules) == oracles.assemble_ring_reference(*rules), n
+
+    def test_every_gauging(self):
+        for n in range(2, 61):
+            for alpha in (0, 1)[:2 - n % 2]:
+                rules = particle_hole_rules(GaugingDatum(n, alpha=alpha))
+                assert assemble_ring(*rules) == oracles.assemble_ring_reference(*rules), (n, alpha)
+
+    def test_ising_squared(self):
+        # every product listed twice as well, so that each multiplicity is 2
+        labels, dims, blocks = _ising_squared_rules()
+        for twice in (blocks, blocks + blocks):
+            ring = assemble_ring(labels, dims, twice)
+            assert ring == oracles.assemble_ring_reference(labels, dims, twice)
+            assert set(ring.mults.tolist()) == {len(twice)}
+
+    @pytest.mark.parametrize("n", [12, 13, 14, 40, 41, 42])
+    def test_block_order_does_not_matter(self, n):
+        labels, dims, blocks = so_n2_rules(n)
+        shuffle = np.random.default_rng(n).permutation(len(blocks)).tolist()
+        ring = assemble_ring(labels, dims, [blocks[b] for b in shuffle])
+        assert ring == oracles.assemble_ring_reference(labels, dims, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modcat import FusionRing, MalformedInputError, MetricGroup, ParameterError, ResourceLimitError
+import modcat.metric as metric_module
 from modcat.metric import (
     classify_forms,
     cyclic_class_coefficients,
@@ -293,6 +294,19 @@ class TestAgainstOracles:
         assert forms[0] == standard_cyclic_metric_group(30030)
         with pytest.raises(ResourceLimitError):
             enumerate_cyclic_metric_groups(ORDER_LIMIT + 1)
+
+    def test_enumeration_refuses_many_classes_before_any_table(self, monkeypatch):
+        # 128 classes on Z_720720, 92 M q entries: refused from the
+        # factorization alone
+        def no_tables(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(metric_module, "_cyclic", no_tables)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="128 classes"):
+            enumerate_cyclic_metric_groups(720720)
+        assert time.perf_counter() - start < 1.0
+        assert 30030 * 64 <= metric_module.ENUMERATION_LIMIT < 720720 * 128
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from(GROUPS), st.data())

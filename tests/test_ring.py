@@ -153,6 +153,14 @@ class TestConstruction:
         assert np.array_equal(again.fusion, ising.fusion)
         assert again.dumps() == ising.dumps()
 
+    @pytest.mark.parametrize("n", [12, 13, 14, 117])
+    def test_loaded_dims_share_one_object_per_value(self, n):
+        ring = build_so_n2(n)
+        text = ring.dumps()
+        again = FusionRing.loads(text)
+        assert again == ring and again.dumps() == text
+        assert len({id(d) for d in again.exact_dims}) == len(set(again.exact_dims)) == 3
+
 
 class TestStorage:
     @settings(max_examples=200, deadline=None)
