@@ -13,7 +13,6 @@ sum_{i<j} b_ij a_i a_j.  Tables are built from them, isomorphisms tested on them
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm, prod
@@ -23,7 +22,7 @@ import numpy as np
 
 from ._abelian import factorint
 from .errors import MalformedInputError, ParameterError, ResourceLimitError
-from .ring import AlgebraicReal, FusionRing, _int_rows, _parse_json
+from .ring import AlgebraicReal, FusionRing, _dumps, _int_rows, _listed, _parse_json
 
 if TYPE_CHECKING:
     from .modular import RibbonData
@@ -193,14 +192,18 @@ class MetricGroup:
 
     # -- JSON --
 
-    def to_json_dict(self) -> dict:
+    def _json(self) -> dict:
+        """`to_json_dict` with the q rows as an (n, 3) int64 array."""
         idx = np.flatnonzero(self.num)
         g = np.gcd(self.num[idx], self.den)
         rows = np.column_stack([idx, self.num[idx] // g, self.den // g])
-        return {"group": list(self.facs), "q": rows.tolist()}
+        return {"group": list(self.facs), "q": rows}
+
+    def to_json_dict(self) -> dict:
+        return _listed(self._json())
 
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return _dumps(self._json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetricGroup":
@@ -245,7 +248,7 @@ class MetricGroup:
 
     @classmethod
     def loads(cls, text: str | bytes) -> "MetricGroup":
-        return cls.from_json_dict(_parse_json(text, "metric group"))
+        return cls.from_json_dict(_parse_json(text, "metric group", "q", 3))
 
 
 def _check_order(n: int) -> None:

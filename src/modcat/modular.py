@@ -11,7 +11,6 @@ evaluated in complex double precision from exact inputs.
 from __future__ import annotations
 
 import cmath
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,7 +18,16 @@ from functools import cached_property
 import numpy as np
 
 from .errors import MalformedInputError, PreconditionError
-from .ring import ONE, AlgebraicReal, FusionRing, _int_row, _is_character, _parse_json
+from .ring import (
+    ONE,
+    AlgebraicReal,
+    FusionRing,
+    _dumps,
+    _int_row,
+    _is_character,
+    _listed,
+    _parse_json,
+)
 
 # the one float tolerance, for the complex S-matrix numerics only (and the
 # printing of complex values); dimension and isomorphism questions are
@@ -112,14 +120,18 @@ class RibbonData:
 
     # -- JSON: the ring format plus "dims" and "twists" rows --
 
-    def to_json_dict(self) -> dict:
-        out = self.ring.to_json_dict()
+    def _json(self) -> dict:
+        """`to_json_dict` with the fusion rows as an (n, 4) int64 array."""
+        out = self.ring._json()
         out["dims"] = [d.to_json() for d in self.dims]
         out["twists"] = [[t.r.numerator, t.r.denominator] for t in self.twists]
         return out
 
+    def to_json_dict(self) -> dict:
+        return _listed(self._json())
+
     def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
+        return _dumps(self._json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RibbonData":
@@ -136,7 +148,7 @@ class RibbonData:
 
     @classmethod
     def loads(cls, text: str | bytes) -> "RibbonData":
-        return cls.from_json_dict(_parse_json(text, "ribbon data"))
+        return cls.from_json_dict(_parse_json(text, "ribbon data", "fusion", 4))
 
 
 @dataclass(frozen=True)

@@ -265,30 +265,22 @@ class FusionRing:
 
     # -- JSON wire format: only nonzero entries are listed --
 
-    def to_json_dict(self) -> dict:
+    def _json(self) -> dict:
+        """`to_json_dict` with the fusion rows as an (n, 4) int64 array."""
         out = {
             "labels": list(self.labels),
             "dual": list(self.dual),
-            "fusion": np.stack([*self.nonzero(), self.mults], axis=1).tolist(),
+            "fusion": np.stack([*self.nonzero(), self.mults], axis=1),
         }
         if self.exact_dims is not None:
             out["dims"] = [d.to_json() for d in self.exact_dims]
         return out
 
+    def to_json_dict(self) -> dict:
+        return _listed(self._json())
+
     def dumps(self) -> str:
-        """`json.dumps(self.to_json_dict(), sort_keys=True)`, with the fusion
-        rows formatted by one `%` instead of built as lists."""
-        flat = np.stack([*self.nonzero(), self.mults], axis=1).ravel().tolist()
-        fusion = ", ".join(["[%d, %d, %d, %d]"] * (len(flat) // 4)) % tuple(flat)
-        parts = [] if self.exact_dims is None else [
-            f'"dims": {json.dumps([d.to_json() for d in self.exact_dims])}'
-        ]
-        parts += [
-            f'"dual": {json.dumps(list(self.dual))}',
-            f'"fusion": [{fusion}]',
-            f'"labels": {json.dumps(list(self.labels))}',
-        ]
-        return "{" + ", ".join(parts) + "}"
+        return _dumps(self._json())
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "FusionRing":
@@ -332,17 +324,130 @@ class FusionRing:
 
     @classmethod
     def loads(cls, text: str | bytes) -> "FusionRing":
-        return cls.from_json_dict(_parse_json(text, "ring"))
+        return cls.from_json_dict(_parse_json(text, "ring", "fusion", 4))
 
 
-def _parse_json(text: str | bytes, what: str):
+def _listed(data: dict) -> dict:
+    """`data` with each array value, an (n, width) integer array of rows,
+    as its `tolist()`."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in data.items()}
+
+
+def _dumps(data: dict) -> str:
+    """`json.dumps(_listed(data), sort_keys=True)`, with the rows of each
+    array value formatted by one `%` instead of built as lists."""
+    parts = []
+    for key in sorted(data):
+        value = data[key]
+        if isinstance(value, np.ndarray):
+            n, width = value.shape
+            row = "[" + ", ".join(["%d"] * width) + "]"
+            value = "[" + ", ".join([row] * n) % tuple(value.ravel().tolist()) + "]"
+        else:
+            value = json.dumps(value, sort_keys=True)
+        parts.append(f"{json.dumps(key)}: {value}")
+    return "{" + ", ".join(parts) + "}"
+
+
+class _ReadRows:
+    """An (n, width) int64 array of rows that `_parse_json` read straight
+    from the text.  Only `_int_rows` takes it, so `from_json_dict` itself
+    still refuses anything but lists of rows."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
+_DIGITS, _SPACES = b"0123456789", bytes.maketrans(b"[],", b"   ")
+
+
+def _parse_json(text: str | bytes, what: str, key: str, width: int):
+    """`json.loads(text)`, or `MalformedInputError` when that fails.  When
+    the top-level `key` array is written as `dumps` writes it, it comes out
+    as `_ReadRows` (`_read_rows`); any other text takes `json.loads` alone."""
+    data = _read_rows(text, key, width)
+    if data is not None:
+        return data
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
         raise MalformedInputError(f"{what} is not valid JSON: {exc}") from None
 
 
+def _read_rows(text, key: str, width: int):
+    """`json.loads(text)` with `data[key]` read into int64 in a few C-level
+    passes, when it is `[[a, b, ...], [c, d, ...], ...]` of `width` decimal
+    integers in [0, 10^18) spaced by ", "; None for any other text.
+
+    The rows are the slice from the first `"key": [` to the first `]]`
+    after it.  With its digits deleted the slice must be the skeleton
+    `[[, , ...], ...]` of n rows, so every entry is one run of digits, and
+    its runs must hold n * width values with exactly as many digits as they
+    take when written out, so none is empty, has leading zeros or
+    overflowed.  The rest parses with `NaN` for the slice, which must come
+    out as the one constant of the document, at `key` of the top-level
+    object: a nested or duplicate key or another constant fails there."""
+    head, close, nan = f'"{key}": [', "]]", "NaN"
+    if isinstance(text, (bytes, bytearray)):
+        if json.detect_encoding(text) not in ("utf-8", "utf-8-sig"):
+            return None
+        head, close, nan = head.encode(), b"]]", b"NaN"
+    elif not isinstance(text, str):
+        return None
+    start = text.find(head)
+    end = text.find(close, start) + 2
+    if start < 0 or end < 2:
+        return None
+    start += len(head) - 1
+    rows = text[start:end]
+    if isinstance(rows, str):
+        if not rows.isascii():
+            return None
+        rows = rows.encode("ascii")
+    rows = bytes(rows)  # np.fromstring takes no bytearray
+    skeleton = rows.translate(None, _DIGITS)
+    row = b"[" + b", " * (width - 1) + b"]"
+    n, extra = divmod(len(skeleton), len(row) + 2)
+    if extra or skeleton != b"[" + (row + b", ") * (n - 1) + row + b"]":
+        return None
+    digits = len(rows) - len(skeleton)
+    values = np.fromstring(rows.translate(_SPACES), dtype=np.int64, sep=" ")
+    del rows, skeleton
+    if len(values) != n * width or values.min() < 0 or values.max() >= 10**18:
+        return None
+    # the digits written out: one per value, plus one per power of ten it reaches
+    written = len(values) + sum(
+        int(np.count_nonzero(values >= 10**p)) for p in range(1, len(str(values.max()))))
+    if written != digits:
+        return None
+    made = []  # every constant the parse makes; `made` itself stands for each
+
+    def constant(name):
+        made.append(name)
+        return made
+
+    try:
+        data = json.loads(text[:start] + nan + text[end:], parse_constant=constant)
+    except (ValueError, RecursionError):
+        return None
+    if len(made) != 1 or type(data) is not dict or data.get(key) is not made:
+        return None
+    data[key] = _ReadRows(values.reshape(n, width))
+    return data
+
+
 def _int_rows(rows, width: int, what: str) -> np.ndarray:
+    """`rows` as an (n, width) int64 array: the array of `_ReadRows`, or
+    `_list_rows` of a list."""
+    if type(rows) is _ReadRows:
+        return rows.array
+    return _list_rows(rows, width, what)
+
+
+def _list_rows(rows, width: int, what: str) -> np.ndarray:
     """`rows`, a list of rows of `width` JSON integers each (bools rejected),
     as an (n, width) int64 array.  An entry outside the int64 range or equal
     to -2^63, whose negation is no int64, is refused."""

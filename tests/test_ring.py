@@ -1,5 +1,6 @@
 """Fusion-ring core: axioms, dimensions, gradings, hom spaces."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -20,7 +21,9 @@ from modcat import (
     DegenerateInputError,
     FusionRing,
     InternalConsistencyError,
+    IsingParams,
     MalformedInputError,
+    MetricGroup,
     Phase,
     ResourceLimitError,
     RibbonData,
@@ -29,11 +32,15 @@ from modcat import (
     build_so_n2,
     asymptotic_dim_ratio,
     condense_boson,
+    cyclic_form,
+    enumerate_cyclic_metric_groups,
     exact_dimensions,
     fp_dimensions,
     gn_grading,
     hom_space_dim,
     invertibles,
+    ising_squared_data,
+    pointed_ribbon_data,
     structure_census,
     subring_generated,
     universal_grading,
@@ -130,6 +137,17 @@ class TestConstruction:
                 ring = FusionRing(labels, r.dual, r.fusion, dims)
                 assert ring.dumps() == json.dumps(ring.to_json_dict(), sort_keys=True)
                 assert FusionRing.loads(ring.dumps()) == ring
+        # ribbon data and metric groups share the row writer; a zero form has no q rows
+        ribbons = [ising_squared_data(IsingParams(1, 7)), ising_squared_data(IsingParams(3, 5))]
+        ribbons += [pointed_ribbon_data(cyclic_form(n, 1)) for n in (3, 5, 8)]
+        for rd in ribbons:
+            assert rd.dumps() == json.dumps(rd.to_json_dict(), sort_keys=True)
+            assert RibbonData.loads(rd.dumps()) == rd
+        groups = [m for n in (1, 4, 12, 30) for m in enumerate_cyclic_metric_groups(n)]
+        groups += [cyclic_form(9, 2), cyclic_form(16, 3)]
+        for mg in groups:
+            assert mg.dumps() == json.dumps(mg.to_json_dict(), sort_keys=True)
+            assert MetricGroup.loads(mg.dumps()) == mg
 
     @pytest.mark.parametrize("bad", [-(2**63), 2**63])
     def test_loaders_share_one_int64_reader(self, bad):
@@ -160,6 +178,142 @@ class TestConstruction:
         again = FusionRing.loads(text)
         assert again == ring and again.dumps() == text
         assert len({id(d) for d in again.exact_dims}) == len(set(again.exact_dims)) == 3
+
+
+# the three loaders against `from_json_dict(json.loads(text))`: the rows
+# spaced as `dumps` writes them are read straight into int64, and every
+# other text must give the same value or the same error
+
+
+def _reference(cls, what, text):
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedInputError(f"{what} is not valid JSON: {exc}") from None
+    return cls.from_json_dict(data)
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except Exception as exc:  # the verdict: the type and message of the error
+        return type(exc), str(exc)
+
+
+def _assert_loads_as_reference(cls, what, text):
+    for given_text in (text, text.encode(), bytearray(text.encode())):
+        expected = _outcome(lambda: _reference(cls, what, given_text))
+        assert _outcome(lambda: cls.loads(given_text)) == expected
+
+
+@functools.cache
+def _canonical_texts():
+    """(class, name in errors, text) of rings, ribbon data and metric groups."""
+    out = [(FusionRing, "ring", build_so_n2(n).dumps()) for n in (3, 8, 12)]
+    out.append((FusionRing, "ring", pointed_z(4).dumps()))
+    ribbons = (ising_squared_data(IsingParams(1, 7)),
+               pointed_ribbon_data(enumerate_cyclic_metric_groups(6)[0]))
+    out += [(RibbonData, "ribbon data", rd.dumps()) for rd in ribbons]
+    out += [(MetricGroup, "metric group", mg.dumps())
+            for mg in (*enumerate_cyclic_metric_groups(12)[:2], cyclic_form(25, 3))]
+    return out
+
+
+_EDIT_TOKENS = [*"0123456789", "-", ".", "e", "NaN", "[[", "]]", " ", "\n", "\t",
+                '"fusion": [', '"q": [', "\ufeff", "\u00e9"]
+
+
+@st.composite
+def _edited_texts(draw):
+    cls, what, text = draw(st.sampled_from(_canonical_texts()))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 2))  # characters the edit replaces
+        text = text[:at] + draw(st.sampled_from(_EDIT_TOKENS)) + text[at + cut:]
+    return cls, what, text
+
+
+def _append_row(text, row):
+    """The ring text with one more fusion row at the end."""
+    return text.replace(']], "labels"', f'], {row}], "labels"')
+
+
+class TestJsonReader:
+    @settings(max_examples=400, deadline=None)
+    @given(_edited_texts())
+    def test_edited_texts_load_as_the_list_path_does(self, case):
+        _assert_loads_as_reference(*case)
+
+    def _ring_text(self):
+        return build_so_n2(12).dumps()
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda t: t.replace("{", '{"extra": {"fusion": [[0, 0, 0, 1]]}, ', 1),
+                     id="nested_key_first"),
+        pytest.param(lambda t: t.replace('"fusion"', '"other"').replace(
+            "{", '{"extra": {"fusion": [[0, 0, 0, 1]]}, ', 1), id="only_nested_key"),
+        pytest.param(lambda t: t[:-1] + ', "fusion": [[0, 0, 0, 1]]}', id="duplicate_key_last"),
+        pytest.param(lambda t: '{"fusion": [[0, 0, 0, 1]], ' + t[1:], id="duplicate_key_first"),
+        pytest.param(lambda t: _append_row(t, "[12, 12, 12, 1000000000000000000]"),
+                     id="19_digits"),
+        pytest.param(lambda t: _append_row(t, "[12, 12, 12, 9999999999999999999]"),
+                     id="19_nines"),
+        pytest.param(lambda t: _append_row(t, "[12, 12, 12, 10000000000000000000]"),
+                     id="20_digits"),
+        pytest.param(lambda t: _append_row(t, "[12, 12, 12, 99999999999999999999]"),
+                     id="20_nines"),
+        pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[0, 0, 0, 01]", 1), id="leading_zero"),
+        pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[00, 0, 0, 1]", 1), id="zero_zero"),
+        pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[-0, 0, 0, 1]", 1), id="minus_zero"),
+        pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[, 0, 0, 1]", 1), id="empty_slot"),
+        pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[0, 0, 0, 1, 2]", 1), id="long_row"),
+        pytest.param(lambda t: t[:t.index('"fusion"')] + '"fusion": [], ' + t[t.index('"labels"'):],
+                     id="empty_rows"),
+        pytest.param(lambda t: t.replace('"labels": [', '"labels": NaN, "x": [', 1),
+                     id="constant_elsewhere"),
+        pytest.param(lambda t: "[" + t + "]", id="not_an_object"),
+        pytest.param(lambda t: "\ufeff" + t, id="byte_order_mark"),
+    ])
+    def test_fixed_edits_load_as_the_list_path_does(self, edit):
+        _assert_loads_as_reference(FusionRing, "ring", edit(self._ring_text()))
+
+    def test_canonical_metric_edits(self):
+        text = cyclic_form(25, 3).dumps()
+        for edited in ('{"q": [[1, 3, 25]], ' + text[1:], text.replace("[[1,", "[[01,", 1),
+                       text.replace('"q": [[', '"q": [[25, 1, 1], [', 1)):
+            _assert_loads_as_reference(MetricGroup, "metric group", edited)
+
+    @pytest.mark.parametrize("spacing", [{"separators": (",", ":")}, {"indent": 1}])
+    def test_other_spacing_takes_the_list_path(self, spacing, monkeypatch):
+        ring = build_so_n2(12)
+        text = json.dumps(ring.to_json_dict(), **spacing)
+        read = []
+        list_rows = ring_module._list_rows
+        monkeypatch.setattr(ring_module, "_list_rows", lambda *a: read.append(a) or list_rows(*a))
+        assert FusionRing.loads(text) == ring and len(read) == 1
+        _assert_loads_as_reference(FusionRing, "ring", text)
+
+    def test_canonical_text_never_reaches_the_list_path(self, monkeypatch):
+        ring = build_so_n2(117)
+        assert ring.rank == 62
+        rd = ising_squared_data(IsingParams(1, 7))
+        mg = cyclic_form(25, 3)
+
+        def refuse(*args):
+            raise AssertionError("canonical rows took the list path")
+
+        monkeypatch.setattr(ring_module, "_list_rows", refuse)
+        for value in (ring, rd, mg):
+            text = value.dumps()
+            assert type(value).loads(text) == value
+            assert type(value).loads(text.encode()) == value
+
+    def test_public_from_json_dict_refuses_arrays(self):
+        data = build_so_n2(12).to_json_dict()
+        with pytest.raises(MalformedInputError, match="fusion must be a list of rows of 4"):
+            FusionRing.from_json_dict({**data, "fusion": np.array(data["fusion"])})
+        with pytest.raises(MalformedInputError, match="q must be a list of rows of 3"):
+            MetricGroup.from_json_dict({"group": [5], "q": np.array([[1, 1, 5]])})
 
 
 class TestStorage:
