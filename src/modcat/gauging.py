@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedInputError,
 )
 from .metric import MetricGroup
-from .ring import AlgebraicReal, FusionRing, _distinct, exact_dimensions
+from .ring import AlgebraicReal, FusionRing, _check_indices, _distinct, exact_dimensions
 
 # nonzeros of the largest metaplectic ring built: 1 GiB of int64 cells and
 # multiplicities, about N = 11 600
@@ -438,6 +438,7 @@ def condense_boson(ring: FusionRing, b: int) -> CondensationReport:
     array step each, and each dimension test is made once per distinct
     dimension.
     """
+    _check_indices(ring, b)
     values, of = _distinct(exact_dimensions(ring))
     one = [d == 1 for d in values]
     r, cells, mults = ring.rank, ring.cells, ring.mults
@@ -557,10 +558,7 @@ def _generator_walk(ring, b, start, fixed_set, inv_pair_set):
     c, k = np.divmod(ring.cells[lo:hi] - start * r * r, r)
     ends = np.searchsorted(c, np.arange(r + 1)).tolist()  # of the rows (Y, c)
     k, ms = k.tolist(), ring.mults[lo:hi].tolist()
-    prev = None
-    cur = start
-    visited = {start}
-    m = 1
+    prev, cur, visited, m = None, start, {start}, 1
     while True:
         m += 1
         row = slice(ends[cur], ends[cur + 1])

@@ -22,6 +22,7 @@ from .ring import (
     ONE,
     AlgebraicReal,
     FusionRing,
+    _check_indices,
     _dumps,
     _int_row,
     _is_character,
@@ -181,6 +182,7 @@ def is_modular(rd: RibbonData) -> bool:
 def centralizer(rd: RibbonData, sub) -> tuple[int, ...]:
     """Indices i with S[i, j] = d_i d_j for every j in the sub-basis."""
     sub = sorted(set(sub))
+    _check_indices(rd.ring, *sub)
     inside = np.zeros(rd.ring.rank, dtype=bool)
     inside[sub] = True
     i, j, k = rd.ring.nonzero()
@@ -198,6 +200,7 @@ def muger_center(rd: RibbonData) -> tuple[int, ...]:
 
 def classify_invertible(rd: RibbonData, i: int) -> tuple[str, Phase]:
     """Verdict ('boson' | 'fermion' | 'not-order-2') plus the twist."""
+    _check_indices(rd.ring, i)
     if rd.dims[i] != ONE:
         raise PreconditionError(f"object {rd.ring.labels[i]} is not invertible")
     t = rd.twists[i]

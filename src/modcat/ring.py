@@ -254,8 +254,7 @@ class FusionRing:
     def row(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """X_i (x) X_j: the k with N[i, j, k] > 0, increasing, and their
         multiplicities."""
-        if not (0 <= i < self.rank and 0 <= j < self.rank):
-            raise MalformedInputError(f"({i}, {j}) is not a pair of basis indices")
+        _check_indices(self, i, j)
         base = (i * self.rank + j) * self.rank
         lo, hi = np.searchsorted(self.cells, (base, base + self.rank))
         return self.cells[lo:hi] - base, self.mults[lo:hi]
@@ -301,9 +300,9 @@ class FusionRing:
         dual = _int_row(data["dual"], r, "dual")
         entries = _int_rows(data["fusion"], 4, "fusion")
         ijk, mult = entries[:, :3], entries[:, 3]
-        outside = np.any((ijk < 0) | (ijk >= r), axis=1)
-        if outside.any():
-            bad = tuple(map(int, ijk[outside][0]))
+        if len(ijk) and (ijk.min() < 0 or ijk.max() >= r):
+            # the per-row scan only names the first entry out of range
+            bad = tuple(map(int, ijk[np.any((ijk < 0) | (ijk >= r), axis=1)][0]))
             raise MalformedInputError(f"fusion entry index out of range: {bad}")
         cells = (ijk[:, 0] * r + ijk[:, 1]) * r + ijk[:, 2]
         order = np.argsort(cells)
@@ -325,6 +324,13 @@ class FusionRing:
     @classmethod
     def loads(cls, text: str | bytes) -> "FusionRing":
         return cls.from_json_dict(_parse_json(text, "ring", "fusion", 4))
+
+
+def _check_indices(ring: FusionRing, *indices) -> None:
+    """`MalformedInputError` naming the first of `indices` outside [0, rank)."""
+    for x in indices:
+        if not 0 <= x < ring.rank:
+            raise MalformedInputError(f"{x} is not a basis index of a ring of rank {ring.rank}")
 
 
 def _listed(data: dict) -> dict:
@@ -536,8 +542,7 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
         found.append(("dual_of_unit", (0,)))
 
     i, jk = np.divmod(cells, r * r)
-    ij, k = np.divmod(cells, r)
-    j = ij % r
+    j, k = np.divmod(jk, r)
     every, one = np.arange(r), np.ones(r, dtype=np.int64)
 
     def compare(kind, keep, other_cells, other_mults):
@@ -566,64 +571,42 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     # when the unit axioms hold; holding the generators it is the whole ring
     middle = np.ones(r, dtype=bool)
     if not found:
-        middle = _generators(ring, block, i, j, k)
-        if not _associativity(ring, vals, block, i, j, k, ij, jk, middle):
+        middle = _generators(ring, i, j, k)
+        if not _associativity(ring, vals, block, i, j, k, jk, middle):
             return AxiomReport()
         middle[:] = True
-    found += _associativity(ring, vals, block, i, j, k, ij, jk, middle)
+    found += _associativity(ring, vals, block, i, j, k, jk, middle)
     return AxiomReport(tuple(found))
 
 
-def _generators(ring: FusionRing, block, i, j, k) -> np.ndarray:
+def _generators(ring: FusionRing, i, j, k) -> np.ndarray:
     """The mask of a set of objects G that generates the ring as an algebra.
 
     The certificate: the unit is reached, and an object is reached when it
     is the only unreached summand of X_a g or g X_a for a reached X_a and g
     in G, so every reached object lies in the subalgebra that G and the
     unit span.  While an object is unreached the least one joins G.  The
-    products holding a newly reached X_c are found by Frobenius reciprocity,
-    N[a, g, c] = N[c, g*, a] and N[g, a, c] = N[g*, c, a], and looked at
-    again, in one worklist pass.
+    rule is applied to every such product at once until it reaches nothing
+    more: a product X_a X_b with a or b in G counts when both are reached.
     """
-    r, dual = ring.rank, ring.dual
-
-    def rows(g):  # a -> summands of X_a g, and a -> summands of g X_a, as lists
-        out = []
-        for pos, by in ((np.flatnonzero(j == g), i), (np.arange(block[g], block[g + 1]), j)):
-            ks, ends = k[pos].tolist(), np.searchsorted(by[pos], np.arange(r + 1)).tolist()
-            out.append([ks[ends[a]:ends[a + 1]] for a in range(r)])
-        return out
-
-    reached = [False] * r
-    gens = np.zeros(r, dtype=bool)
-    tables = []  # the rows of g and of g* for each g in G
-    todo: list[list[int]] = []  # summands of products to look at
-
-    def reach(c):
-        reached[c] = True
-        for right, left, right_dual, left_dual in tables:
-            todo.extend((right[c], left[c]))
-            todo.extend(right[a] for a in right_dual[c] if reached[a])
-            todo.extend(left[a] for a in left_dual[c] if reached[a])
-
-    reach(0)
-    for c in range(r):
-        while todo:
-            new = [x for x in todo.pop() if not reached[x]]
-            if len(new) == 1:
-                reach(new[0])
-        if reached[c]:
-            continue
-        gens[c] = True
-        tables.append((*rows(c), *rows(dual[c])))
-        right, left = tables[-1][:2]
-        todo.extend(right[a] for a in range(r) if reached[a])
-        todo.extend(left[a] for a in range(r) if reached[a])
-        reach(c)
+    r = ring.rank
+    reached, gens = np.arange(r) == 0, np.zeros(r, dtype=bool)
+    while not reached.all():
+        c = int(np.argmin(reached))
+        reached[c] = gens[c] = True
+        on = np.flatnonzero(gens[i] | gens[j])  # the nonzeros of the products
+        a, b, x = i[on], j[on], k[on]
+        row = np.unique(a * r + b, return_inverse=True)[1]
+        while True:
+            pending = reached[a] & reached[b] & ~reached[x]
+            alone = pending & (np.bincount(row[pending], minlength=len(row))[row] == 1)
+            if not alone.any():
+                break
+            reached[x[alone]] = True
     return gens
 
 
-def _associativity(ring: FusionRing, vals, block, i, j, k, ij, jk, middle) -> list:
+def _associativity(ring: FusionRing, vals, block, i, j, k, jk, middle) -> list:
     """Every associativity witness (i, j, k, l) with `middle[j]`, in index
     order: sum_m N_{ij}^m N_{mk}^l = sum_m N_{jk}^m N_{im}^l fails there.
 
@@ -634,11 +617,11 @@ def _associativity(ring: FusionRing, vals, block, i, j, k, ij, jk, middle) -> li
     r, cells = ring.rank, ring.cells
     block_len = np.diff(block)
     mid = np.flatnonzero(middle[j])  # the nonzeros (i, j, m) with j in the middle
-    mid_cells, mid_ij, mid_m, mid_vals = cells[mid], ij[mid], k[mid], vals[mid]
+    mid_ij, mid_m, mid_vals = cells[mid] // r, k[mid], vals[mid]
     by_last = np.flatnonzero(middle[i])  # the (j, k, m) with j in the middle, by m
     by_last = by_last[np.argsort(k[by_last], kind="stable")]
     last_first = k[by_last] * r + i[by_last]  # their (m, j), increasing
-    ij_by_last, vals_by_last = ij[by_last] * r, vals[by_last]
+    ij_by_last, vals_by_last = cells[by_last] // r * r, vals[by_last]
     # batches: rows up to the first one past ASSOC_BATCH products, those of
     # slice i taken as spread evenly over its rows (i, j) in the middle; keys
     # stay below 2^63
@@ -659,7 +642,7 @@ def _associativity(ring: FusionRing, vals, block, i, j, k, ij, jk, middle) -> li
         rows.append(min(max(end, a * r + cols[min(x + 1, mids)]), rows[-1] + span))
     found = []
     for p0, p1 in zip(rows, rows[1:]):
-        s = slice(*np.searchsorted(mid_cells, (p0 * r, p1 * r)))  # left: (i, j, m) in the rows
+        s = slice(*np.searchsorted(mid_ij, (p0, p1)))  # left: (i, j, m) in the rows
         left = block_len[mid_m[s]]
         u = _segments(block[mid_m[s]], left)
         t = slice(block[p0 // r], block[-(-p1 // r)])  # right: (i, m, l) in their slices
@@ -823,8 +806,9 @@ def hom_space_dim(ring: FusionRing, word: list[int], target: int) -> int:
 
     Exact integer arithmetic (tensor powers overflow int64 quickly).
     """
-    if not word or not all(0 <= x < ring.rank for x in (*word, target)):
-        raise MalformedInputError("tensor word and target must be basis indices, the word nonempty")
+    if not word:
+        raise MalformedInputError("tensor word must be nonempty")
+    _check_indices(ring, *word, target)
     v = {word[0]: 1}
     for w in word[1:]:
         nxt: dict[int, int] = {}
@@ -902,6 +886,7 @@ def invertibles(ring: FusionRing) -> InvertibleGroup:
 
 def subring_generated(ring: FusionRing, seeds) -> tuple[int, ...]:
     """Smallest fusion- and dual-closed sub-basis containing the unit and seeds."""
+    _check_indices(ring, *seeds)
     i, j, k = ring.nonzero()
     dual = np.asarray(ring.dual)
     current = np.zeros(ring.rank, dtype=bool)

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Each oracle deliberately uses a different algorithm from the production
-code: the based-ring axioms, commutativity, the sum of the fusion matrices,
-characters and the invertibles by nested loops over the dense tensor in
-Python ints, the S-matrix by one dense einsum, and modularity, centralizers
-and Gauss sums from it by det, a double loop and one object at a time,
+code: the based-ring axioms, Light's-test generators, commutativity, the
+sum of the fusion matrices, characters and the invertibles by nested loops
+over the dense tensor in Python ints, the S-matrix by one dense einsum, and
+modularity, centralizers and Gauss sums from it by det, a double loop and
+one object at a time,
 based-ring isomorphisms by trying every permutation on the dense tensor,
 hom-space dimensions by divide-and-conquer multiset expansion, gradings
 by every cell of the dense tensor, boson condensation by one fusion row
@@ -115,6 +116,30 @@ def verify_axioms_bruteforce(fusion, dual, quads=None):
 
 # ---------------------------------------------------------------------------
 # scans of the dense tensor, entry by entry
+
+
+def light_generators_bruteforce(fusion) -> list[int]:
+    """The generators `_generators` certifies, by the rule of its docstring
+    on the dense tensor, one product at a time: every object reached takes
+    effect at once, the products X_a g and g X_a are looked at again until
+    none reaches anything, and then the least unreached object joins G."""
+    r = len(fusion)
+    summands = [[np.flatnonzero(fusion[a, b]).tolist() for b in range(r)] for a in range(r)]
+    reached, gens = [True] + [False] * (r - 1), []
+    while not all(reached):
+        c = reached.index(False)
+        gens.append(c)
+        reached[c] = True
+        changed = True
+        while changed:
+            changed = False
+            for g in gens:
+                for a in range(r):
+                    for row in (summands[a][g], summands[g][a]):
+                        unreached = [x for x in row if not reached[x]]
+                        if reached[a] and len(unreached) == 1:
+                            reached[unreached[0]] = changed = True
+    return gens
 
 
 def commutative_bruteforce(fusion) -> bool:

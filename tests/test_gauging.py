@@ -395,6 +395,12 @@ class TestCondensation:
         with pytest.raises(PreconditionError, match="dual object"):
             condense_boson(ring, 1)
 
+    @pytest.mark.parametrize("bad", [-1, 13])
+    def test_rejects_an_index_outside_the_basis(self, so_rings, bad):
+        # SO(12)_2 has rank 13; -1 would wrap around to its last object
+        with pytest.raises(MalformedInputError, match=rf"^{bad} is not a basis index"):
+            condense_boson(so_rings(12), bad)
+
     def test_matches_oracle_on_large_pointed_rings(self):
         for n in (100, 200):
             ring = pointed_ribbon_data(standard_cyclic_metric_group(n)).ring

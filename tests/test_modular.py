@@ -268,6 +268,12 @@ class TestCentralizer:
         with pytest.raises(MalformedInputError):
             centralizer(rd, (0, 1))
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_rejects_an_index_outside_the_basis(self, bad):
+        rd = pointed_ribbon_data(cyclic_metric_group(4, Fraction(1, 8)))
+        with pytest.raises(MalformedInputError, match=rf"^{bad} is not a basis index"):
+            centralizer(rd, (0, bad))
+
 
 class TestClassifyInvertible:
     def test_boson_fermion_semion(self):
@@ -282,6 +288,12 @@ class TestClassifyInvertible:
         sig = rd.ring.index("sig*sig")
         with pytest.raises(PreconditionError):
             classify_invertible(rd, sig)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_rejects_an_index_outside_the_basis(self, bad):
+        # -1 would read the last object, the fermion
+        with pytest.raises(MalformedInputError, match=rf"^{bad} is not a basis index"):
+            classify_invertible(svec_data(), bad)
 
     def test_invariant_under_relabeling(self):
         rd = pointed_ribbon_data(cyclic_metric_group(4, Fraction(1, 8)))

@@ -164,6 +164,16 @@ class TestConstruction:
             with pytest.raises(MalformedInputError, match="fusion must be a list of rows of 4"):
                 FusionRing.from_json_dict({**ring, "fusion": rows})
 
+    def test_index_out_of_range_names_the_first_entry(self, ising):
+        # both readers, the list rows and the rows read straight from the text
+        data = ising.to_json_dict()
+        for bad in ([1, -1, 1], [2, 1, 3], [3, 0, 3]):
+            rows = [*data["fusion"][:2], [*bad, 1], [0, 0, 0, 1], [5, 0, 0, 1]]
+            want = rf"^fusion entry index out of range: \({bad[0]}, {bad[1]}, {bad[2]}\)$"
+            for load in (FusionRing.from_json_dict, lambda d: FusionRing.loads(json.dumps(d))):
+                with pytest.raises(MalformedInputError, match=want):
+                    load({**data, "fusion": rows})
+
     def test_json_round_trip(self, ising):
         again = FusionRing.loads(ising.dumps())
         assert again.labels == ising.labels
@@ -518,6 +528,11 @@ def _certified(ring):
     return gens, violations, any(mask.all() for mask in masks)
 
 
+def _certificate(ring) -> list[int]:
+    """The generators `_generators` certifies for `ring`, increasing."""
+    return np.flatnonzero(ring_module._generators(ring, *ring.nonzero())).tolist()
+
+
 def _light_accepts(ring, gens) -> bool:
     """Whether Light's test with `gens` in place of the certified set lets
     `verify_axioms` skip the full check."""
@@ -715,6 +730,22 @@ class TestAxioms:
         assert _light_accepts(ring, [1])
         assert full and violations
         assert violations == oracles.verify_axioms_bruteforce(ring.fusion, ring.dual)
+
+    def test_generators_match_the_plain_loop_oracle(self):
+        # SO(N)_2 in all three residue classes up to rank 69, Ising^2 and
+        # pointed rings
+        rings = [build_so_n2(n) for n in (*range(2, 41), *range(41, 131, 7), 112, 128, 130)]
+        rings.append(ising_squared_data(IsingParams(1, 7)).ring)
+        rings += [pointed_ribbon_data(cyclic_form(n, 1)).ring for n in (2, 3, 5, 8, 9, 16, 27)]
+        for ring in rings:
+            assert _certificate(ring) == oracles.light_generators_bruteforce(ring.fusion), ring
+
+    @settings(max_examples=200, deadline=None)
+    @given(_frobenius_closed())
+    def test_generators_of_frobenius_closed_tensors_match_the_oracle(self, case):
+        fusion, dual = case
+        ring = FusionRing(tuple(map(str, range(len(fusion)))), dual, fusion)
+        assert _certificate(ring) == oracles.light_generators_bruteforce(fusion)
 
     @pytest.mark.parametrize("batch", [2**12, ring_module.ASSOC_BATCH])
     def test_witnesses_past_rank_ten_match_recorded_digests(self, batch):
@@ -1064,6 +1095,15 @@ class TestHom:
         with pytest.raises(MalformedInputError):
             hom_space_dim(ising, word, target)
 
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_index_outside_the_basis_is_named(self, ising, bad):
+        # the message names the index; 3 is the rank
+        for call in (lambda: ising.row(0, bad), lambda: ising.row(bad, 0),
+                     lambda: hom_space_dim(ising, [1, bad], 0),
+                     lambda: hom_space_dim(ising, [1], bad)):
+            with pytest.raises(MalformedInputError, match=rf"^{bad} is not a basis index"):
+                call()
+
 
 # ---------------------------------------------------------------------------
 # invertibles, subrings, gradings
@@ -1166,6 +1206,13 @@ class TestStructure:
             for j in sub:
                 for k in np.nonzero(r.fusion[i, j])[0]:
                     assert int(k) in sub
+
+    def test_subring_generated_refuses_an_index_outside_the_basis(self, so_rings):
+        # -1 would wrap around to W2, the last object
+        r = so_rings(12)
+        for bad in (-1, r.rank):
+            with pytest.raises(MalformedInputError, match=rf"^{bad} is not a basis index"):
+                subring_generated(r, [1, bad])
 
     def test_adjoint_equals_trivial_component(self, fibonacci, so_rings):
         for r in (fibonacci, so_rings(5), so_rings(6), so_rings(8), so_rings(12)):
