@@ -33,8 +33,8 @@ _SUBMODULE = {name: module for module, names in {
     ),
     "catalog": (
         "IsingParams", "MetaplecticCensus", "based_ring_isomorphism", "boson_fermion_census",
-        "build_so_n2", "ising_squared_data", "ising_squared_total_count",
-        "sixteen_m_component_census", "structure_census",
+        "build_so_n2", "deligne_product", "deligne_ribbon", "ising_squared_data",
+        "ising_squared_total_count", "sixteen_m_component_census", "structure_census",
     ),
 }.items() for name in names}
 

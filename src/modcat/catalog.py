@@ -1,5 +1,6 @@
 """Explicit constructors and censuses for the metaplectic family SO(N)_2,
-the Ising x Ising modular data, and the dimension-16m component census.
+Deligne products of rings and of ribbon data, the Ising x Ising modular data
+as one such product, and the dimension-16m component census.
 
 The 4|N fusion rules are hand-coded from the generator relations of the
 family (V1^2 = 1 + f + sum X_i, the X/Y index case formulas, and f/g
@@ -20,8 +21,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._abelian import squarefree_part
-from .errors import InternalConsistencyError, ParameterError
+from .errors import InternalConsistencyError, ParameterError, ResourceLimitError
 from .gauging import (
+    NONZERO_LIMIT,
     GaugingDatum,
     _hankel,
     _invertible_blocks,
@@ -283,7 +285,47 @@ def _boson_fermion(ring: FusionRing, n: int) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# Ising x Ising
+# Deligne products, and Ising x Ising as one
+
+
+def deligne_rules(r1: FusionRing, r2: FusionRing) -> tuple:
+    """r1 x r2 as `assemble_ring` arguments (labels, dims, blocks): (a, b) is
+    key a * r2 + b, labelled `a*b`, of dimension d_a d_b, and one block lists
+    every pair of nonzeros m1 m2 times, as N[(a, b), (c, d), (e, f)] =
+    N1[a, c, e] N2[b, d, f].  Before the block is built, `ResourceLimitError`
+    refuses more than NONZERO_LIMIT products and `UnsupportedInputError` dims
+    that leave one quadratic field."""
+    listed = int(r1.mults.sum()) * int(r2.mults.sum())
+    if listed > NONZERO_LIMIT:
+        raise ResourceLimitError(f"the product would list {listed} products, "
+                                 f"above the limit {NONZERO_LIMIT}")
+    (v1, of1), (v2, of2) = _distinct(exact_dimensions(r1)), _distinct(exact_dimensions(r2))
+    table = [[x * y for y in v2] for x in v1]  # one shared object per pair of values
+    labels = [f"{a}*{b}" for a in r1.labels for b in r2.labels]
+    dims = [table[u][v] for u in of1 for v in of2]
+    # the keys in the least dtype that holds them: int16 or narrower for every
+    # product of fusion rings passed, which have r^2 nonzeros or more
+    key = np.min_scalar_type(r1.rank * r2.rank)
+    ijk1, ijk2 = ([np.repeat(x.astype(key), ring.mults) for x in ring.nonzero()]
+                  for ring in (r1, r2))
+    return labels, dims, [tuple(r2.rank * x[:, None] + y for x, y in zip(ijk1, ijk2))]
+
+
+def deligne_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
+    """The Deligne product of two fusion rings (`deligne_rules`)."""
+    return assemble_ring(*deligne_rules(r1, r2))
+
+
+def deligne_ribbon(rd1: RibbonData, rd2: RibbonData) -> RibbonData:
+    """The Deligne product of two ribbon data: dims and twists multiply, each
+    object of the product ring matched to its factors by its label."""
+    ring = deligne_product(rd1.ring, rd2.ring)
+    pairs = {f"{a}*{b}": (x, y)
+             for x, a in enumerate(rd1.ring.labels) for y, b in enumerate(rd2.ring.labels)}
+    at = [pairs[label] for label in ring.labels]
+    made = {}  # one object per value, as the ring shares its dims
+    dims = tuple(made.setdefault(d, d) for d in (rd1.dims[x] * rd2.dims[y] for x, y in at))
+    return type(rd1)(ring, dims, tuple(rd1.twists[x] * rd2.twists[y] for x, y in at))
 
 
 @dataclass(frozen=True)
@@ -292,47 +334,22 @@ class IsingParams:
     nu2: int
 
     def __post_init__(self):
-        if self.nu1 % 2 == 0 or self.nu2 % 2 == 0:
-            raise ParameterError("Ising parameters must be odd residues mod 16")
+        if not all(type(nu) is int and nu % 2 for nu in (self.nu1, self.nu2)):
+            raise ParameterError("Ising parameters must be odd ints, residues mod 16, "
+                                 f"got {self.nu1!r}, {self.nu2!r}")
         object.__setattr__(self, "nu1", self.nu1 % 16)
         object.__setattr__(self, "nu2", self.nu2 % 16)
 
 
-def _ising_squared_ring() -> FusionRing:
-    return assemble_ring(*_ising_squared_rules())
-
-
-def _ising_squared_rules() -> tuple:
-    """Ising x Ising as `assemble_ring` arguments (labels, dims, blocks)."""
-    ising = ising_ring()
-    # (a, b) is key 3a + b
-    labels = [f"{a}*{b}" for a in ising.labels for b in ising.labels]
-    dims = [x * y for x in ising.exact_dims for y in ising.exact_dims]
-
-    # N[(a, b), (c, d), (e, f)] = N[a, c, e] N[b, d, f]: one block of every
-    # pair of nonzeros, each listed as often as its multiplicity
-    ijk = [np.repeat(x, ising.mults) for x in ising.nonzero()]
-    return labels, dims, [tuple(3 * x[:, None] + x for x in ijk)]
-
-
 def ising_squared_data(p: IsingParams) -> RibbonData:
-    """Ribbon data of Ising^{nu1} x Ising^{nu2}: factor twists multiply,
-    with theta_sig = e^{pi i nu / 8}."""
+    """Ribbon data of Ising^{nu1} x Ising^{nu2}: the Deligne product of the
+    Ising data with twists 1, -1 and e^{pi i nu / 8}."""
     from .modular import Phase, RibbonData  # only the ribbon data loads modular
 
-    ring = _ising_squared_ring()
-    factor_twists = {
-        "1": Fraction(0),
-        "psi": Fraction(1, 2),
-    }
-    twists = []
-    for label in ring.labels:
-        a, b = label.split("*")
-        t = Fraction(0)
-        for part, nu in ((a, p.nu1), (b, p.nu2)):
-            t += factor_twists.get(part, Fraction(nu, 16))
-        twists.append(Phase(t))
-    return RibbonData(ring, ring.exact_dims, tuple(twists))
+    ising, unit, fermion = ising_ring(), Phase(Fraction(0)), Phase(Fraction(1, 2))
+    return deligne_ribbon(*(
+        RibbonData(ising, ising.exact_dims, (unit, fermion, Phase(Fraction(nu, 16))))
+        for nu in (p.nu1, p.nu2)))
 
 
 def ising_squared_total_count() -> dict:

@@ -142,6 +142,8 @@ class GaugingDatum:
     alpha: int = 0
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.alpha) is not int:
+            raise ParameterError(f"N and alpha must be ints, got {self.n!r}, {self.alpha!r}")
         if self.n < 2:
             raise ParameterError("gauging needs N >= 2")
         if self.alpha not in (0, 1):

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._abelian import factorint
 from .errors import MalformedInputError, ParameterError, ResourceLimitError
-from .ring import AlgebraicReal, FusionRing, _dumps, _int_rows, _listed, _parse_json
+from .ring import AlgebraicReal, FusionRing, _int_rows, _Wire
 
 if TYPE_CHECKING:
     from .modular import RibbonData
@@ -79,7 +79,7 @@ def _nondegenerate(nums, den: int, shape) -> np.ndarray:
     return radical.sum(axis=1) == 1
 
 
-class MetricGroup:
+class MetricGroup(_Wire):
     """Group Z_{d1} x ... x Z_{dk} (d_i | d_{i+1}) with q: A -> Q/Z.
 
     Elements are coordinate tuples, indexed in lexicographic product order.
@@ -89,6 +89,7 @@ class MetricGroup:
     """
 
     __slots__ = ("facs", "num", "den", "_q")
+    _WIRE = ("metric group", "q", 3)
 
     def __init__(self, facs, q):
         q = [Fraction(x) % 1 for x in q]
@@ -199,12 +200,6 @@ class MetricGroup:
         rows = np.column_stack([idx, self.num[idx] // g, self.den // g])
         return {"group": list(self.facs), "q": rows}
 
-    def to_json_dict(self) -> dict:
-        return _listed(self._json())
-
-    def dumps(self) -> str:
-        return _dumps(self._json())
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "MetricGroup":
         """Strict inverse of `to_json_dict`: a missing key or an entry of the
@@ -245,10 +240,6 @@ class MetricGroup:
         mg = cls.__new__(cls)
         mg._init(tuple(facs), q // g, top // g)
         return mg
-
-    @classmethod
-    def loads(cls, text: str | bytes) -> "MetricGroup":
-        return cls.from_json_dict(_parse_json(text, "metric group", "q", 3))
 
 
 def _check_order(n: int) -> None:

@@ -23,11 +23,9 @@ from .ring import (
     AlgebraicReal,
     FusionRing,
     _check_indices,
-    _dumps,
     _int_row,
     _is_character,
-    _listed,
-    _parse_json,
+    _Wire,
 )
 
 # the one float tolerance, for the complex S-matrix numerics only (and the
@@ -66,7 +64,7 @@ class Phase:
 
 
 @dataclass(frozen=True)
-class RibbonData:
+class RibbonData(_Wire):
     """Twists and dims on a fusion ring.  Kept on first use, outside the value:
     `_floats`, the read-only float dims and complex twists, and `_s_matrix`,
     built once `validate()` has passed; a failed validation keeps nothing."""
@@ -74,6 +72,7 @@ class RibbonData:
     ring: FusionRing
     dims: tuple[AlgebraicReal, ...]
     twists: tuple[Phase, ...]
+    _WIRE = ("ribbon data", "fusion", 4)
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(AlgebraicReal.of(d) for d in self.dims))
@@ -128,12 +127,6 @@ class RibbonData:
         out["twists"] = [[t.r.numerator, t.r.denominator] for t in self.twists]
         return out
 
-    def to_json_dict(self) -> dict:
-        return _listed(self._json())
-
-    def dumps(self) -> str:
-        return _dumps(self._json())
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "RibbonData":
         """Strict like `FusionRing.from_json_dict`, which reads the dims;
@@ -146,10 +139,6 @@ class RibbonData:
         if any(den == 0 for _, den in rows):
             raise MalformedInputError("twists row has a zero denominator")
         return cls(ring, ring.exact_dims, tuple(Phase(Fraction(*row)) for row in rows))
-
-    @classmethod
-    def loads(cls, text: str | bytes) -> "RibbonData":
-        return cls.from_json_dict(_parse_json(text, "ribbon data", "fusion", 4))
 
 
 @dataclass(frozen=True)

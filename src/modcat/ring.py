@@ -147,10 +147,52 @@ ONE = AlgebraicReal(Fraction(1))
 
 
 # ---------------------------------------------------------------------------
-# the ring itself
+# the ring itself, and the JSON wire form it shares
 
 
-class FusionRing:
+class _Wire:
+    """The JSON wire form of rings, metric groups and ribbon data.  A subclass
+    gives `_json()`, its `to_json_dict` with one block of integer rows as an
+    (n, width) int64 array, a strict `from_json_dict`, and `_WIRE = (what,
+    key, width)`: its name in messages, the key of the rows and their width."""
+
+    __slots__ = ()
+
+    def to_json_dict(self) -> dict:
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in self._json().items()}
+
+    def dumps(self) -> str:
+        """`json.dumps(self.to_json_dict(), sort_keys=True)`, with the rows
+        formatted by one `%` instead of built as lists."""
+        data, parts = self._json(), []
+        for key in sorted(data):
+            value = data[key]
+            if isinstance(value, np.ndarray):
+                n, width = value.shape
+                row = "[" + ", ".join(["%d"] * width) + "]"
+                value = "[" + ", ".join([row] * n) % tuple(value.ravel().tolist()) + "]"
+            else:
+                value = json.dumps(value, sort_keys=True)
+            parts.append(f"{json.dumps(key)}: {value}")
+        return "{" + ", ".join(parts) + "}"
+
+    @classmethod
+    def loads(cls, text: str | bytes):
+        """`from_json_dict` of the parsed text, or `MalformedInputError` when
+        it is not JSON.  Rows spaced as `dumps` writes them come out as
+        `_ReadRows` (`_read_rows`); any other text takes `json.loads` alone."""
+        what, key, width = cls._WIRE
+        data = _read_rows(text, key, width)
+        if data is None:
+            try:
+                data = json.loads(text)
+            except (ValueError, RecursionError) as exc:
+                raise MalformedInputError(f"{what} is not valid JSON: {exc}") from None
+        return cls.from_json_dict(data)
+
+
+class FusionRing(_Wire):
     """A based ring stored as its nonzeros.
 
     `cells` holds the raveled index (i * r + j) * r + k of every nonzero
@@ -162,6 +204,7 @@ class FusionRing:
     """
 
     __slots__ = ("labels", "dual", "cells", "mults", "exact_dims", "_dense", "_checked_dims")
+    _WIRE = ("ring", "fusion", 4)
 
     def __init__(self, labels, dual, fusion, exact_dims=None):
         labels = tuple(labels)
@@ -275,12 +318,6 @@ class FusionRing:
             out["dims"] = [d.to_json() for d in self.exact_dims]
         return out
 
-    def to_json_dict(self) -> dict:
-        return _listed(self._json())
-
-    def dumps(self) -> str:
-        return _dumps(self._json())
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "FusionRing":
         """Strict inverse of `to_json_dict`: a missing key or an entry of the
@@ -321,10 +358,6 @@ class FusionRing:
             dims = tuple(map(made.__getitem__, rows))
         return cls.from_nonzeros(labels, dual, cells, mult[order], dims)
 
-    @classmethod
-    def loads(cls, text: str | bytes) -> "FusionRing":
-        return cls.from_json_dict(_parse_json(text, "ring", "fusion", 4))
-
 
 def _check_indices(ring: FusionRing, *indices) -> None:
     """`MalformedInputError` naming the first of `indices` outside [0, rank)."""
@@ -333,31 +366,8 @@ def _check_indices(ring: FusionRing, *indices) -> None:
             raise MalformedInputError(f"{x} is not a basis index of a ring of rank {ring.rank}")
 
 
-def _listed(data: dict) -> dict:
-    """`data` with each array value, an (n, width) integer array of rows,
-    as its `tolist()`."""
-    return {key: value.tolist() if isinstance(value, np.ndarray) else value
-            for key, value in data.items()}
-
-
-def _dumps(data: dict) -> str:
-    """`json.dumps(_listed(data), sort_keys=True)`, with the rows of each
-    array value formatted by one `%` instead of built as lists."""
-    parts = []
-    for key in sorted(data):
-        value = data[key]
-        if isinstance(value, np.ndarray):
-            n, width = value.shape
-            row = "[" + ", ".join(["%d"] * width) + "]"
-            value = "[" + ", ".join([row] * n) % tuple(value.ravel().tolist()) + "]"
-        else:
-            value = json.dumps(value, sort_keys=True)
-        parts.append(f"{json.dumps(key)}: {value}")
-    return "{" + ", ".join(parts) + "}"
-
-
 class _ReadRows:
-    """An (n, width) int64 array of rows that `_parse_json` read straight
+    """An (n, width) int64 array of rows that `_read_rows` read straight
     from the text.  Only `_int_rows` takes it, so `from_json_dict` itself
     still refuses anything but lists of rows."""
 
@@ -368,19 +378,6 @@ class _ReadRows:
 
 
 _DIGITS, _SPACES = b"0123456789", bytes.maketrans(b"[],", b"   ")
-
-
-def _parse_json(text: str | bytes, what: str, key: str, width: int):
-    """`json.loads(text)`, or `MalformedInputError` when that fails.  When
-    the top-level `key` array is written as `dumps` writes it, it comes out
-    as `_ReadRows` (`_read_rows`); any other text takes `json.loads` alone."""
-    data = _read_rows(text, key, width)
-    if data is not None:
-        return data
-    try:
-        return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise MalformedInputError(f"{what} is not valid JSON: {exc}") from None
 
 
 def _read_rows(text, key: str, width: int):

@@ -1,4 +1,5 @@
-"""Metaplectic family constructors, censuses, Ising^2 data, based isomorphism."""
+"""Metaplectic family constructors, censuses, Deligne products, Ising^2 data,
+based isomorphism."""
 
 import dataclasses
 import gc
@@ -17,17 +18,26 @@ from modcat import (
     AlgebraicReal,
     FusionRing,
     GaugingDatum,
+    MalformedInputError,
     ParameterError,
+    Phase,
     ResourceLimitError,
+    RibbonData,
+    UnsupportedInputError,
     based_ring_isomorphism,
     boson_fermion_census,
     build_so_n2,
+    deligne_product,
+    deligne_ribbon,
+    exact_dimensions,
     gauge_particle_hole,
+    gauss_sums,
     invertibles,
     is_modular,
     ising_squared_data,
     ising_squared_enumeration,
     ising_squared_total_count,
+    s_matrix,
     sixteen_m_component_census,
     structure_census,
     universal_grading,
@@ -36,7 +46,12 @@ from modcat import (
 import modcat.ring as ring_module
 from modcat import catalog, gauging
 from modcat.catalog import IsingParams
-from modcat.metric import enumerate_cyclic_metric_groups, standard_cyclic_metric_group
+from modcat.metric import (
+    enumerate_cyclic_metric_groups,
+    enumerate_forms,
+    pointed_ribbon_data,
+    standard_cyclic_metric_group,
+)
 from modcat.ring import fp_dimensions
 
 import oracles
@@ -467,11 +482,135 @@ class TestIsingSquared:
         with pytest.raises(ParameterError):
             IsingParams(2, 1)
 
+    @pytest.mark.parametrize("nu1, nu2", [(1.5, 3), (1, 3.0), (True, 3), (1, "3")])
+    def test_rejects_parameters_that_are_not_ints(self, nu1, nu2):
+        # nothing is coerced: a float, bool or string is refused, not read mod 16
+        with pytest.raises(ParameterError, match="ints"):
+            IsingParams(nu1, nu2)
+
+    def test_all_64_data_bit_identical_to_recorded_digest(self):
+        # `dumps` of every datum in (nu1, nu2) order, recorded from the
+        # construction that split the product labels to add the twists
+        h = hashlib.sha256()
+        for nu1 in range(1, 16, 2):
+            for nu2 in range(1, 16, 2):
+                h.update(ising_squared_data(IsingParams(nu1, nu2)).dumps().encode())
+        assert h.hexdigest() == "2a868452b47f6439177c0bb4645168b758866a929d4908baeec4eb12c361c656"
+
     def test_ring_bit_identical_to_recorded_digest(self):
         # recorded from the per-pair Counter construction
-        assert ring_digest(catalog._ising_squared_ring()) == (
+        ring = catalog.deligne_product(catalog.ising_ring(), catalog.ising_ring())
+        assert ring_digest(ring) == (
             "07b0016c60fa230b588974973bb17ad38e115ed73e5f800adcbebe2ac5dc3a84"
         )
+
+
+def ising_data(nu: int) -> RibbonData:
+    ising = catalog.ising_ring()
+    return RibbonData(ising, ising.exact_dims, (Phase.of(0), Phase.of(1, 2), Phase.of(nu, 16)))
+
+
+def silver_ring() -> FusionRing:
+    # X (x) X = 1 + 2X
+    fusion = np.zeros((2, 2, 2), dtype=np.int64)
+    fusion[0, 0, 0] = fusion[0, 1, 1] = fusion[1, 0, 1] = fusion[1, 1, 0] = 1
+    fusion[1, 1, 1] = 2
+    return FusionRing(("1", "X"), (0, 1), fusion, (AlgebraicReal.of(1), 1 + AlgebraicReal.sqrt(2)))
+
+
+def factor_positions(r1, r2, ring) -> list[int]:
+    """Per object `a*b` of the product ring, a * r2 + b in the factors' indices."""
+    return [r1.labels.index(a) * r2.rank + r2.labels.index(b)
+            for a, b in (label.split("*") for label in ring.labels)]
+
+
+class TestDeligne:
+    def check_product(self, r1, r2):
+        ring = deligne_product(r1, r2)
+        at = factor_positions(r1, r2, ring)
+        r = r1.rank * r2.rank
+        dense = np.einsum("ace,bdf->abcdef", r1.fusion, r2.fusion).reshape(r, r, r)
+        assert np.array_equal(ring.fusion, dense[np.ix_(at, at, at)])
+        duals = [r1.dual[x // r2.rank] * r2.rank + r2.dual[x % r2.rank] for x in at]
+        assert [at[k] for k in ring.dual] == duals
+        d1, d2 = exact_dimensions(r1), exact_dimensions(r2)
+        assert exact_dimensions(ring) == tuple(d1[x // r2.rank] * d2[x % r2.rank] for x in at)
+        assert verify_axioms(ring).ok
+        return ring
+
+    def test_products_of_verified_rings_within_one_field(self):
+        ising, z = catalog.ising_ring(), pointed_z
+        pairs = [(ising, ising), (ising, z(3)), (z(2), z(3)), (z(3), z(6)), (z(4), z(4)),
+                 (build_so_n2(4), ising), (build_so_n2(8), ising), (build_so_n2(5), z(3)),
+                 (z(2), build_so_n2(6)), (build_so_n2(10), z(4)), (build_so_n2(12), z(5))]
+        for r1, r2 in pairs:
+            self.check_product(r1, r2)
+
+    def test_a_multiplicity_two_rule_gives_the_product_of_multiplicities(self):
+        silver = silver_ring()
+        for other in (silver, catalog.ising_ring(), pointed_z(3)):
+            labels, dims, blocks = catalog.deligne_rules(silver, other)
+            assert len(oracles.stack_rows(blocks)[0]) == 6 * int(other.mults.sum())
+            assert self.check_product(silver, other).mults.max() == 2 * other.mults.max()
+
+    def test_keys_past_one_byte(self):
+        # 272 objects: Z_16 x Z_17 is the cyclic group of order 272
+        ring = deligne_product(pointed_z(16), pointed_z(17))
+        assert ring.rank == 272 and verify_axioms(ring).ok
+        assert invertibles(ring).invariant_factors() == [272]
+
+    def test_s_matrix_is_the_kronecker_product_and_gauss_sums_multiply(self):
+        forms = [pointed_ribbon_data(mg) for n in (2, 3, 4, 5) for mg in enumerate_forms((n,))[:2]]
+        pairs = [(ising_data(1), ising_data(3)), (ising_data(5), forms[0]), (forms[2], ising_data(7)),
+                 (forms[1], forms[4]), (forms[3], forms[6]), (forms[5], forms[7])]
+        for rd1, rd2 in pairs:
+            rd = deligne_ribbon(rd1, rd2)
+            at = factor_positions(rd1.ring, rd2.ring, rd.ring)
+            kron = np.kron(s_matrix(rd1).entries, s_matrix(rd2).entries)
+            assert np.allclose(s_matrix(rd).entries, kron[np.ix_(at, at)], atol=1e-9)
+            r2 = rd2.ring.rank
+            assert rd.twists == tuple(rd1.twists[x // r2] * rd2.twists[x % r2] for x in at)
+            (p, m), (p1, m1), (p2, m2) = gauss_sums(rd), gauss_sums(rd1), gauss_sums(rd2)
+            assert abs(p - p1 * p2) < 1e-9 and abs(m - m1 * m2) < 1e-9
+            assert is_modular(rd)
+
+    def test_a_degenerate_factor_leaves_the_product_not_modular(self):
+        zero = [mg for mg in enumerate_forms((2,), nondegenerate_only=False) if not any(mg.num)]
+        rd = deligne_ribbon(ising_data(1), pointed_ribbon_data(zero[0]))
+        assert not is_modular(rd)
+
+    def test_so4_is_ising_squared(self):
+        ising = catalog.ising_ring()
+        so4, square = build_so_n2(4), deligne_product(ising, ising)
+        phi = based_ring_isomorphism(so4, square)
+        assert phi is not None
+        assert [exact_dimensions(square)[k] for k in phi] == list(exact_dimensions(so4))
+
+    def test_refuses_past_the_nonzero_limit_before_any_block(self):
+        # SO(1000)_2 has 515 032 nonzeros: its square would list 2.7e11
+        big = build_so_n2(1000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="265257961024 products"):
+                deligne_product(big, big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("pair", ["so5_so3", "fibonacci_ising"])
+    def test_refuses_dims_that_leave_one_quadratic_field(self, pair):
+        r1, r2 = {"so5_so3": (build_so_n2(5), build_so_n2(3)),
+                  "fibonacci_ising": (catalog.fibonacci_ring(), catalog.ising_ring())}[pair]
+        with pytest.raises(UnsupportedInputError, match="quadratic field"):
+            deligne_product(r1, r2)
+
+    def test_labels_that_collide_are_refused(self):
+        # 1 x 1*1 and 1*1 x 1 would both be labelled 1*1*1
+        z2 = pointed_z(2)
+        twice = FusionRing(("1", "1*1"), z2.dual, z2.fusion)
+        with pytest.raises(MalformedInputError, match="distinct"):
+            deligne_product(twice, twice)
 
 
 class TestSixteenM:

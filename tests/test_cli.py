@@ -346,7 +346,8 @@ EXPORTED = [
     "SMatrix", "UnsupportedInputError", "Z2Module", "adjoint_subring", "asymptotic_dim_ratio",
     "based_ring_isomorphism", "boson_fermion_census", "build_so_n2", "centralizer",
     "classify_invertible", "condense_boson", "count_gaugings_per_form", "count_metaplectic",
-    "cyclic_form", "enumerate_cyclic_metric_groups", "equivalence_test", "exact_dimensions",
+    "cyclic_form", "deligne_product", "deligne_ribbon", "enumerate_cyclic_metric_groups",
+    "equivalence_test", "exact_dimensions",
     "form_preserving_autos", "fp_dimensions", "gauge_particle_hole", "gauss_sums",
     "gn_grading", "hom_space_dim", "invertibles", "is_modular",
     "ising_squared_data", "ising_squared_enumeration", "ising_squared_total_count",

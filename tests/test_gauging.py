@@ -28,7 +28,7 @@ from modcat import (
 )
 import modcat.gauging as gauging_module
 import modcat.ring as ring_module
-from modcat.catalog import _ising_squared_rules, so_n2_rules
+from modcat.catalog import deligne_product, deligne_rules, ising_ring, so_n2_rules
 from modcat.gauging import assemble_ring, particle_hole_rules
 from modcat.metric import (
     enumerate_cyclic_metric_groups,
@@ -185,6 +185,12 @@ class TestGaugingDatum:
         with pytest.raises(ParameterError):
             GaugingDatum(5, alpha=1)
 
+    @pytest.mark.parametrize("args", [(6.0,), (6, True), (6, 1.0), (6.0, 1), ("6",)])
+    def test_rejects_parameters_that_are_not_ints(self, args):
+        # nothing is coerced: a float, bool or string is refused, not read as an int
+        with pytest.raises(ParameterError, match="ints"):
+            GaugingDatum(*args)
+
 
 # ---------------------------------------------------------------------------
 # ring assembly
@@ -245,7 +251,7 @@ class TestAssemblyOracle:
 
     def test_ising_squared(self):
         # every product listed twice as well, so that each multiplicity is 2
-        labels, dims, blocks = _ising_squared_rules()
+        labels, dims, blocks = deligne_rules(ising_ring(), ising_ring())
         for twice in (blocks, blocks + blocks):
             ring = assemble_ring(labels, dims, twice)
             assert ring == oracles.assemble_ring_reference(labels, dims, twice)
@@ -363,12 +369,10 @@ class TestCondensation:
                 assert _all_condensations(ring) >= 1
 
     def test_matches_oracle_on_pointed_and_ising_squared(self):
-        from modcat.catalog import _ising_squared_ring
-
         for facs in ((2,), (4,), (6,), (8,), (2, 2), (2, 4), (2, 2, 2), (3, 3)):
             for mg in enumerate_forms(facs)[:3]:
                 _all_condensations(pointed_ribbon_data(mg).ring)
-        assert _all_condensations(_ising_squared_ring()) == 3
+        assert _all_condensations(deligne_product(ising_ring(), ising_ring())) == 3
 
     def test_precondition_errors_match_oracle(self):
         # b (x) x = 1 + b: the dims (1, 1, 2) are a positive character, yet b
@@ -518,9 +522,7 @@ class TestCondensation:
     def test_general_shape_reports_orbits_only(self, ising):
         # Deligne square of Ising: condensing psi*psi leaves dim-sqrt(2)
         # fixed objects, so only orbit data can be reported
-        from modcat.catalog import _ising_squared_ring
-
-        ring = _ising_squared_ring()
+        ring = deligne_product(ising_ring(), ising_ring())
         report = condense_boson(ring, ring.index("psi*psi"))
         assert report.table is None
         assert report.reason is not None
