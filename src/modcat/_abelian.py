@@ -119,8 +119,8 @@ def count_metaplectic(n: int) -> int:
     """Number of inequivalent metaplectic modular categories of dimension 4N:
     2^{s+1+a} when a <= 1, 3 * 2^{s+2} when a > 1, for N = 2^a p1^a1 ... ps^as.
     `ResourceLimitError` before factoring when N > COUNT_LIMIT."""
-    if n < 2:
-        raise ParameterError("counting needs N >= 2")
+    if type(n) is not int or n < 2:
+        raise ParameterError(f"counting needs an int N >= 2, got {n!r}")
     if n > COUNT_LIMIT:
         raise ResourceLimitError(f"N = {n} is above the limit {COUNT_LIMIT} for factoring")
     if n == 4:

@@ -177,8 +177,8 @@ def so_n2_rules(n: int) -> tuple:
     """The rules of SO(N)_2 as `assemble_ring` arguments (labels, dims,
     blocks): the listed 4|N rules, or else the particle-hole gauging under
     the SO(N)_2 labels, which keep the canonical order of `assemble_ring`."""
-    if n < 2:
-        raise ParameterError("SO(N)_2 needs N >= 2")
+    if type(n) is not int or n < 2:
+        raise ParameterError(f"SO(N)_2 needs an int N >= 2, got {n!r}")
     if n % 4 == 0:
         return _four_divides_rules(n)
     labels, dims, blocks = particle_hole_rules(GaugingDatum(n))
@@ -262,8 +262,8 @@ def structure_census(ring: FusionRing, n: int) -> MetaplecticCensus:
 
 def boson_fermion_census(n: int) -> dict[str, str]:
     """Expected boson/fermion verdicts for f, g, fg, with structural checks."""
-    if n % 4:
-        raise ParameterError("the boson/fermion census applies only for 4 | N")
+    if type(n) is not int or n % 4:
+        raise ParameterError(f"the boson/fermion census needs an int N with 4 | N, got {n!r}")
     return _boson_fermion(build_so_n2(n), n)
 
 
@@ -372,8 +372,8 @@ def ising_squared_total_count() -> dict:
 
 def sixteen_m_component_census(m: int) -> dict:
     """Per-component census of SO(4m)_2 for odd square-free m > 1."""
-    if m <= 1 or m % 2 == 0 or squarefree_part(m) != m:
-        raise ParameterError("m must be odd, square-free and > 1")
+    if type(m) is not int or m <= 1 or m % 2 == 0 or squarefree_part(m) != m:
+        raise ParameterError(f"m must be an odd, square-free int > 1, got {m!r}")
     n = 4 * m
     ring = build_so_n2(n)
     dims = exact_dimensions(ring)

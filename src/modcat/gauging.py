@@ -602,6 +602,6 @@ def _generator_walk(ring, b, start, fixed_set, inv_pair_set):
 def count_gaugings_per_form(n: int) -> int:
     """Distinct gaugings per fixed cyclic metric group: 3 when 4 | N, else 2
     (the (1,-1) and (-1,1) pairs are identified by relabeling)."""
-    if n < 2:
-        raise ParameterError("counting needs N >= 2")
+    if type(n) is not int or n < 2:
+        raise ParameterError(f"counting needs an int N >= 2, got {n!r}")
     return 3 if n % 4 == 0 else 2

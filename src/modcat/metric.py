@@ -244,8 +244,8 @@ class MetricGroup(_Wire):
 
 def _check_order(n: int) -> None:
     # also keeps every numerator product below den^2 <= 4 ORDER_LIMIT^2 < 2^63
-    if n < 1:
-        raise ParameterError("n must be positive")
+    if type(n) is not int or n < 1:
+        raise ParameterError(f"n must be a positive int, got {n!r}")
     if n > ORDER_LIMIT:
         raise ResourceLimitError(f"group order {n} exceeds the limit {ORDER_LIMIT}")
 

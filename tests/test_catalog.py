@@ -27,6 +27,7 @@ from modcat import (
     based_ring_isomorphism,
     boson_fermion_census,
     build_so_n2,
+    count_metaplectic,
     deligne_product,
     deligne_ribbon,
     exact_dimensions,
@@ -92,6 +93,20 @@ class TestBuild:
         for n in range(2, 41):
             census = structure_census(so_rings(n), n)
             assert census.ok, (n, census.mismatches)
+
+    @pytest.mark.parametrize("build", [
+        build_so_n2, boson_fermion_census, catalog.so_n2_rules, gauging.count_gaugings_per_form,
+        count_metaplectic])
+    @pytest.mark.parametrize("n", [12.0, 13.0, True, np.int64(12), "12"])
+    def test_rejects_n_that_is_not_an_int(self, build, n):
+        # a float, bool, numpy integer or string is refused, not read as an int
+        with pytest.raises(ParameterError, match="int N"):
+            build(n)
+
+    @pytest.mark.parametrize("m", [3.0, 15.0, True, np.int64(15)])
+    def test_sixteen_m_rejects_m_that_is_not_an_int(self, m):
+        with pytest.raises(ParameterError, match="int"):
+            sixteen_m_component_census(m)
 
     def test_census_is_frozen(self, so_rings):
         good = structure_census(so_rings(12), 12)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -155,6 +156,15 @@ class TestEnumeration:
         assert len(enumerate_cyclic_metric_groups(5)) == 2
         assert len(enumerate_cyclic_metric_groups(4)) == 4
         assert len(enumerate_cyclic_metric_groups(12)) == 8
+
+    @pytest.mark.parametrize("make", [
+        enumerate_cyclic_metric_groups, standard_cyclic_metric_group, cyclic_class_coefficients,
+        lambda n: cyclic_metric_group(n, Fraction(1, 5))])
+    @pytest.mark.parametrize("n", [5.0, 12.0, True, np.int64(5), "5"])
+    def test_rejects_n_that_is_not_an_int(self, make, n):
+        # True would be the trivial group Z_1, 12.0 a TypeError from range
+        with pytest.raises(ParameterError, match="positive int"):
+            make(n)
 
     def test_pairwise_inequivalent(self):
         for n in (4, 5, 12, 15):

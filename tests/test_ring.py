@@ -33,6 +33,7 @@ from modcat import (
     asymptotic_dim_ratio,
     condense_boson,
     cyclic_form,
+    deligne_product,
     enumerate_cyclic_metric_groups,
     exact_dimensions,
     fp_dimensions,
@@ -542,6 +543,27 @@ def _light_accepts(ring, gens) -> bool:
         return not _certified(ring)[2]
 
 
+def _decisions(ring):
+    """The violations of `verify_axioms(ring)`, and in order every call of
+    the equality step and of the witness kernel: ("same", its answer) or
+    ("unbalanced", the number of keys it found)."""
+    calls, same, unbalanced = [], ring_module._same, ring_module._unbalanced
+
+    def spy_same(*args):
+        calls.append(("same", same(*args)))
+        return calls[-1][1]
+
+    def spy_unbalanced(*args):
+        found = unbalanced(*args)
+        calls.append(("unbalanced", len(found)))
+        return found
+
+    with mock.patch.object(ring_module, "_same", side_effect=spy_same), \
+            mock.patch.object(ring_module, "_unbalanced", side_effect=spy_unbalanced):
+        violations = list(verify_axioms(ring).violations)
+    return violations, calls
+
+
 # sha256 of the JSON of `verify_axioms(...).violations` for SO(N)_2 raised by
 # one at three distinct non-unit indices, the corruption of the axioms ladder
 _CORRUPTED_SO_N2_DIGESTS = {
@@ -766,20 +788,69 @@ class TestAxioms:
         # a batch ends at the first row (i, j) past ASSOC_BATCH products, as
         # estimated from its slice; at rank 62 the estimate is off by less
         # than that, so no batch of Light's test or of the full check reaches
-        # twice as many
-        sizes, real = [], ring_module._unbalanced
+        # twice as many.  A batch of Light's test that balances never reaches
+        # `_unbalanced`, so the equality step is spied as well
+        sizes, light, real, same = [], [], ring_module._unbalanced, ring_module._same
 
         def spy(keys, vals, bound):
             sizes.append(len(keys))
             return real(keys, vals, bound)
 
+        def spy_same(keys, n):
+            light.append(len(keys))
+            return same(keys, n)
+
         ring = build_so_n2(110)
         fusion = ring.fusion.copy()
         fusion[13, 58, 31] += 1
-        with mock.patch.object(ring_module, "_unbalanced", side_effect=spy):
+        with mock.patch.object(ring_module, "_unbalanced", side_effect=spy), \
+                mock.patch.object(ring_module, "_same", side_effect=spy_same):
             assert verify_axioms(ring).ok
             assert not verify_axioms(FusionRing(ring.labels, ring.dual, fusion)).ok
         assert len(sizes) > 50 and max(sizes) < 2 * ring_module.ASSOC_BATCH
+        assert len(light) > 1 and max(light) < 2 * ring_module.ASSOC_BATCH
+
+    def test_multiplicities_above_one_pass_light_test_by_equality(self):
+        # X X = 1 + 2X, and its product with Z_3: every batch of Light's test
+        # holds products of 2, equal with their multiplicities on both sides
+        silver = _from_products(("1", "X"), ("1", "X"), {"X X": "1 + X + X"})
+        silver = FusionRing(silver.labels, silver.dual, silver.fusion, (ONE, 1 + AlgebraicReal.sqrt(2)))
+        for ring in (silver, deligne_product(silver, pointed_z(3))):
+            violations, calls = _decisions(ring)
+            assert violations == oracles.verify_axioms_bruteforce(ring.fusion, ring.dual) == []
+            assert ring.mults.max() == 2 and ("same", True) in calls
+            # the witness kernel ran for the unit and duality compares alone
+            assert [call for call in calls if call[0] == "unbalanced"] == [("unbalanced", 0)] * 3
+
+    def test_frobenius_partners_with_unequal_multiplicities_are_caught(self):
+        # N_{ab}^c = 2 while its Frobenius partners stay 1: the permuted cells
+        # are the cells again, but not with the same multiplicities
+        ring = build_so_n2(9)
+        i, j, k = ring.nonzero()
+        where = next((a, b, c) for a, b, c in zip(i.tolist(), j.tolist(), k.tolist())
+                     if min(a, b, c) > 0 and len({a, b, c}) == 3)
+        fusion = ring.fusion.copy()
+        fusion[where] = 2
+        violations = list(verify_axioms(FusionRing(ring.labels, ring.dual, fusion)).violations)
+        assert {"frobenius_left", "frobenius_right"} <= {kind for kind, _ in violations}
+        assert violations == oracles.verify_axioms_bruteforce(fusion, ring.dual)
+
+    def test_light_test_stops_at_its_first_failing_batch(self):
+        # raising a cell with all its Frobenius partners keeps the unit,
+        # duality and Frobenius checks: Light's test passes some batches, then
+        # finds a witness and stops, and the full check lists every witness
+        ring = build_so_n2(17)
+        fusion = ring.fusion.copy()
+        for cell in _orbit((7, 9, 5), ring.dual):
+            fusion[cell] += 1
+        with mock.patch.object(ring_module, "ASSOC_BATCH", 64):
+            violations, calls = _decisions(FusionRing(ring.labels, ring.dual, fusion))
+        assert violations == oracles.verify_axioms_bruteforce(fusion, ring.dual)
+        assert {kind for kind, _ in violations} == {"associativity"}
+        stop = next(n for n, (step, found) in enumerate(calls) if step == "unbalanced" and found)
+        assert calls[:3] == [("unbalanced", 0)] * 3  # unit and duality
+        assert {step for step, _ in calls[3:stop]} == {"same"} and ("same", True) in calls[3:stop]
+        assert calls[stop + 1:] and {step for step, _ in calls[stop + 1:]} == {"unbalanced"}
 
     def test_so_1000_within_time_guard(self):
         ring = build_so_n2(1000)
