@@ -521,8 +521,8 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     """Check the based-ring axioms; returns every violation with a witness.
 
     Every check reads the nonzeros only and compares two sparse tensors.
-    The Frobenius checks and Light's test first ask only whether the sides,
-    each sorted alone, agree.  A check that fails, or whose packed keys would
+    The Frobenius checks, and Light's test when every product is 1, first
+    ask only whether the sides, each sorted alone, agree.  A check that fails, or whose packed keys would
     pass int64, sorts the keys together, so a witness where one side is zero
     is found as well, and the witnesses of each kind come out in index order.
 
@@ -622,11 +622,11 @@ def _associativity(ring: FusionRing, vals, block, i, j, k, jk, middle) -> list:
     m, the right side each nonzero (i, m, l) with every (j, k, m); both go
     under the key (i, j, k, l), with opposite signs, for a batch of rows
     (i, j) at a time.  When `middle` is not every object, this is Light's
-    test: a batch whose sides hold the same products (`_same`) has no
-    witness, and it stops at the first batch that has one."""
+    test: when every product is 1, a batch whose sides hold the same keys
+    (`_same`) has no witness, and it stops at the first batch that has one."""
     r, cells, light = ring.rank, ring.cells, not middle.all()
-    # every product is 1 when `bits` is 0; Python-int products are not packed
-    bits = 64 if vals.dtype == object else (int(vals.max(initial=1)) ** 2 - 1).bit_length()
+    # when every product is 1, a batch whose sides hold the same keys balances
+    same = light and int(vals.max(initial=1)) == 1
     block_len = np.diff(block)
     mid = np.flatnonzero(middle[j])  # the nonzeros (i, j, m) with j in the middle
     mid_ij, mid_m, mid_vals = cells[mid] // r, k[mid], vals[mid]
@@ -665,13 +665,10 @@ def _associativity(ring: FusionRing, vals, block, i, j, k, jk, middle) -> list:
             np.repeat((mid_ij[s] - p0) * r * r, left) + jk[u],
             np.repeat((i[t] * r - p0) * r * r + k[t], right) + ij_by_last[v],
         ))
-        if light and not bits and _same(keys, len(u)):
+        if same and _same(keys, len(u)):
             continue
         sums = np.concatenate((np.repeat(mid_vals[s], left) * vals[u],
                                np.repeat(-vals[t], right) * vals_by_last[v]))
-        if light and bits and (p1 - p0) * r * r << bits <= 2**63 and _same(
-                keys << bits | (np.abs(sums) - 1), len(u)):  # (key, |product| - 1) pairs
-            continue
         for key in _unbalanced(keys, sums, (p1 - p0) * r * r).tolist():
             key += p0 * r * r
             found.append(("associativity", (key // r**3, key // (r * r) % r, key // r % r, key % r)))

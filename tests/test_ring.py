@@ -810,17 +810,17 @@ class TestAxioms:
         assert len(sizes) > 50 and max(sizes) < 2 * ring_module.ASSOC_BATCH
         assert len(light) > 1 and max(light) < 2 * ring_module.ASSOC_BATCH
 
-    def test_multiplicities_above_one_pass_light_test_by_equality(self):
-        # X X = 1 + 2X, and its product with Z_3: every batch of Light's test
-        # holds products of 2, equal with their multiplicities on both sides
+    def test_multiplicities_above_one_pass_light_test(self):
+        # X X = 1 + 2X, and its product with Z_3: with a product above 1,
+        # equal keys do not make equal sums, so every batch of Light's test
+        # goes to the witness kernel, which finds nothing
         silver = _from_products(("1", "X"), ("1", "X"), {"X X": "1 + X + X"})
         silver = FusionRing(silver.labels, silver.dual, silver.fusion, (ONE, 1 + AlgebraicReal.sqrt(2)))
         for ring in (silver, deligne_product(silver, pointed_z(3))):
             violations, calls = _decisions(ring)
             assert violations == oracles.verify_axioms_bruteforce(ring.fusion, ring.dual) == []
-            assert ring.mults.max() == 2 and ("same", True) in calls
-            # the witness kernel ran for the unit and duality compares alone
-            assert [call for call in calls if call[0] == "unbalanced"] == [("unbalanced", 0)] * 3
+            assert ring.mults.max() == 2 and len(calls) > 3
+            assert set(calls) == {("unbalanced", 0)}
 
     def test_frobenius_partners_with_unequal_multiplicities_are_caught(self):
         # N_{ab}^c = 2 while its Frobenius partners stay 1: the permuted cells
@@ -836,13 +836,16 @@ class TestAxioms:
         assert violations == oracles.verify_axioms_bruteforce(fusion, ring.dual)
 
     def test_light_test_stops_at_its_first_failing_batch(self):
-        # raising a cell with all its Frobenius partners keeps the unit,
-        # duality and Frobenius checks: Light's test passes some batches, then
-        # finds a witness and stops, and the full check lists every witness
+        # raising a zero cell to 1 with all its Frobenius partners keeps the
+        # unit, duality and Frobenius checks, and every product 1: Light's
+        # test passes some batches by equality, then finds a witness and
+        # stops, and the full check lists every witness
         ring = build_so_n2(17)
         fusion = ring.fusion.copy()
-        for cell in _orbit((7, 9, 5), ring.dual):
+        assert not fusion[9, 9, 9]
+        for cell in _orbit((9, 9, 9), ring.dual):
             fusion[cell] += 1
+        assert fusion.max() == 1
         with mock.patch.object(ring_module, "ASSOC_BATCH", 64):
             violations, calls = _decisions(FusionRing(ring.labels, ring.dual, fusion))
         assert violations == oracles.verify_axioms_bruteforce(fusion, ring.dual)
