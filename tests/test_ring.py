@@ -1,11 +1,14 @@
 """Fusion-ring core: axioms, dimensions, gradings, hom spaces."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
 import random
 import time
+import tracemalloc
+import warnings
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import permutations
@@ -214,7 +217,9 @@ def _outcome(call):
 def _assert_loads_as_reference(cls, what, text):
     for given_text in (text, text.encode(), bytearray(text.encode())):
         expected = _outcome(lambda: _reference(cls, what, given_text))
-        assert _outcome(lambda: cls.loads(given_text)) == expected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning becomes an outcome that differs
+            assert _outcome(lambda: cls.loads(given_text)) == expected
 
 
 @functools.cache
@@ -249,44 +254,80 @@ def _append_row(text, row):
     return text.replace(']], "labels"', f'], {row}], "labels"')
 
 
+_FIXED_EDITS = [
+    pytest.param(lambda t: t.replace("{", '{"extra": {"fusion": [[0, 0, 0, 1]]}, ', 1),
+                 id="nested_key_first"),
+    pytest.param(lambda t: t.replace('"fusion"', '"other"').replace(
+        "{", '{"extra": {"fusion": [[0, 0, 0, 1]]}, ', 1), id="only_nested_key"),
+    pytest.param(lambda t: t[:-1] + ', "fusion": [[0, 0, 0, 1]]}', id="duplicate_key_last"),
+    pytest.param(lambda t: '{"fusion": [[0, 0, 0, 1]], ' + t[1:], id="duplicate_key_first"),
+    pytest.param(lambda t: _append_row(t, "[12, 12, 12, 1000000000000000000]"),
+                 id="19_digits"),
+    pytest.param(lambda t: _append_row(t, "[12, 12, 12, 9999999999999999999]"),
+                 id="19_nines"),
+    pytest.param(lambda t: _append_row(t, "[12, 12, 12, 10000000000000000000]"),
+                 id="20_digits"),
+    pytest.param(lambda t: _append_row(t, "[12, 12, 12, 99999999999999999999]"),
+                 id="20_nines"),
+    pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[0, 0, 0, 01]", 1), id="leading_zero"),
+    pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[00, 0, 0, 1]", 1), id="zero_zero"),
+    pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[-0, 0, 0, 1]", 1), id="minus_zero"),
+    pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[, 0, 0, 1]", 1), id="empty_slot"),
+    pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[0, 0, 0, 1, 2]", 1), id="long_row"),
+    pytest.param(lambda t: t[:t.index('"fusion"')] + '"fusion": [], ' + t[t.index('"labels"'):],
+                 id="empty_rows"),
+    pytest.param(lambda t: t.replace('"labels": [', '"labels": NaN, "x": [', 1),
+                 id="constant_elsewhere"),
+    pytest.param(lambda t: "[" + t + "]", id="not_an_object"),
+    pytest.param(lambda t: "\ufeff" + t, id="byte_order_mark"),
+    # JSON has no digit but in an entry; each of these holds its entries'
+    # digits, so only the place of one digit makes the text invalid
+    pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[,0 0, 0, 1]", 1), id="digit_after_comma"),
+    pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[0[, 0, 0, 1]", 1),
+                 id="digit_before_first_row"),
+    pytest.param(lambda t: t.replace("[[0, 0, 0, 1], [", "[[0, 0, 0, ]1, [", 1),
+                 id="digit_after_row"),
+    pytest.param(lambda t: t.replace("[[0, 0, 0, 1], [0,", "[[0, 0, 0, 1], 0[,", 1),
+                 id="digit_before_row"),
+]
+
+
 class TestJsonReader:
     @settings(max_examples=400, deadline=None)
     @given(_edited_texts())
     def test_edited_texts_load_as_the_list_path_does(self, case):
         _assert_loads_as_reference(*case)
 
-    def _ring_text(self):
-        return build_so_n2(12).dumps()
-
-    @pytest.mark.parametrize("edit", [
-        pytest.param(lambda t: t.replace("{", '{"extra": {"fusion": [[0, 0, 0, 1]]}, ', 1),
-                     id="nested_key_first"),
-        pytest.param(lambda t: t.replace('"fusion"', '"other"').replace(
-            "{", '{"extra": {"fusion": [[0, 0, 0, 1]]}, ', 1), id="only_nested_key"),
-        pytest.param(lambda t: t[:-1] + ', "fusion": [[0, 0, 0, 1]]}', id="duplicate_key_last"),
-        pytest.param(lambda t: '{"fusion": [[0, 0, 0, 1]], ' + t[1:], id="duplicate_key_first"),
-        pytest.param(lambda t: _append_row(t, "[12, 12, 12, 1000000000000000000]"),
-                     id="19_digits"),
-        pytest.param(lambda t: _append_row(t, "[12, 12, 12, 9999999999999999999]"),
-                     id="19_nines"),
-        pytest.param(lambda t: _append_row(t, "[12, 12, 12, 10000000000000000000]"),
-                     id="20_digits"),
-        pytest.param(lambda t: _append_row(t, "[12, 12, 12, 99999999999999999999]"),
-                     id="20_nines"),
-        pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[0, 0, 0, 01]", 1), id="leading_zero"),
-        pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[00, 0, 0, 1]", 1), id="zero_zero"),
-        pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[-0, 0, 0, 1]", 1), id="minus_zero"),
-        pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[, 0, 0, 1]", 1), id="empty_slot"),
-        pytest.param(lambda t: t.replace("[[0, 0, 0, 1]", "[[0, 0, 0, 1, 2]", 1), id="long_row"),
-        pytest.param(lambda t: t[:t.index('"fusion"')] + '"fusion": [], ' + t[t.index('"labels"'):],
-                     id="empty_rows"),
-        pytest.param(lambda t: t.replace('"labels": [', '"labels": NaN, "x": [', 1),
-                     id="constant_elsewhere"),
-        pytest.param(lambda t: "[" + t + "]", id="not_an_object"),
-        pytest.param(lambda t: "\ufeff" + t, id="byte_order_mark"),
-    ])
+    @pytest.mark.parametrize("edit", _FIXED_EDITS)
     def test_fixed_edits_load_as_the_list_path_does(self, edit):
-        _assert_loads_as_reference(FusionRing, "ring", edit(self._ring_text()))
+        _assert_loads_as_reference(FusionRing, "ring", edit(build_so_n2(12).dumps()))
+
+    # the same with chunks of a few bytes, so that chunk cuts fall in every text
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edited_texts(), st.sampled_from([1, 5, 64]))
+    def test_edited_texts_load_as_the_list_path_does_in_small_chunks(self, case, size):
+        with mock.patch.object(ring_module, "_READ_BYTES", size):
+            _assert_loads_as_reference(*case)
+
+    @pytest.mark.parametrize("size", [1, 5, 64])
+    @pytest.mark.parametrize("edit", _FIXED_EDITS)
+    def test_fixed_edits_load_as_the_list_path_does_in_small_chunks(self, edit, size, monkeypatch):
+        monkeypatch.setattr(ring_module, "_READ_BYTES", size)
+        _assert_loads_as_reference(FusionRing, "ring", edit(build_so_n2(12).dumps()))
+
+    def test_small_chunks_read_canonical_text_without_the_list_path(self, monkeypatch):
+        ring = build_so_n2(117)
+        text = ring.dumps()
+        read = []
+        read_chunk = ring_module._read_chunk
+        monkeypatch.setattr(ring_module, "_READ_BYTES", 1000)
+        monkeypatch.setattr(ring_module, "_read_chunk", lambda *a: read.append(a) or read_chunk(*a))
+        monkeypatch.setattr(ring_module, "_list_rows", None)
+        for given_text in (text, text.encode()):
+            read.clear()
+            assert FusionRing.loads(given_text) == ring
+            assert len(read) > 50 and all(len(chunk) < 1100 for chunk, _ in read)
 
     def test_canonical_metric_edits(self):
         text = cyclic_form(25, 3).dumps()
@@ -325,6 +366,74 @@ class TestJsonReader:
             FusionRing.from_json_dict({**data, "fusion": np.array(data["fusion"])})
         with pytest.raises(MalformedInputError, match="q must be a list of rows of 3"):
             MetricGroup.from_json_dict({"group": [5], "q": np.array([[1, 1, 5]])})
+
+
+# int64 values the row writer must spell out: the ends of the range, zero,
+# and each side of every power of ten, with its negation
+_WRITER_EDGES = sorted({v for k in range(19) for d in (-1, 0, 1) for v in (10**k + d, -(10**k) - d)}
+                       | {0, -(2**63), 2**63 - 1, -(2**63) + 1})
+
+
+@st.composite
+def _int64_rows(draw):
+    width = draw(st.integers(1, 5))
+    entry = st.one_of(st.sampled_from(_WRITER_EDGES), st.integers(-(2**63), 2**63 - 1),
+                      st.integers(-1000, 1000))
+    rows = draw(st.lists(st.lists(entry, min_size=width, max_size=width), max_size=300))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+# sha256 of `dumps()`, recorded before the rows were written by chunks
+_DUMPS_DIGESTS = {
+    600: "3f69e2cc5380bd910dd949bdd4f68efa8f3aafea6fb1991f6c6b482c91115599",
+    2003: "c78eadbb01baa25cd3fadcac945e9531557dde61db5ccaf77b4c45d22704fbbb",
+}
+
+
+_EDGE_ROWS = np.stack([np.roll(np.array(_WRITER_EDGES, dtype=np.int64), shift)
+                       for shift in range(5)], axis=1)  # every edge value in every column
+
+
+class TestJsonWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(_int64_rows(), st.sampled_from([1, 2, 7, ring_module._WRITE_ROWS]))
+    @example(_EDGE_ROWS, 7)
+    @example(_EDGE_ROWS[:, :1], 1)
+    def test_rows_are_their_json(self, rows, chunk):
+        with mock.patch.object(ring_module, "_WRITE_ROWS", chunk):
+            assert "".join(ring_module._row_pieces(rows)) == json.dumps(rows.tolist())
+
+    @pytest.mark.parametrize("n", sorted(_DUMPS_DIGESTS))
+    def test_dumps_bytes_are_pinned(self, n):
+        ring = build_so_n2(n)
+        if n == 2003:
+            assert ring.rank == 1005 and len(ring.cells) > 246 * ring_module._WRITE_ROWS  # 247 chunks
+        assert hashlib.sha256(ring.dumps().encode()).hexdigest() == _DUMPS_DIGESTS[n]
+
+    def test_dumps_and_loads_stay_near_the_text(self):
+        # traced peaks in units of the text: 9.4x (dumps) and 4.1x (loads of
+        # the bytes) when the rows were formatted and read whole
+        ring = build_so_n2(2003)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            text = ring.dumps()
+            assert tracemalloc.get_traced_memory()[1] - before <= 5 * len(text)
+            data = text.encode()
+            del text
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            again = FusionRing.loads(data)
+            assert tracemalloc.get_traced_memory()[1] - before <= 3.5 * len(data)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert again == ring
 
 
 class TestStorage:
