@@ -37,6 +37,7 @@ from .ring import (
     AlgebraicReal,
     FusionRing,
     _distinct,
+    _same_nonzeros,
     exact_dimensions,
     universal_grading,
 )
@@ -491,8 +492,7 @@ def based_ring_isomorphism(r1: FusionRing, r2: FusionRing):
     if pos < 0:
         return None
     cells = (phi[ijk1[:, 0]] * r + phi[ijk1[:, 1]]) * r + phi[ijk1[:, 2]]
-    at = np.argsort(cells)
-    if not (np.array_equal(cells[at], r2.cells) and np.array_equal(r1.mults[at], r2.mults)):
+    if not _same_nonzeros(cells, r1.mults, r2.cells, r2.mults, r**3):
         raise InternalConsistencyError("the isomorphism found does not carry the nonzeros")
     return tuple(phi.tolist())
 

@@ -108,10 +108,7 @@ def run(argv) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return _dispatch(args)
-    except ModcatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ModcatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

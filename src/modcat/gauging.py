@@ -26,14 +26,11 @@ from .errors import (
     UnsupportedInputError,
 )
 from .metric import MetricGroup
-from .ring import AlgebraicReal, FusionRing, _check_indices, _distinct, exact_dimensions
+from .ring import CHUNK, AlgebraicReal, FusionRing, _check_indices, _distinct, exact_dimensions
 
 # nonzeros of the largest metaplectic ring built: 1 GiB of int64 cells and
 # multiplicities, about N = 11 600
 NONZERO_LIMIT = 2**26
-# cells `assemble_ring` encodes at a time: each temporary of a chunk then
-# takes at most 512 KiB
-ASSEMBLY_CHUNK = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +175,7 @@ def assemble_ring(labels: list, dims: list, blocks) -> FusionRing:
 
     # the raveled cells (i * r + j) * r + k in canonical numbers, each block
     # written into its slice by chunks of leading rows, so that a temporary
-    # holds at most ASSEMBLY_CHUNK cells, or one row
+    # holds at most CHUNK cells, or one row
     blocks = [tuple(map(np.asarray, block)) for block in blocks]
     grids = [np.broadcast(*block) for block in blocks]
     ends = np.cumsum([0] + [grid.size for grid in grids]).tolist()
@@ -188,7 +185,7 @@ def assemble_ring(labels: list, dims: list, blocks) -> FusionRing:
     for block, grid, lo, hi in zip(blocks, grids, ends, ends[1:]):
         shape = grid.shape or (1,)
         out = cells[lo:hi].reshape(shape)
-        step = max(1, ASSEMBLY_CHUNK // max(prod(shape[1:]), 1))
+        step = max(1, CHUNK // max(prod(shape[1:]), 1))
         for top in range(0, shape[0], step):
             # an entry that does not run along the leading axis is used whole
             i, j, k = block if step >= shape[0] else (

@@ -92,16 +92,13 @@ class MetricGroup(_Wire):
     _WIRE = ("metric group", "q", 3)
 
     def __init__(self, facs, q):
+        facs = _check_facs(facs)
         q = [Fraction(x) % 1 for x in q]
         den = lcm(*(x.denominator for x in q))
-        self._init(tuple(int(d) for d in facs), [x.numerator * (den // x.denominator) for x in q], den)
+        self._init(facs, [x.numerator * (den // x.denominator) for x in q], den)
 
     def _init(self, facs, num, den: int) -> None:
-        """Check and store the form num / den, num in [0, den)."""
-        if any(d < 1 for d in facs):
-            raise MalformedInputError("invariant factors must be positive")
-        if any(b % a for a, b in zip(facs, facs[1:])):
-            raise MalformedInputError("invariant factors must form a divisor chain")
+        """Check and store the form num / den, num in [0, den), on checked factors."""
         if len(num) != prod(facs):
             raise MalformedInputError("q table length does not match group order")
         if num[0] != 0:
@@ -210,14 +207,10 @@ class MetricGroup(_Wire):
         missing = [key for key in ("group", "q") if key not in data]
         if missing:
             raise MalformedInputError(f"metric group is missing key(s) {', '.join(missing)}")
-        facs = data["group"]
-        if type(facs) is not list or not all(type(d) is int for d in facs):
+        if type(data["group"]) is not list:
             raise MalformedInputError("group must be a list of integers")
-        if any(d < 1 for d in facs):
-            raise MalformedInputError("invariant factors must be positive")
+        facs = _check_facs(data["group"], ORDER_LIMIT)
         order = prod(facs)
-        if order > ORDER_LIMIT:
-            raise ResourceLimitError(f"group order {order} exceeds the limit {ORDER_LIMIT}")
         idx, num, den = _int_rows(data["q"], 3, "q").T
         outside = (idx < 0) | (idx >= order)
         if outside.any():
@@ -238,8 +231,24 @@ class MetricGroup(_Wire):
         q[idx] = num % den * (top // den)
         g = gcd(top, int(np.gcd.reduce(q)))
         mg = cls.__new__(cls)
-        mg._init(tuple(facs), q // g, top // g)
+        mg._init(facs, q // g, top // g)
         return mg
+
+
+def _check_facs(facs, limit: int | None = None) -> tuple[int, ...]:
+    """`facs` as a tuple of ints (bools and numpy integers refused), each at
+    least 1 and dividing the next; `MalformedInputError` otherwise, and
+    `ResourceLimitError` when their product passes `limit`."""
+    facs = tuple(facs)
+    if not all(type(d) is int for d in facs):
+        raise MalformedInputError(f"invariant factors must be ints, got {facs!r:.80}")
+    if any(d < 1 for d in facs):
+        raise MalformedInputError("invariant factors must be positive")
+    if limit is not None and prod(facs) > limit:
+        raise ResourceLimitError(f"group order {prod(facs)} exceeds the limit {limit}")
+    if any(b % a for a, b in zip(facs, facs[1:])):
+        raise MalformedInputError("invariant factors must form a divisor chain")
+    return facs
 
 
 def _check_order(n: int) -> None:
@@ -379,11 +388,17 @@ def form_preserving_autos(mg: MetricGroup) -> list[tuple[int, ...]]:
 
 def enumerate_forms(facs, nondegenerate_only: bool = True) -> list[MetricGroup]:
     """Every quadratic form on the given group, by its Gram values: c_i with
-    2 d_i c_i integral (d_i c_i when d_i is odd) and b_ij killed by gcd(d_i, d_j)."""
-    facs = tuple(facs)
+    2 d_i c_i integral (d_i c_i when d_i is odd) and b_ij killed by gcd(d_i, d_j).
+    `ResourceLimitError` before any table is built when forms x order passes
+    ENUMERATION_LIMIT."""
+    facs = _check_facs(facs)
     shape = facs or (1,)
     i, j = np.triu_indices(len(shape), 1)
     sizes = [d if d % 2 else 2 * d for d in shape] + [gcd(shape[x], shape[y]) for x, y in zip(i, j)]
+    if prod(sizes) * prod(shape) > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"the {prod(sizes)} forms on {facs} have {prod(sizes) * prod(shape)} q entries, "
+            f"above the limit {ENUMERATION_LIMIT}")
     den = lcm(*sizes)
     coeffs = np.array(list(product(*map(range, sizes))), dtype=np.int64)
     nums = _tables(shape, coeffs * (den // np.array(sizes)), den)

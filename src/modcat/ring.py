@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 
 import numpy as np
 
@@ -28,6 +28,17 @@ from .errors import (
 )
 
 DENSE_LIMIT = 2**30  # bytes: the largest dense fusion tensor built (rank 512)
+# elements a pass over the nonzeros takes at a time, so that its temporaries
+# stay small: the products of an associativity batch, the nonzeros of a
+# character block, the cells `assemble_ring` encodes at once, the values of
+# a piece of JSON rows.  Least ms of 3-7 fresh runs on 2 shared vCPUs, at
+# 2^13 / 2^14 / 2^15 / 2^16 / 2^17:
+#   first `structure_census` of SO(600)_2     4.1 / 4.0 / 4.2 / 5.3 / 8.4
+#   `build_so_n2(600)`, `build_so_n2(3000)`   4.4 / 4.0 / 3.9 / 3.9 / 4.1, 96 / 90 / 89 / 90 / 91
+#   full check of SO(117)_2 raised by one     60 / 62 / 66 / 72 / 79
+#   `dumps` of SO(600)_2                      23 / 21 / 19 / 21 / 20
+#   verify of SO(1000)_2 (Light's test)       427 / 378 / 355 / 346 / 337
+CHUNK = 2**15
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +371,9 @@ class FusionRing(_Wire):
 
 
 def _check_indices(ring: FusionRing, *indices) -> None:
-    """`MalformedInputError` naming the first of `indices` outside [0, rank)."""
+    """`MalformedInputError` naming the first of `indices` not an integer in [0, rank), or a bool."""
     for x in indices:
-        if not 0 <= x < ring.rank:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not 0 <= x < ring.rank:
             raise MalformedInputError(f"{x} is not a basis index of a ring of rank {ring.rank}")
 
 
@@ -377,21 +388,17 @@ class _ReadRows:
         self.array = array
 
 
-# the JSON rows are written _WRITE_ROWS rows and read about _READ_BYTES
-# bytes of text at a time, so that the temporaries of one pass stay small.
-# On 2 vCPUs, `dumps` of SO(600)_2 (189 032 rows) took 17 ms with 2^13
-# rows, 18 ms with 2^12 and 19 ms with 2^11, and of SO(3000)_2 0.61, 0.63
-# and 0.70 s; reading SO(3000)_2 took the same from 2^16 to 2^22 bytes.
-_WRITE_ROWS = 2**13
+# bytes of JSON text the row reader takes at a time: reading SO(3000)_2 took
+# the same from 2^16 to 2^22 bytes on 2 vCPUs
 _READ_BYTES = 2**20
 _DIGITS = b"0123456789"
 
 
 def _row_pieces(rows: np.ndarray) -> list[str]:
     """`json.dumps(rows.tolist())` of an (n, width) int64 array, as pieces
-    to join, one per _WRITE_ROWS rows."""
-    pieces = ["[", *(_row_text(rows[top:top + _WRITE_ROWS])
-                     for top in range(0, len(rows), _WRITE_ROWS))]
+    to join, one per CHUNK // width rows."""
+    step = max(1, CHUNK // rows.shape[1])
+    pieces = ["[", *(_row_text(rows[top:top + step]) for top in range(0, len(rows), step))]
     pieces[-1] = pieces[-1].removesuffix(", ")
     pieces.append("]")
     return pieces
@@ -528,9 +535,7 @@ def _read_chunk(chunk, width: int):
 def _int_rows(rows, width: int, what: str) -> np.ndarray:
     """`rows` as an (n, width) int64 array: the array of `_ReadRows`, or
     `_list_rows` of a list."""
-    if type(rows) is _ReadRows:
-        return rows.array
-    return _list_rows(rows, width, what)
+    return rows.array if type(rows) is _ReadRows else _list_rows(rows, width, what)
 
 
 def _list_rows(rows, width: int, what: str) -> np.ndarray:
@@ -568,14 +573,6 @@ class AxiomReport:
         return not self.violations
 
 
-# products the associativity join sums at a time: its arrays then stay in
-# cache.  On a 2-vCPU VM the full check of SO(117)_2 (rank 62) raised by one
-# at (13, 58, 31) takes 58 ms with batches of 2^15, 73 ms with 2^13 and 65 ms
-# with 2^17; `verify_axioms` of SO(1000)_2 (rank 507), which Light's test
-# decides, 0.39-0.40, 0.47-0.53 and 0.38 s (least to median of five).
-ASSOC_BATCH = 2**15
-
-
 def _unbalanced(keys: np.ndarray, vals: np.ndarray, bound: int) -> np.ndarray:
     """The distinct keys, all in [0, bound), whose values do not sum to zero,
     increasing: one sort and one `np.add.reduceat`, exact in the dtype of
@@ -604,10 +601,11 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     """Check the based-ring axioms; returns every violation with a witness.
 
     Every check reads the nonzeros only and compares two sparse tensors.
-    The Frobenius checks, and Light's test when every product is 1, first
-    ask only whether the sides, each sorted alone, agree.  A check that fails, or whose packed keys would
-    pass int64, sorts the keys together, so a witness where one side is zero
-    is found as well, and the witnesses of each kind come out in index order.
+    The Frobenius checks (`_same_nonzeros`), and Light's test when every
+    product is 1, first ask only whether the sides, each sorted alone, agree.
+    A check that fails sorts the keys together, so a witness where one side
+    is zero is found as well, and the witnesses of each kind come out in
+    index order.
 
     Associativity is one join, `_associativity`, over a mask of middles.
     When the unit, duality and Frobenius checks found nothing, the middles
@@ -640,13 +638,10 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     compare("unit_right", j == 0, every * (r * r + 1), one)  # N[a, 0, a] = 1
     compare("duality_pairing", k == 0, (every * r + dual) * r, one)  # N[a, a*, 0] = 1
     # Frobenius reciprocity: N_{ij}^k = N_{i*k}^j = N_{kj*}^i, so the
-    # nonzero N_{ab}^c must appear at (a*, c, b) and at (c, b*, a): permuted
-    # and sorted with N - 1 in their low bits, the cells are `cells` again
-    bits = int(mults.max(initial=1) - 1).bit_length()
-
+    # nonzero N_{ab}^c must appear at (a*, c, b) and at (c, b*, a); each
+    # permutation of the cells is built only for its own check
     def frobenius(kind, other):
-        if r**3 << bits > 2**63 or not np.array_equal(
-                np.sort(other << bits | (mults - 1)), cells << bits | (mults - 1)):
+        if not _same_nonzeros(other, mults, cells, mults, r**3):
             compare(kind, slice(None), other, mults)
 
     frobenius("frobenius_left", (dual[i] * r + k) * r + j)
@@ -717,7 +712,7 @@ def _associativity(ring: FusionRing, vals, block, i, j, k, jk, middle) -> list:
     by_last = by_last[np.argsort(k[by_last], kind="stable")]
     last_first = k[by_last] * r + i[by_last]  # their (m, j), increasing
     ij_by_last, vals_by_last = cells[by_last] // r * r, vals[by_last]
-    # batches: rows up to the first one past ASSOC_BATCH products, those of
+    # batches: rows up to the first one past CHUNK products, those of
     # slice i taken as spread evenly over its rows (i, j) in the middle; keys
     # stay below 2^63
     made = np.concatenate(([0], np.cumsum(  # products before each slice
@@ -728,7 +723,7 @@ def _associativity(ring: FusionRing, vals, block, i, j, k, jk, middle) -> list:
     while rows[-1] < r * r:
         a, c = divmod(rows[-1], r)
         x = bisect_left(cols, c)  # the middles of slice a before row (a, c)
-        target = made[a] + (made[a + 1] - made[a]) * x // max(mids, 1) + ASSOC_BATCH
+        target = made[a] + (made[a + 1] - made[a]) * x // max(mids, 1) + CHUNK
         b = bisect_right(made, target) - 1  # the slice where the batch ends
         end = r * r
         if b < r:  # at the first middle of slice b at or past the target
@@ -765,15 +760,24 @@ def _same(keys, n: int) -> bool:
     return 2 * n == len(keys) and np.array_equal(np.sort(keys[:n]), np.sort(keys[n:]))
 
 
+def _same_nonzeros(cells, mults, ref_cells, ref_mults, bound: int) -> bool:
+    """Whether the nonzeros (cells, mults), in any order, are (ref_cells,
+    ref_mults), cells increasing, all in [0, bound), mults positive.  N - 1
+    rides in the low bits of the cells through one `np.sort` when that fits
+    int64, else the cells are argsorted; at most three arrays of n at once."""
+    bits = int(max(mults.max(initial=1), ref_mults.max(initial=1)) - 1).bit_length()
+    if bound << bits <= 2**63:
+        return np.array_equal(np.sort(cells << bits | (mults - 1)), ref_cells << bits | (ref_mults - 1))
+    order = np.argsort(cells)
+    return np.array_equal(cells[order], ref_cells) and np.array_equal(mults[order], ref_mults)
+
+
 def is_commutative(ring: FusionRing) -> bool:
-    """N[i, j, k] = N[j, i, k]: the nonzeros with i and j swapped, sorted,
-    are the nonzeros again."""
-    i, j, k = ring.nonzero()
-    swapped = (j * ring.rank + i) * ring.rank + k
-    order = np.argsort(swapped)
-    return bool(
-        np.array_equal(swapped[order], ring.cells) and np.array_equal(ring.mults[order], ring.mults)
-    )
+    """N[i, j, k] = N[j, i, k]: the nonzeros with i and j swapped are the
+    nonzeros again."""
+    r, cells = ring.rank, ring.cells
+    swapped = cells // (r * r) * r + cells // r % r * (r * r) + cells % r  # no i, j, k held
+    return _same_nonzeros(swapped, ring.mults, cells, ring.mults, r**3)
 
 
 def _sum_matrix(ring: FusionRing) -> np.ndarray:
@@ -815,14 +819,6 @@ def _encode(dims, m: int):
     return np.array(A, dtype=dtype), np.array(B, dtype=dtype), D, t
 
 
-# nonzeros the character check contracts at a time, by blocks of first
-# index: each array of a block then takes at most 128 KiB and a block's
-# work stays in cache.  On a 2-vCPU VM, the first `structure_census` in a
-# fresh process took 5.1 ms on SO(600)_2 (189 032 nonzeros) with 2^14 and
-# 9.4 ms with 2^20, and 91 and 165 ms on SO(3000)_2.
-_CHARACTER_BLOCK = 2**14
-
-
 def _is_character(ring: FusionRing, dims, positive: bool = True) -> bool:
     """Exactly: d_i d_j = sum_k N[i, j, k] d_k for every i, j and, when
     `positive`, d_0 = 1 and every d_i > 0.  A positive character of a fusion
@@ -834,11 +830,11 @@ def _is_character(ring: FusionRing, dims, positive: bool = True) -> bool:
     if positive and not (dims[0] == ONE and np.where(A * A > t * B * B, A > 0, B > 0).all()):
         return False
     # blocks of first index, each ending at the last i that keeps it within
-    # _CHARACTER_BLOCK nonzeros, or after one index
+    # CHUNK nonzeros, or after one index
     starts = np.searchsorted(cells, np.arange(r + 1) * r * r).tolist()
     ends = [0]
     while ends[-1] < r:
-        top = bisect_right(starts, starts[ends[-1]] + _CHARACTER_BLOCK) - 1
+        top = bisect_right(starts, starts[ends[-1]] + CHUNK) - 1
         ends.append(max(top, ends[-1] + 1))
     for i0, i1 in zip(ends, ends[1:]):
         part = slice(starts[i0], starts[i1])
@@ -930,10 +926,7 @@ def asymptotic_dim_ratio(ring: FusionRing, i: int, n: int) -> float:
     mod 4 have k = 4, so SO(6)_2's V+ (d = sqrt(3)) gives 9."""
     if n < 2:
         raise MalformedInputError("asymptotic ratio needs n >= 2")
-    k = next(
-        (k for k in range(1, ring.rank + 1) if hom_space_dim(ring, [i] * k, 0) > 0),
-        None,
-    )
+    k = next((k for k in range(1, ring.rank + 1) if hom_space_dim(ring, [i] * k, 0) > 0), None)
     if k is None:
         raise DegenerateInputError(
             f"no tensor power of {ring.labels[i]} up to the rank contains the unit"
@@ -1032,10 +1025,7 @@ class Grading:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.group:
-            n *= d
-        return n
+        return prod(self.group)
 
 
 def universal_grading(ring: FusionRing) -> Grading:

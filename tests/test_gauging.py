@@ -234,9 +234,9 @@ class TestAssemblyOracle:
     """`assemble_ring` against the stack-and-sort route of `oracles`, with
     chunks of one cell, of a few cells and of the default size."""
 
-    @pytest.fixture(params=[1, 7, gauging_module.ASSEMBLY_CHUNK], autouse=True)
+    @pytest.fixture(params=[1, 7, gauging_module.CHUNK], autouse=True)
     def chunk(self, request, monkeypatch):
-        monkeypatch.setattr(gauging_module, "ASSEMBLY_CHUNK", request.param)
+        monkeypatch.setattr(gauging_module, "CHUNK", request.param)
 
     def test_every_so_n2_ring(self):
         for n in range(2, 131):

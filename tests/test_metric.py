@@ -63,6 +63,19 @@ class TestConstruction:
         with pytest.raises(MalformedInputError):
             MetricGroup((0, 5), ())
 
+    @pytest.mark.parametrize("facs", [("4",), (True, 2), (4.5,), (2.0,), (np.int64(4),), (np.bool_(True),)])
+    def test_rejects_factors_that_are_not_ints(self, facs):
+        # unchecked, "4" and True pass as ints and 4.5 is truncated to Z_4;
+        # numpy integers are refused as for N (`_check_order`)
+        with pytest.raises(MalformedInputError, match="invariant factors must be ints"):
+            MetricGroup(facs, [Fraction(0)] * 4)
+
+    @pytest.mark.parametrize("facs, message", [
+        ([True], "must be ints"), ([2, 3], "divisor chain"), ([0], "positive")])
+    def test_loader_checks_factors_as_the_constructor_does(self, facs, message):
+        with pytest.raises(MalformedInputError, match=message):
+            MetricGroup.from_json_dict({"group": facs, "q": []})
+
     def test_loader_caps_the_order_before_allocating(self):
         for facs in ([ORDER_LIMIT + 1], [10**12], [1000, 1000, 2]):
             with pytest.raises(ResourceLimitError):
@@ -189,6 +202,42 @@ class TestEnumeration:
         for n in (2, 3, 4, 6, 8, 9):
             tables = {m.q for m in enumerate_forms((n,), nondegenerate_only=False)}
             assert set(oracles.all_forms_bruteforce(n)) == tables
+
+    @pytest.mark.parametrize("facs, message", [
+        ((2, 3), "divisor chain"), ((0,), "positive"), ((-2,), "positive"),
+        ((True,), "must be ints"), ((2.0,), "must be ints"), (("4",), "must be ints")])
+    def test_enumerate_forms_checks_factors_as_the_constructor_does(self, facs, message):
+        # unchecked, (2, 3) gives 4 groups the loader refuses, (0,) a
+        # divide-by-zero warning and a ValueError, (True,) and (2.0,) a TypeError
+        with pytest.raises(MalformedInputError, match=message):
+            enumerate_forms(facs)
+        with pytest.raises(MalformedInputError, match=message):
+            MetricGroup(facs, [Fraction(0)] * 6)
+
+    def test_enumerate_forms_is_refused_before_any_table(self, monkeypatch):
+        # few Gram values, so that without the limit this fails fast rather
+        # than filling memory: 4096 forms x 2048, 2049 x 2049 and 65 536 x
+        # 1024 q entries
+        def refuse(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(metric_module, "_tables", refuse)
+        for facs in ((2048,), (2049,), (16, 64)):
+            with pytest.raises(ResourceLimitError, match="above the limit"):
+                enumerate_forms(facs)
+
+    def test_enumerate_forms_limit_is_forms_times_order(self, monkeypatch):
+        # (2, 6): Gram values 4 x 12 x 2 = 96 forms of 12 entries each
+        monkeypatch.setattr(metric_module, "ENUMERATION_LIMIT", 96 * 12)
+        assert len(enumerate_forms((2, 6), nondegenerate_only=False)) == 96
+        monkeypatch.setattr(metric_module, "ENUMERATION_LIMIT", 96 * 12 - 1)
+        with pytest.raises(ResourceLimitError):
+            enumerate_forms((2, 6))
+
+    @pytest.mark.parametrize("facs", [(2, 2), (2, 4), (3, 3), (2, 6), (24,), ()])
+    def test_enumerated_forms_load_back_from_their_json(self, facs):
+        for mg in enumerate_forms(facs, nondegenerate_only=False):
+            assert MetricGroup.loads(mg.dumps()) == mg
 
     def test_klein_form_classes(self):
         forms = enumerate_forms((2, 2))

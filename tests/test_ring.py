@@ -396,18 +396,19 @@ _EDGE_ROWS = np.stack([np.roll(np.array(_WRITER_EDGES, dtype=np.int64), shift)
 
 class TestJsonWriter:
     @settings(max_examples=150, deadline=None)
-    @given(_int64_rows(), st.sampled_from([1, 2, 7, ring_module._WRITE_ROWS]))
+    @given(_int64_rows(), st.sampled_from([1, 2, 7, ring_module.CHUNK // 4]))
     @example(_EDGE_ROWS, 7)
     @example(_EDGE_ROWS[:, :1], 1)
     def test_rows_are_their_json(self, rows, chunk):
-        with mock.patch.object(ring_module, "_WRITE_ROWS", chunk):
+        # pieces of `chunk` rows
+        with mock.patch.object(ring_module, "CHUNK", chunk * rows.shape[1]):
             assert "".join(ring_module._row_pieces(rows)) == json.dumps(rows.tolist())
 
     @pytest.mark.parametrize("n", sorted(_DUMPS_DIGESTS))
     def test_dumps_bytes_are_pinned(self, n):
         ring = build_so_n2(n)
         if n == 2003:
-            assert ring.rank == 1005 and len(ring.cells) > 246 * ring_module._WRITE_ROWS  # 247 chunks
+            assert ring.rank == 1005 and len(ring.cells) > 246 * (ring_module.CHUNK // 4)  # 247 chunks
         assert hashlib.sha256(ring.dumps().encode()).hexdigest() == _DUMPS_DIGESTS[n]
 
     def test_dumps_and_loads_stay_near_the_text(self):
@@ -591,6 +592,57 @@ def _frobenius_closed(draw):
     return fusion, dual
 
 
+@st.composite
+def _edited_nonzeros(draw):
+    """(cells, mults, ref_cells, ref_mults): increasing cells below 1000 with
+    positive multiplicities, and the same nonzeros shuffled, with at most one
+    edit: a multiplicity changed, two multiplicities swapped, a nonzero
+    dropped, added or moved, or one nonzero listed in place of another."""
+    ref = draw(st.dictionaries(st.integers(0, 999), st.sampled_from((1, 2, 7, 2**40)), max_size=30))
+    pairs = draw(st.permutations(sorted(ref.items())))
+    edit = draw(st.sampled_from(("none", "mult", "swap", "drop", "add", "move", "twice")))
+    at = draw(st.integers(0, max(len(pairs) - 1, 0)))
+    other = draw(st.integers(0, max(len(pairs) - 1, 0)))
+    if edit == "add":
+        pairs.insert(at, (draw(st.integers(0, 999)), draw(st.sampled_from((1, 2, 2**40)))))
+    elif pairs and edit == "mult":
+        pairs[at] = (pairs[at][0], draw(st.sampled_from((1, 3, 2**40 + 1))))
+    elif pairs and edit == "swap":
+        pairs[at], pairs[other] = (pairs[at][0], pairs[other][1]), (pairs[other][0], pairs[at][1])
+    elif pairs and edit == "drop":
+        del pairs[at]
+    elif pairs and edit == "move":
+        pairs[at] = (draw(st.integers(0, 999)), pairs[at][1])
+    elif pairs and edit == "twice":
+        pairs[at] = pairs[other]
+    cells, mults = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    ref_cells = np.array(sorted(ref), dtype=np.int64)
+    return cells, mults, ref_cells, np.array([ref[c] for c in sorted(ref)], dtype=np.int64)
+
+
+@st.composite
+def _near_commutative(draw):
+    """A tensor of rank 2-5 symmetric in its first two indices, but for at
+    most one edit: one entry N[i, j, k] with i != j raised or cleared, or
+    N[i, j, k] = N[j, i, l] = 1 and N[i, j, l] = N[j, i, k] = 2 for k != l,
+    whose swapped nonzeros keep the cells and the multiset of multiplicities."""
+    r = draw(st.integers(2, 5))
+    entries = draw(st.lists(st.sampled_from((0, 0, 1, 2, 2**40)), min_size=r**3, max_size=r**3))
+    fusion = np.array(entries, dtype=np.int64).reshape(r, r, r)
+    fusion = np.maximum(fusion, fusion.transpose(1, 0, 2))
+    i, j = draw(st.permutations(range(r)))[:2]
+    k, l = draw(st.permutations(range(r)))[:2]
+    edit = draw(st.sampled_from(("none", "raise", "clear", "cross")))
+    if edit == "raise":
+        fusion[i, j, k] += draw(st.sampled_from((1, 2**40)))
+    elif edit == "clear":
+        fusion[i, j, k] = 0
+    elif edit == "cross":
+        fusion[i, j, k] = fusion[j, i, l] = 1
+        fusion[i, j, l] = fusion[j, i, k] = 2
+    return fusion
+
+
 def _from_products(labels, dual, products):
     """The commutative ring on `labels` whose products X Y, for the pairs
     listed, are the listed sums, a summand listed twice counted twice; X 1 = X."""
@@ -738,7 +790,7 @@ class TestAxioms:
                 st.permutations(range(r)),
                 st.integers(0, r // 2),
                 st.booleans(),
-                st.sampled_from((1, 7, ring_module.ASSOC_BATCH)),
+                st.sampled_from((1, 7, ring_module.CHUNK)),
             )
         )
     )
@@ -754,7 +806,7 @@ class TestAxioms:
         for a, b in zip(perm[: 2 * swaps : 2], perm[1 : 2 * swaps : 2]):
             dual[a], dual[b] = b, a
         ring = FusionRing(tuple(map(str, range(r))), dual, fusion)
-        with mock.patch.object(ring_module, "ASSOC_BATCH", batch):
+        with mock.patch.object(ring_module, "CHUNK", batch):
             violations = list(verify_axioms(ring).violations)
         assert violations == oracles.verify_axioms_bruteforce(fusion, dual)
 
@@ -777,6 +829,26 @@ class TestAxioms:
             "frobenius_left", "frobenius_right", "associativity"
         }
         assert list(report.violations) == oracles.verify_axioms_bruteforce(fusion, dual)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_edited_nonzeros(), st.sampled_from((1000, 2**63 - 1)))
+    @example((np.array([3, 5]), np.array([2, 1]), np.array([3, 5]), np.array([1, 2])), 2**63 - 1)
+    @example((np.array([3, 5]), np.array([2, 1]), np.array([3, 5]), np.array([1, 2])), 1000)
+    def test_same_nonzeros_matches_a_sort_oracle(self, case, bound):
+        # cells below 1000: with a multiplicity above 1, a bound of 2^63 - 1
+        # leaves no low bits and takes the argsort
+        cells, mults, ref_cells, ref_mults = case
+        want = sorted(zip(cells.tolist(), mults.tolist())) == list(zip(ref_cells.tolist(), ref_mults.tolist()))
+        bits = int(max(mults.max(initial=1), ref_mults.max(initial=1)) - 1).bit_length()
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            assert ring_module._same_nonzeros(cells, mults, ref_cells, ref_mults, bound) == want
+        assert argsort.called == (bound << bits > 2**63)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_near_commutative())
+    def test_is_commutative_matches_bruteforce_oracle(self, fusion):
+        ring = FusionRing(tuple(map(str, range(len(fusion)))), range(len(fusion)), fusion)
+        assert is_commutative(ring) == oracles.commutative_bruteforce(fusion)
 
     def test_sums_without_packed_positions(self):
         # keys too large to carry their positions in the low bits are argsorted
@@ -804,13 +876,13 @@ class TestAxioms:
         assert verify_axioms(ring).ok
 
     @settings(max_examples=300, deadline=None)
-    @given(_frobenius_closed(), st.sampled_from((1, 7, ring_module.ASSOC_BATCH)))
+    @given(_frobenius_closed(), st.sampled_from((1, 7, ring_module.CHUNK)))
     def test_light_test_matches_bruteforce_oracle(self, case, batch):
         # every draw reaches Light's test; batches of 1 and 7 products cut it
         # into single x
         fusion, dual = case
         ring = FusionRing(tuple(map(str, range(len(fusion)))), dual, fusion)
-        with mock.patch.object(ring_module, "ASSOC_BATCH", batch):
+        with mock.patch.object(ring_module, "CHUNK", batch):
             violations = list(verify_axioms(ring).violations)
         assert {kind for kind, _ in violations} <= {"associativity"}
         assert violations == oracles.verify_axioms_bruteforce(fusion, dual)
@@ -878,7 +950,7 @@ class TestAxioms:
         ring = FusionRing(tuple(map(str, range(len(fusion)))), dual, fusion)
         assert _certificate(ring) == oracles.light_generators_bruteforce(fusion)
 
-    @pytest.mark.parametrize("batch", [2**12, ring_module.ASSOC_BATCH])
+    @pytest.mark.parametrize("batch", [2**12, ring_module.CHUNK])
     def test_witnesses_past_rank_ten_match_recorded_digests(self, batch):
         # ranks 17, 41 and 62, one N in each residue class: every witness and
         # its order, whatever the batches, where the oracle differentials stop
@@ -887,14 +959,14 @@ class TestAxioms:
             ring = build_so_n2(n)
             fusion = ring.fusion.copy()
             fusion[where] += 1
-            with mock.patch.object(ring_module, "ASSOC_BATCH", batch):
+            with mock.patch.object(ring_module, "CHUNK", batch):
                 violations = verify_axioms(FusionRing(ring.labels, ring.dual, fusion)).violations
             if hashlib.sha256(json.dumps(violations).encode()).hexdigest() != want:
                 wrong.append(n)
         assert not wrong
 
     def test_batches_keep_near_assoc_batch(self):
-        # a batch ends at the first row (i, j) past ASSOC_BATCH products, as
+        # a batch ends at the first row (i, j) past CHUNK products, as
         # estimated from its slice; at rank 62 the estimate is off by less
         # than that, so no batch of Light's test or of the full check reaches
         # twice as many.  A batch of Light's test that balances never reaches
@@ -916,8 +988,8 @@ class TestAxioms:
                 mock.patch.object(ring_module, "_same", side_effect=spy_same):
             assert verify_axioms(ring).ok
             assert not verify_axioms(FusionRing(ring.labels, ring.dual, fusion)).ok
-        assert len(sizes) > 50 and max(sizes) < 2 * ring_module.ASSOC_BATCH
-        assert len(light) > 1 and max(light) < 2 * ring_module.ASSOC_BATCH
+        assert len(sizes) > 50 and max(sizes) < 2 * ring_module.CHUNK
+        assert len(light) > 1 and max(light) < 2 * ring_module.CHUNK
 
     def test_multiplicities_above_one_pass_light_test(self):
         # X X = 1 + 2X, and its product with Z_3: with a product above 1,
@@ -955,7 +1027,7 @@ class TestAxioms:
         for cell in _orbit((9, 9, 9), ring.dual):
             fusion[cell] += 1
         assert fusion.max() == 1
-        with mock.patch.object(ring_module, "ASSOC_BATCH", 64):
+        with mock.patch.object(ring_module, "CHUNK", 64):
             violations, calls = _decisions(FusionRing(ring.labels, ring.dual, fusion))
         assert violations == oracles.verify_axioms_bruteforce(fusion, ring.dual)
         assert {kind for kind, _ in violations} == {"associativity"}
@@ -1042,7 +1114,7 @@ class TestDimensions:
         positive = hom and dims[0] == ONE and all(float(d) > 0 for d in dims)
         assert _is_character(ring, dims) == positive
         assert _is_character(ring, dims, positive=False) == hom
-        with mock.patch.object(ring_module, "_CHARACTER_BLOCK", 1):  # a block per first index
+        with mock.patch.object(ring_module, "CHUNK", 1):  # a block per first index
             assert _is_character(ring, dims) == positive
             assert _is_character(ring, dims, positive=False) == hom
         if positive:
@@ -1117,7 +1189,7 @@ class TestDimensions:
     def test_character_check_by_blocks(self, monkeypatch):
         # blocks of at most 64 nonzeros; one multiplicity raised changes one
         # row (i, j), which only the block of first index i contracts
-        monkeypatch.setattr(ring_module, "_CHARACTER_BLOCK", 64)
+        monkeypatch.setattr(ring_module, "CHUNK", 64)
         ring = build_so_n2(30)
         assert _is_character(ring, ring.exact_dims)
         for at in (0, len(ring.cells) // 2, len(ring.cells) - 1):
@@ -1286,6 +1358,24 @@ class TestHom:
                      lambda: hom_space_dim(ising, [1], bad)):
             with pytest.raises(MalformedInputError, match=rf"^{bad} is not a basis index"):
                 call()
+
+    @pytest.mark.parametrize("bad", [1.0, 1.5, True, np.float64(1), np.bool_(True), "1", None])
+    def test_index_that_is_not_an_integer_is_refused(self, bad):
+        # unchecked, row(1.0, 2) gives ([3.], [1]), True passes as 1 and
+        # hom_space_dim(ring, [1, 2], 1.5) gives 0
+        ring = build_so_n2(12)
+        for call in (lambda: ring.row(bad, 2), lambda: ring.row(2, bad),
+                     lambda: hom_space_dim(ring, [1, 2], bad), lambda: hom_space_dim(ring, [bad], 0),
+                     lambda: subring_generated(ring, [bad])):
+            with pytest.raises(MalformedInputError, match="is not a basis index"):
+                call()
+
+    def test_numpy_integer_indices_are_accepted(self):
+        ring = build_so_n2(12)
+        for got, want in zip(ring.row(np.int64(1), np.int32(2)), ring.row(1, 2)):
+            assert np.array_equal(got, want)
+        assert hom_space_dim(ring, [np.int64(4), 4], np.uint8(0)) == hom_space_dim(ring, [4, 4], 0)
+        assert subring_generated(ring, [np.int64(1)]) == subring_generated(ring, [1])
 
 
 # ---------------------------------------------------------------------------
