@@ -107,7 +107,7 @@ def z2_cohomology(mod: Z2Module, n: int) -> tuple[int, ...]:
 
     For n >= 1 the order 2 of the group kills H^n (Brown, Cohomology of
     Groups, III.10), so H^n is (Z2)^k with 2^k = |top| / |bottom|."""
-    if n not in (2, 3, 4):
+    if type(n) is not int or n not in (2, 3, 4):
         raise ParameterError(f"cohomological degree {n} is not supported")
     if mod.facs == "Q/Z":
         # Q/Z is divisible, so the norm map is onto in even degree; in odd

@@ -14,7 +14,7 @@ sum_{i<j} b_ij a_i a_j.  Tables are built from them, isomorphisms tested on them
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from math import gcd, lcm, prod
 from typing import TYPE_CHECKING
 
@@ -27,11 +27,11 @@ from .ring import AlgebraicReal, FusionRing, _int_rows, _Wire
 if TYPE_CHECKING:
     from .modular import RibbonData
 
-BRUTE_FORCE_LIMIT = 10_000
 ORDER_LIMIT = 1_000_000  # largest group order the JSON loader and enumeration accept
 # most q entries, classes x n, `enumerate_cyclic_metric_groups` tables: 32 MiB
 # of int64 numerators; Z_30030 (64 classes, 1.9 M entries) passes and
-# Z_720720 (128 classes, 92 M entries, 0.74 GB) is refused
+# Z_720720 (128 classes, 92 M entries, 0.74 GB) is refused; it also bounds
+# forms x order in `enumerate_forms` and maps built x order in `_isomorphisms`
 ENUMERATION_LIMIT = 2**22
 # largest product of the generator-image candidate counts an isomorphism search
 # makes: (Z_2)^4 with the zero form (65 536, 20 160 automorphisms) takes 2 s
@@ -82,7 +82,7 @@ def _nondegenerate(nums, den: int, shape) -> np.ndarray:
 class MetricGroup(_Wire):
     """Group Z_{d1} x ... x Z_{dk} (d_i | d_{i+1}) with q: A -> Q/Z.
 
-    Elements are coordinate tuples, indexed in lexicographic product order.
+    Elements are indexed in lexicographic order of their coordinates.
     The form is `num`, a read-only int64 vector, over the least common
     denominator `den`: q(element i) = num[i] / den.  `q`, the same table as
     reduced `Fraction`s, is built on first access.
@@ -160,29 +160,9 @@ class MetricGroup(_Wire):
         if np.any(np.r_[2 * d * c, d * d % den * c, np.gcd(d[i], d[j]) * b[i, j]] % den):
             raise MalformedInputError("q is not well defined on the group")
 
-    # -- group structure (coordinate tuples) --
-
     @property
     def order(self) -> int:
         return len(self.num)
-
-    def elements(self) -> list[tuple[int, ...]]:
-        return list(product(*map(range, self.facs)))
-
-    def index(self, a: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(a, self.facs, mode="wrap"))
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.facs))
-
-    def neg(self, a) -> tuple[int, ...]:
-        return tuple((-x) % d for x, d in zip(a, self.facs))
-
-    def q_of(self, a) -> Fraction:
-        return Fraction(int(self.num[self.index(a)]), self.den)
-
-    def sigma(self, a, b) -> Fraction:
-        return (self.q_of(self.add(a, b)) - self.q_of(a) - self.q_of(b)) % 1
 
     @property
     def is_nondegenerate(self) -> bool:
@@ -279,6 +259,8 @@ def cyclic_metric_group(n: int, coeff: Fraction) -> MetricGroup:
 def cyclic_form(p_power: int, u: int) -> MetricGroup:
     """Standard form on Z_{p^k}: q(a) = u a^2 / p^k for odd p (u a unit),
     q(a) = u a^2 / 2^{k+1} for p = 2 (u odd)."""
+    if type(p_power) is not int or type(u) is not int:
+        raise ParameterError(f"p_power and u must be ints, got {p_power!r:.40} and {u!r:.40}")
     fac = factorint(p_power) if p_power > 0 else {}
     if len(fac) != 1:
         raise ParameterError(f"{p_power} is not a prime power")
@@ -331,8 +313,9 @@ def _isomorphisms(m1: MetricGroup, m2: MetricGroup):
     x with d_i x = 0, q2(x) = q1(e_i) and sigma2(x_j, x) = sigma1(e_j, e_i)
     for the x_j already chosen: a homomorphism keeping these Gram values
     keeps q, so only complete choices are expanded, and kept if bijective.
-    `ResourceLimitError` before the search when the leaves could pass
-    AUTOS_SEARCH_LIMIT, by the product of the candidate counts of the x_i."""
+    `ResourceLimitError` before the search when the product of the candidate
+    counts of the x_i passes AUTOS_SEARCH_LIMIT, and in it once the complete
+    maps expanded, bijective or not, times the order would pass ENUMERATION_LIMIT."""
     if m1.facs != m2.facs or m1.den != m2.den:
         return
     shape, den, num = m1._shape, m2.den, m2.num
@@ -348,10 +331,15 @@ def _isomorphisms(m1: MetricGroup, m2: MetricGroup):
             f"the isomorphism search on {m1.facs} could reach {leaves} choices of "
             f"generator images, above the limit of {AUTOS_SEARCH_LIMIT}"
         )
+    maps = count(1)  # complete maps built, bijective or not
 
     def extend(images):
         i = len(images)
         if i == len(shape):
+            if next(maps) * len(num) > ENUMERATION_LIMIT:
+                raise ResourceLimitError(
+                    f"the isomorphism search on {m1.facs} builds over {ENUMERATION_LIMIT // len(num)} "
+                    f"maps of {len(num)} entries, above the limit {ENUMERATION_LIMIT}")
             phi = _ravel(x[:, images] @ x, shape)
             if np.all(np.bincount(phi, minlength=len(num))):
                 yield phi
@@ -368,11 +356,7 @@ def _isomorphisms(m1: MetricGroup, m2: MetricGroup):
 
 def equivalence_test(m1: MetricGroup, m2: MetricGroup) -> bool:
     """True iff some isomorphism phi has q2(phi(a)) = q1(a) for all a;
-    refused when the search could pass AUTOS_SEARCH_LIMIT leaves."""
-    if m1.order != m2.order:
-        return False
-    if m1.order > BRUTE_FORCE_LIMIT:
-        raise ResourceLimitError(f"group order {m1.order} exceeds brute-force limit")
+    refused past the search limits of `_isomorphisms`."""
     if (m1.facs, m1.den) != (m2.facs, m2.den) or not np.array_equal(np.sort(m1.num), np.sort(m2.num)):
         return False
     return next(_isomorphisms(m1, m2), None) is not None
@@ -380,9 +364,7 @@ def equivalence_test(m1: MetricGroup, m2: MetricGroup) -> bool:
 
 def form_preserving_autos(mg: MetricGroup) -> list[tuple[int, ...]]:
     """All automorphisms preserving q, as index-permutation tuples, sorted;
-    refused when the search could pass AUTOS_SEARCH_LIMIT leaves."""
-    if mg.order > BRUTE_FORCE_LIMIT:
-        raise ResourceLimitError(f"group order {mg.order} exceeds brute-force limit")
+    refused past the search limits of `_isomorphisms`."""
     return sorted(tuple(phi.tolist()) for phi in _isomorphisms(mg, mg))
 
 

@@ -23,6 +23,7 @@ from .ring import (
     AlgebraicReal,
     FusionRing,
     _check_indices,
+    _exact,
     _int_row,
     _is_character,
     _Wire,
@@ -41,7 +42,7 @@ class Phase:
     r: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "r", Fraction(self.r) % 1)
+        object.__setattr__(self, "r", _exact(self.r, "a phase") % 1)
 
     @classmethod
     def of(cls, num: int, den: int = 1) -> "Phase":

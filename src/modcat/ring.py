@@ -59,8 +59,10 @@ class AlgebraicReal:
     t: int = 1
 
     def __post_init__(self):
-        if self.t < 1 or squarefree_part(self.t) != self.t:
-            raise MalformedInputError(f"radicand {self.t} is not square-free positive")
+        object.__setattr__(self, "a", _exact(self.a, "rational part"))
+        object.__setattr__(self, "b", _exact(self.b, "coefficient"))
+        if type(self.t) is not int or self.t < 1 or squarefree_part(self.t) != self.t:
+            raise MalformedInputError(f"radicand {self.t!r:.80} is not a square-free positive int")
         if self.b == 0 and self.t != 1:
             object.__setattr__(self, "t", 1)
         if self.b != 0 and self.t == 1:
@@ -75,8 +77,8 @@ class AlgebraicReal:
 
     @classmethod
     def sqrt(cls, n: int) -> "AlgebraicReal":
-        if n < 0:
-            raise MalformedInputError("sqrt of a negative integer")
+        if type(n) is not int or n < 0:
+            raise MalformedInputError(f"sqrt needs a nonnegative int, got {n!r:.80}")
         if n == 0:
             return cls(Fraction(0))
         t = squarefree_part(n)
@@ -152,6 +154,13 @@ class AlgebraicReal:
     def from_json(cls, row) -> "AlgebraicReal":
         an, ad, bn, bd, t = row
         return cls(Fraction(an, ad), Fraction(bn, bd), t)
+
+
+def _exact(x, what: str) -> Fraction:
+    """An int or Fraction `x` as a Fraction; anything else, bools included, is refused."""
+    if type(x) not in (int, Fraction):
+        raise MalformedInputError(f"{what} must be an int or a Fraction, got {x!r:.80}")
+    return x if type(x) is Fraction else Fraction(x)
 
 
 ONE = AlgebraicReal(Fraction(1))
@@ -906,6 +915,10 @@ def hom_space_dim(ring: FusionRing, word: list[int], target: int) -> int:
 
     Exact integer arithmetic (tensor powers overflow int64 quickly).
     """
+    try:
+        word = list(word)
+    except TypeError:
+        raise MalformedInputError(f"tensor word {word!r:.80} is not an iterable of indices") from None
     if not word:
         raise MalformedInputError("tensor word must be nonempty")
     _check_indices(ring, *word, target)
@@ -924,8 +937,8 @@ def asymptotic_dim_ratio(ring: FusionRing, i: int, n: int) -> float:
     power with Hom(1, X^k) != 0: the growth of invariants over one period,
     which tends to d_i^k, not d_i^2.  The spinors of SO(N)_2 with N = 2
     mod 4 have k = 4, so SO(6)_2's V+ (d = sqrt(3)) gives 9."""
-    if n < 2:
-        raise MalformedInputError("asymptotic ratio needs n >= 2")
+    if type(n) is not int or n < 2:
+        raise MalformedInputError(f"asymptotic ratio needs an int n >= 2, got {n!r:.80}")
     k = next((k for k in range(1, ring.rank + 1) if hom_space_dim(ring, [i] * k, 0) > 0), None)
     if k is None:
         raise DegenerateInputError(

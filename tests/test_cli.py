@@ -230,6 +230,14 @@ class TestOutputs:
         autos = json.loads(capsys.readouterr().out)
         assert len(autos) == 2
 
+    def test_metric_autos_on_a_large_cyclic_form(self, tmp_path, capsys):
+        # Z_11571, past the order cap of 10^4 the search once had: 16 isometries
+        f = tmp_path / "form.json"
+        f.write_text(modcat.enumerate_cyclic_metric_groups(11571)[0].dumps())
+        assert run(["metric", "autos", "--file", str(f), "--format", "json"]) == EXIT_OK
+        autos = json.loads(capsys.readouterr().out)
+        assert len(autos) == 16 and autos[0] == list(range(11571))
+
     def test_gauge_and_condense(self, tmp_path, capsys):
         assert run(["gauge", "--n", "8", "--format", "json"]) == EXIT_OK
         text = capsys.readouterr().out

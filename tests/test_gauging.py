@@ -157,6 +157,12 @@ class TestCohomology:
         with pytest.raises(ParameterError):
             z2_cohomology(Z2Module((2,), "trivial"), 1)
 
+    @pytest.mark.parametrize("n", [2.0, np.int64(3), np.int64(2)])
+    def test_rejects_degree_that_is_not_an_int(self, n):
+        # unchecked, 2.0 and np.int64(3) were answered as degrees 2 and 3
+        with pytest.raises(ParameterError, match="is not supported"):
+            z2_cohomology(Z2Module((2,), "negation"), n)
+
     @pytest.mark.parametrize("facs", [(0,), (-3,), (2, 0)])
     def test_rejects_non_positive_factors(self, facs):
         for action in ("trivial", "negation"):

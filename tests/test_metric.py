@@ -51,13 +51,9 @@ class TestConstruction:
         # exact re-verification of q(-a) = q(a) and full bilinearity
         for n in (5, 8, 12):
             for mg in enumerate_cyclic_metric_groups(n):
-                for a in mg.elements():
-                    assert mg.q_of(mg.neg(a)) == mg.q_of(a)
-                    for b in mg.elements():
-                        for c in mg.elements():
-                            assert mg.sigma(mg.add(a, b), c) == (
-                                mg.sigma(a, c) + mg.sigma(b, c)
-                            ) % 1
+                for a in range(n):
+                    assert mg.q[(-a) % n] == mg.q[a]
+                assert oracles.bilinear_bruteforce(mg.facs, mg.q)
 
     def test_rejects_zero_factor(self):
         with pytest.raises(MalformedInputError):
@@ -147,14 +143,14 @@ class TestCyclicForms:
             assert standard_cyclic_metric_group(n) == enumerate_cyclic_metric_groups(n)[0], n
 
     def test_odd_prime_power_units(self):
-        assert cyclic_form(5, 1).q_of((1,)) == Fraction(1, 5)
-        assert cyclic_form(5, 2).q_of((1,)) == Fraction(2, 5)
+        assert cyclic_form(5, 1).q[1] == Fraction(1, 5)
+        assert cyclic_form(5, 2).q[1] == Fraction(2, 5)
         with pytest.raises(ParameterError):
             cyclic_form(5, 5)
 
     def test_two_power_units(self):
-        assert cyclic_form(2, 1).q_of((1,)) == Fraction(1, 4)
-        assert cyclic_form(8, 3).q_of((1,)) == Fraction(3, 16)
+        assert cyclic_form(2, 1).q[1] == Fraction(1, 4)
+        assert cyclic_form(8, 3).q[1] == Fraction(3, 16)
         with pytest.raises(ParameterError):
             cyclic_form(8, 2)
 
@@ -162,6 +158,12 @@ class TestCyclicForms:
         for p_power in (12, 1, 0, -4):
             with pytest.raises(ParameterError, match="not a prime power"):
                 cyclic_form(p_power, 1)
+
+    @pytest.mark.parametrize("p_power, u", [(9.0, 1), (9, 1.5), (9, True), (np.int64(9), 1), ("9", 1)])
+    def test_rejects_parameters_that_are_not_ints(self, p_power, u):
+        # unchecked, 9.0 and 1.5 raise a bare TypeError and True is read as u = 1
+        with pytest.raises(ParameterError, match="must be ints"):
+            cyclic_form(p_power, u)
 
 
 class TestEnumeration:
@@ -315,6 +317,43 @@ class TestAutomorphisms:
             for cls in classify_forms(enumerate_forms(facs)):
                 assert form_preserving_autos(cls[0])
 
+    def test_large_cyclic_forms_have_the_sign_isometries(self):
+        # 11571 = 3 * 7 * 19 * 29, past the order cap of 10^4 the search once
+        # had: every class keeps exactly the units v = +-1 modulo each prime
+        n, primes = 11571, (3, 7, 19, 29)
+        signs = [v for v in range(n) if all(v % p in (1, p - 1) for p in primes)]
+        want = sorted(tuple(v * a % n for a in range(n)) for v in signs)
+        assert len(want) == 16
+        for mg in enumerate_cyclic_metric_groups(n):
+            assert form_preserving_autos(mg) == want
+
+    def test_prime_order_near_the_order_limit(self):
+        n = 999_983  # prime: two classes, each with the isometries +-1 only
+        first, second = enumerate_cyclic_metric_groups(n)
+        a = np.arange(n)
+        assert np.array_equal(form_preserving_autos(first), [a, -a % n])
+        assert not equivalence_test(first, second)
+        assert equivalence_test(second, second)
+        # 4 is a square, so 4 a^2 / n is the first class under a -> 2a
+        assert equivalence_test(first, cyclic_metric_group(n, Fraction(4, n)))
+
+    def test_search_limit_is_maps_times_order(self, monkeypatch):
+        # a^2 / 5 on Z_5: the search builds 2 maps of 5 entries each
+        monkeypatch.setattr(metric_module, "ENUMERATION_LIMIT", 10)
+        assert len(form_preserving_autos(cyclic_form(5, 1))) == 2
+        monkeypatch.setattr(metric_module, "ENUMERATION_LIMIT", 9)
+        with pytest.raises(ResourceLimitError, match="maps of 5 entries"):
+            form_preserving_autos(cyclic_form(5, 1))
+
+    def test_zero_form_on_a_large_cyclic_group_is_refused_fast(self):
+        # 9000 candidate maps: an order cap of 10^4 let it list 2400
+        # automorphisms in 2 s at a peak of 837 MB
+        zero = MetricGroup((9000,), [Fraction(0)] * 9000)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="maps of 9000 entries"):
+            form_preserving_autos(zero)
+        assert time.perf_counter() - start < 1.0
+
     def test_prime_powers_have_only_plus_minus_one(self):
         for n in (3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32):
             for mg in enumerate_cyclic_metric_groups(n):
@@ -332,7 +371,7 @@ class TestPointedData:
     def test_twists_are_the_form_values(self):
         mg = cyclic_form(5, 2)
         rd = pointed_ribbon_data(mg)
-        assert [t.r for t in rd.twists] == [mg.q_of(a) for a in mg.elements()]
+        assert [t.r for t in rd.twists] == list(mg.q)
 
 
 class TestAgainstOracles:

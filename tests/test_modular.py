@@ -63,6 +63,12 @@ class TestPhase:
         assert (Phase.of(1, 8) ** 4).r == Fraction(1, 2)
         assert complex(Phase.of(1, 2)) == pytest.approx(-1)
 
+    @pytest.mark.parametrize("r", [0.1, "1/3", True, np.int64(1), None])
+    def test_refuses_what_is_not_exact(self, r):
+        # unchecked, 0.1 became e(2pi*3602879701896397/2^55) and "1/3" was parsed
+        with pytest.raises(MalformedInputError, match="must be an int or a Fraction"):
+            Phase(r)
+
 
 class TestRibbonData:
     def test_validate_catches_unit_twist(self):

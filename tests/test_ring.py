@@ -98,6 +98,28 @@ class TestAlgebraicReal:
         with pytest.raises(UnsupportedInputError):
             AlgebraicReal.sqrt(2) + AlgebraicReal.sqrt(3)
 
+    @pytest.mark.parametrize("parts", [
+        (0.5,), ("1/2",), (True,), (np.int64(1),), (Fraction(1), 1.5, 2), (Fraction(0), False, 2),
+        (Fraction(0), Fraction(1), 2.0), (Fraction(0), Fraction(1), True), (Fraction(0), 1, "2")])
+    def test_parts_that_are_not_exact_are_refused(self, parts):
+        # unchecked, 0.5 is stored as a float whose to_json() fails, "1/2" as a
+        # string, True prints as True and a radicand 2.0 prints as sqrt(2.0)
+        with pytest.raises(MalformedInputError):
+            AlgebraicReal(*parts)
+
+    @pytest.mark.parametrize("n", [2.0, True, np.int64(2), "2"])
+    def test_sqrt_takes_an_int(self, n):
+        # unchecked, sqrt(2.0) raises a bare TypeError and sqrt(True) is 1
+        with pytest.raises(MalformedInputError, match="sqrt needs a nonnegative int"):
+            AlgebraicReal.sqrt(n)
+
+    def test_int_parts_are_stored_as_fractions(self):
+        x = AlgebraicReal(1, -2, 6)
+        assert type(x.a) is Fraction and type(x.b) is Fraction
+        assert x.to_json() == [1, 1, -2, 1, 6]
+        assert x == AlgebraicReal(Fraction(1), Fraction(-2), 6)
+        assert AlgebraicReal.of(0.5) == AlgebraicReal(Fraction(1, 2))
+
 
 # ---------------------------------------------------------------------------
 # construction and validation
@@ -1369,6 +1391,24 @@ class TestHom:
                      lambda: subring_generated(ring, [bad])):
             with pytest.raises(MalformedInputError, match="is not a basis index"):
                 call()
+
+    @pytest.mark.parametrize("word", [
+        np.array([4, 4]), iter([4, 4]), (x for x in (4, 4))])
+    def test_word_is_any_iterable_of_indices(self, word):
+        # numpy arrays raised numpy's bare ValueError, iterators a TypeError
+        ring = build_so_n2(12)
+        assert hom_space_dim(ring, word, 0) == hom_space_dim(ring, [4, 4], 0) == 1
+
+    @pytest.mark.parametrize("word", [4, None, 1.5, np.int64(1)])
+    def test_word_that_is_not_iterable_is_refused(self, ising, word):
+        with pytest.raises(MalformedInputError, match="not an iterable of indices"):
+            hom_space_dim(ising, word, 0)
+
+    @pytest.mark.parametrize("n", [2.5, np.int64(3), True, "3", None])
+    def test_asymptotic_ratio_takes_an_int_n(self, ising, n):
+        # unchecked, 2.5 raised a bare TypeError and np.int64(3) was accepted
+        with pytest.raises(MalformedInputError, match="needs an int n >= 2"):
+            asymptotic_dim_ratio(ising, ising.index("sig"), n)
 
     def test_numpy_integer_indices_are_accepted(self):
         ring = build_so_n2(12)
