@@ -34,6 +34,7 @@ from .gauging import (
 )
 from .metric import classify_forms, enumerate_cyclic_metric_groups, enumerate_forms
 from .ring import (
+    ONE,
     AlgebraicReal,
     FusionRing,
     _distinct,
@@ -51,26 +52,15 @@ if TYPE_CHECKING:
 
 
 def fibonacci_ring() -> FusionRing:
-    fusion = np.zeros((2, 2, 2), dtype=np.int64)
-    fusion[0, 0, 0] = fusion[0, 1, 1] = fusion[1, 0, 1] = 1
-    fusion[1, 1, 0] = fusion[1, 1, 1] = 1
-    phi = AlgebraicReal(Fraction(1, 2), Fraction(1, 2), 5)
-    return FusionRing(("1", "X"), (0, 1), fusion, (AlgebraicReal.of(1), phi))
+    """Basis 1, X with X^2 = 1 + X, so that X has the golden ratio as dimension."""
+    blocks = _invertible_blocks(np.arange(2)[None]) + [(1, 1, [0, 1])]
+    return assemble_ring(["1", "X"], [ONE, AlgebraicReal(Fraction(1, 2), Fraction(1, 2), 5)], blocks)
 
 
 def ising_ring() -> FusionRing:
-    # basis 1, psi, sig with sig^2 = 1 + psi
-    fusion = np.zeros((3, 3, 3), dtype=np.int64)
-    table = {
-        (0, 0): [0], (0, 1): [1], (0, 2): [2],
-        (1, 0): [1], (1, 1): [0], (1, 2): [2],
-        (2, 0): [2], (2, 1): [2], (2, 2): [0, 1],
-    }
-    for (i, j), ks in table.items():
-        for k in ks:
-            fusion[i, j, k] = 1
-    dims = (AlgebraicReal.of(1), AlgebraicReal.of(1), AlgebraicReal.sqrt(2))
-    return FusionRing(("1", "psi", "sig"), (0, 1, 2), fusion, dims)
+    """Basis 1, psi, sig with psi^2 = 1, psi sig = sig and sig^2 = 1 + psi."""
+    blocks = _invertible_blocks(np.array([[0, 1, 2], [1, 0, 2]])) + [(2, 2, [0, 1])]
+    return assemble_ring(["1", "psi", "sig"], [ONE, ONE, AlgebraicReal.sqrt(2)], blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +262,12 @@ def _boson_fermion(ring: FusionRing, n: int) -> dict[str, str]:
     """`boson_fermion_census` on the already built SO(n)_2, 4 | n."""
     r = n // 4 - 1
     all_bosons = n % 8 == 0
-    # structural cross-check: when 8 does not divide N, r is even and the
-    # middle Y is fixed by every invertible, so its square sees all four
+    # structural cross-check: when 8 does not divide N, r is even and the middle
+    # Y (key 4 + r + r/2) is fixed by every invertible, so its square holds keys 0..3
     if not all_bosons:
-        mid = ring.index(f"Y{r // 2:0{len(str(r))}d}")
-        hits = {ring.labels[k] for k in ring.row(mid, mid)[0].tolist()}
-        if not {"1", "f", "g", "fg"} <= hits:
-            raise InternalConsistencyError(
-                "middle Y square does not reach all invertibles"
-            )
+        mid = ring.keys.tolist().index(4 + r + r // 2)
+        if not np.isin(np.arange(4), ring.keys[ring.row(mid, mid)[0]]).all():
+            raise InternalConsistencyError("middle Y square does not reach all invertibles")
     verdict = "boson" if all_bosons else "fermion"
     return {"fg": "boson", "f": verdict, "g": verdict}
 
@@ -319,11 +306,9 @@ def deligne_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
 
 def deligne_ribbon(rd1: RibbonData, rd2: RibbonData) -> RibbonData:
     """The Deligne product of two ribbon data: dims and twists multiply, each
-    object of the product ring matched to its factors by its label."""
+    object of the product ring matched to its factors by its key."""
     ring = deligne_product(rd1.ring, rd2.ring)
-    pairs = {f"{a}*{b}": (x, y)
-             for x, a in enumerate(rd1.ring.labels) for y, b in enumerate(rd2.ring.labels)}
-    at = [pairs[label] for label in ring.labels]
+    at = [divmod(key, rd2.ring.rank) for key in ring.keys.tolist()]  # (a, b) has key a r2 + b
     made = {}  # one object per value, as the ring shares its dims
     dims = tuple(made.setdefault(d, d) for d in (rd1.dims[x] * rd2.dims[y] for x, y in at))
     return type(rd1)(ring, dims, tuple(rd1.twists[x] * rd2.twists[y] for x, y in at))

@@ -161,8 +161,8 @@ def assemble_ring(labels: list, dims: list, blocks) -> FusionRing:
     labels and dims are lists indexed by key number, with the unit at key 0.
     Each block is a tuple (i, j, k) of integer arrays of key numbers,
     broadcast together; each entry adds one to N[i, j, k], so a product
-    listed twice gives multiplicity 2.  Objects are put in canonical order
-    (unit, then invertibles by label, then the rest by (dim, label)).
+    listed twice gives multiplicity 2.  Objects are put in canonical order,
+    kept as the ring's `keys`: unit, invertibles by label, the rest by (dim, label).
     """
     # each distinct dims object is ranked once: callers share them
     distinct = {id(d): d for d in dims}
@@ -219,7 +219,7 @@ def assemble_ring(labels: list, dims: list, blocks) -> FusionRing:
     if not once.all():
         raise MalformedInputError(f"object {int(np.flatnonzero(~once)[0])} has no unique dual")
     return FusionRing.from_nonzeros(tuple(labels[key] for key in order), tuple(y.tolist()),
-                                    cells, mult, tuple(dims[key] for key in order))
+                                    cells, mult, tuple(dims[key] for key in order), order)
 
 
 def _hankel(x: np.ndarray, rows: int, cols: int) -> np.ndarray:

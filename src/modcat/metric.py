@@ -22,7 +22,7 @@ import numpy as np
 
 from ._abelian import factorint
 from .errors import MalformedInputError, ParameterError, ResourceLimitError
-from .ring import AlgebraicReal, FusionRing, _int_rows, _Wire
+from .ring import AlgebraicReal, FusionRing, _exact, _int_rows, _Wire
 
 if TYPE_CHECKING:
     from .modular import RibbonData
@@ -93,7 +93,7 @@ class MetricGroup(_Wire):
 
     def __init__(self, facs, q):
         facs = _check_facs(facs)
-        q = [Fraction(x) % 1 for x in q]
+        q = [_exact(x, "a q value") % 1 for x in q]
         den = lcm(*(x.denominator for x in q))
         self._init(facs, [x.numerator * (den // x.denominator) for x in q], den)
 
@@ -250,9 +250,9 @@ def cyclic_metric_group(n: int, coeff: Fraction) -> MetricGroup:
     defined when coeff * n is an integer (odd n) or coeff * 2n is (even n)."""
     _check_order(n)
     den = n if n % 2 else 2 * n
-    c = Fraction(coeff) * den
+    c = _exact(coeff, "coeff") * den
     if n > 1 and c.denominator != 1:
-        raise MalformedInputError(f"q(a) = {Fraction(coeff)} a^2 is not well defined on Z_{n}")
+        raise MalformedInputError(f"q(a) = {c / den} a^2 is not well defined on Z_{n}")
     return _cyclic(n, [int(c) % den], den)[0]
 
 
@@ -403,10 +403,12 @@ def classify_forms(forms: list[MetricGroup]) -> list[list[MetricGroup]]:
 
 
 def pointed_ribbon_data(mg: MetricGroup) -> RibbonData:
-    """Pointed ribbon data: fusion = group law, dims 1, twist of a = q(a)."""
-    from .modular import Phase, RibbonData  # only the ribbon data loads modular
+    """Pointed ribbon data: fusion = group law, dims 1, twists q(a); at most NONZERO_LIMIT nonzeros."""
+    from . import gauging, modular  # gauging imports this module; only ribbon data loads modular
 
     n, shape = mg.order, mg._shape
+    if n * n > gauging.NONZERO_LIMIT:
+        raise ResourceLimitError(f"a pointed ring of order {n} passes {gauging.NONZERO_LIMIT} nonzeros")
     width = len(str(n - 1))
     labels = tuple(f"g{i:0{width}d}" for i in range(n))
     a = _coords(shape)
@@ -415,5 +417,5 @@ def pointed_ribbon_data(mg: MetricGroup) -> RibbonData:
     cells = (idx[:, None] * n + idx[None, :]) * n + _ravel(a[:, :, None] + a[:, None, :], shape)
     dims = (AlgebraicReal(Fraction(1)),) * n
     ring = FusionRing.from_nonzeros(labels, dual, cells.ravel(), np.ones(n * n), dims)
-    twists = tuple(Phase(Fraction(x, mg.den)) for x in mg.num.tolist())
-    return RibbonData(ring, ring.exact_dims, twists)
+    twists = tuple(modular.Phase(Fraction(x, mg.den)) for x in mg.num.tolist())
+    return modular.RibbonData(ring, ring.exact_dims, twists)

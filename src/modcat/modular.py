@@ -55,6 +55,8 @@ class Phase:
         return Phase(-self.r)
 
     def __pow__(self, n: int) -> "Phase":
+        if type(n) is not int:
+            raise MalformedInputError(f"a phase exponent must be an int, got {n!r:.80}")
         return Phase(self.r * n)
 
     def __complex__(self) -> complex:
@@ -76,10 +78,13 @@ class RibbonData(_Wire):
     _WIRE = ("ribbon data", "fusion", 4)
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(AlgebraicReal.of(d) for d in self.dims))
+        dims = (d if isinstance(d, AlgebraicReal) else AlgebraicReal(_exact(d, "a dimension"))
+                for d in self.dims)
+        object.__setattr__(self, "dims", tuple(dims))
         object.__setattr__(self, "twists", tuple(self.twists))
-        r = self.ring.rank
-        if len(self.dims) != r or len(self.twists) != r:
+        if not all(isinstance(t, Phase) for t in self.twists):
+            raise MalformedInputError(f"twists must be Phase values, got {self.twists!r:.80}")
+        if not len(self.dims) == len(self.twists) == self.ring.rank:
             raise MalformedInputError("dims/twists length does not match rank")
 
     def validate(self) -> None:

@@ -220,10 +220,11 @@ class FusionRing(_Wire):
     The constructor takes the dense r x r x r tensor; `from_nonzeros` takes
     the cells.  `fusion` is the dense tensor again, a read-only view built
     from the nonzeros on first access and kept; `exact_dimensions` keeps the
-    dims it has checked in the same way.  Neither is part of the value.
+    dims it has checked in the same way.  `keys` gives each object's rule key
+    when `assemble_ring` built the ring, else None.  None of the three is part of the value.
     """
 
-    __slots__ = ("labels", "dual", "cells", "mults", "exact_dims", "_dense", "_checked_dims")
+    __slots__ = ("labels", "dual", "cells", "mults", "exact_dims", "keys", "_dense", "_checked_dims")
     _WIRE = ("ring", "fusion", 4)
 
     def __init__(self, labels, dual, fusion, exact_dims=None):
@@ -238,18 +239,24 @@ class FusionRing(_Wire):
         self._set(labels, dual, cells, fusion.ravel()[cells], exact_dims)
 
     @classmethod
-    def from_nonzeros(cls, labels, dual, cells, mults, exact_dims=None) -> "FusionRing":
-        """The ring with N = mults at the raveled `cells`, which must be
-        strictly increasing; zero multiplicities are dropped."""
+    def from_nonzeros(cls, labels, dual, cells, mults, exact_dims=None, keys=None) -> "FusionRing":
+        """The ring with N = mults at the raveled `cells`, strictly increasing
+        (zero multiplicities are dropped), and `keys` None or a permutation."""
         ring = cls.__new__(cls)
         ring._set(tuple(labels), dual, np.asarray(cells, dtype=np.int64),
-                  np.asarray(mults, dtype=np.int64), exact_dims)
+                  np.asarray(mults, dtype=np.int64), exact_dims, keys)
         return ring
 
-    def _set(self, labels, dual, cells, mults, exact_dims):
+    def _set(self, labels, dual, cells, mults, exact_dims, keys=None):
         r = len(labels)
         if r == 0:
             raise MalformedInputError("a fusion ring needs at least the unit object")
+        if keys is not None:
+            keys = np.asarray(keys)
+            if keys.dtype.kind not in "iu" or not np.array_equal(np.sort(keys), np.arange(r)):
+                raise MalformedInputError("keys must be a permutation of the indices")
+            keys = keys.astype(np.int64)  # a copy, so that it can be made read-only
+            keys.setflags(write=False)
         dual = tuple(dual)
         if len(dual) != r or sorted(dual) != list(range(r)):
             raise MalformedInputError("dual must be a permutation of the indices")
@@ -269,7 +276,8 @@ class FusionRing(_Wire):
         cells, mults = (cells, mults) if keep.all() else (cells[keep], mults[keep])
         cells.setflags(write=False)
         mults.setflags(write=False)
-        for name, value in zip(self.__slots__, (labels, dual, cells, mults, exact_dims, None, None)):
+        values = (labels, dual, cells, mults, exact_dims, keys, None, None)
+        for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):

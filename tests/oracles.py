@@ -15,8 +15,8 @@ differential, quadratic-form classification on Z_N by exhaustive
 parametrization plus unit-permutation canonicalization, cyclic classes by
 the per-element CRT product of prime-power forms, and automorphisms and
 equivalences of metric groups by checking whole element maps in Fractions,
-and ring assembly by stacking every block into (i, j, k) rows and sorting
-their cells whole.
+ring assembly by stacking every block into (i, j, k) rows and sorting
+their cells whole, and Deligne products of ribbon data by matching labels.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ def stack_rows(blocks) -> tuple:
 def assemble_ring_reference(labels, dims, blocks):
     """`assemble_ring` by the stack-and-sort route: the rows of every block
     at once, their cells sorted whole, a multiplicity per run of equal
-    cells and the duals read off the rows with k = 0."""
+    cells and the duals read off the rows with k = 0.  The keys are the
+    canonical order itself."""
     from modcat.errors import MalformedInputError
     from modcat.ring import FusionRing
 
@@ -64,7 +65,21 @@ def assemble_ring_reference(labels, dims, blocks):
     if not once.all():
         raise MalformedInputError(f"object {int(np.flatnonzero(~once)[0])} has no unique dual")
     return FusionRing.from_nonzeros(tuple(labels[key] for key in order), tuple(y.tolist()),
-                                    cells, mult, tuple(dims[key] for key in order))
+                                    cells, mult, tuple(dims[key] for key in order), order)
+
+
+def deligne_ribbon_reference(rd1, rd2):
+    """`deligne_ribbon` by labels: each object `a*b` of the product ring is
+    matched to its factors through a dict of every formatted pair."""
+    from modcat.catalog import deligne_product
+
+    ring = deligne_product(rd1.ring, rd2.ring)
+    pairs = {f"{a}*{b}": (x, y)
+             for x, a in enumerate(rd1.ring.labels) for y, b in enumerate(rd2.ring.labels)}
+    at = [pairs[label] for label in ring.labels]
+    made = {}  # one object per value, as the ring shares its dims
+    dims = tuple(made.setdefault(d, d) for d in (rd1.dims[x] * rd2.dims[y] for x, y in at))
+    return type(rd1)(ring, dims, tuple(rd1.twists[x] * rd2.twists[y] for x, y in at))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -18,6 +19,7 @@ from modcat import (
     AlgebraicReal,
     FusionRing,
     GaugingDatum,
+    InternalConsistencyError,
     MalformedInputError,
     ParameterError,
     Phase,
@@ -462,6 +464,63 @@ class TestBosonFermion:
         with pytest.raises(ParameterError):
             boson_fermion_census(6)
 
+    @staticmethod
+    def rebuilt(ring, labels=None, drop=()):
+        """`ring` with other labels, or without the nonzeros (i, j, k) in
+        `drop`, keeping its keys."""
+        r = ring.rank
+        keep = ~np.isin(ring.cells, [(i * r + j) * r + k for i, j, k in drop])
+        return FusionRing.from_nonzeros(labels or ring.labels, ring.dual, ring.cells[keep],
+                                        ring.mults[keep], ring.exact_dims, ring.keys)
+
+    def test_the_cross_check_finds_the_middle_y_by_key(self):
+        # the labels play no part: renamed, the census answers as before
+        for n in (12, 20, 28, 44):
+            ring = build_so_n2(n)
+            renamed = self.rebuilt(ring, labels=[f"o{i}" for i in range(ring.rank)])
+            assert catalog._boson_fermion(renamed, n) == boson_fermion_census(n)
+
+    def test_the_cross_check_catches_a_missing_invertible(self):
+        # Y1, key 7, is the middle Y of SO(12)_2, and Y1 (x) Y1 = 1 + f + g + fg
+        ring = build_so_n2(12)
+        y1, f = ring.index("Y1"), ring.index("f")
+        assert ring.keys[[y1, f]].tolist() == [7, 1]
+        assert ring.row(y1, y1)[0].tolist() == sorted(ring.index(x) for x in ("1", "f", "g", "fg"))
+        bad = self.rebuilt(ring, drop=[(y1, y1, f)])
+        assert len(bad.cells) == len(ring.cells) - 1
+        with pytest.raises(InternalConsistencyError, match="middle Y square"):
+            catalog._boson_fermion(bad, 12)
+
+
+class TestExampleRings:
+    """The Fibonacci and Ising rings come from rule blocks, and equal the
+    rings built from their dense tables."""
+
+    @staticmethod
+    def dense(labels, table, dims):
+        r = len(labels)
+        fusion = np.zeros((r, r, r), dtype=np.int64)
+        for (i, j), ks in table.items():
+            fusion[i, j, ks] = 1
+        return FusionRing(labels, tuple(range(r)), fusion, dims)
+
+    def test_fibonacci(self):
+        phi = AlgebraicReal(Fraction(1, 2), Fraction(1, 2), 5)
+        table = {(0, 0): [0], (0, 1): [1], (1, 0): [1], (1, 1): [0, 1]}
+        want = self.dense(("1", "X"), table, (AlgebraicReal.of(1), phi))
+        ring = catalog.fibonacci_ring()
+        assert ring == want and ring.dumps() == want.dumps()
+        assert ring.keys.tolist() == [0, 1] and verify_axioms(ring).ok
+
+    def test_ising(self):
+        table = {(0, 0): [0], (0, 1): [1], (0, 2): [2], (1, 0): [1], (1, 1): [0], (1, 2): [2],
+                 (2, 0): [2], (2, 1): [2], (2, 2): [0, 1]}
+        dims = (AlgebraicReal.of(1), AlgebraicReal.of(1), AlgebraicReal.sqrt(2))
+        want = self.dense(("1", "psi", "sig"), table, dims)
+        ring = catalog.ising_ring()
+        assert ring == want and ring.dumps() == want.dumps()
+        assert ring.keys.tolist() == [0, 1, 2] and verify_axioms(ring).ok
+
 
 class TestIsingSquared:
     def test_orbit_count_and_histogram(self):
@@ -619,6 +678,18 @@ class TestDeligne:
                   "fibonacci_ising": (catalog.fibonacci_ring(), catalog.ising_ring())}[pair]
         with pytest.raises(UnsupportedInputError, match="quadratic field"):
             deligne_product(r1, r2)
+
+    def test_ribbon_matches_the_label_reference(self):
+        # every Ising x Ising datum, and Ising against pointed data both ways
+        data = [ising_data(nu) for nu in range(1, 16, 2)]
+        pointed = [pointed_ribbon_data(mg) for n in (2, 3, 5, 12) for mg in enumerate_forms((n,))[:2]]
+        pairs = [(a, b) for a in data for b in data]
+        pairs += [pair for rd in pointed for pair in ((data[1], rd), (rd, data[2]))]
+        for rd1, rd2 in pairs:
+            rd = deligne_ribbon(rd1, rd2)
+            reference = oracles.deligne_ribbon_reference(rd1, rd2)
+            assert rd == reference and rd.dumps() == reference.dumps()
+            assert rd.ring.keys.tolist() == factor_positions(rd1.ring, rd2.ring, rd.ring)
 
     def test_labels_that_collide_are_refused(self):
         # 1 x 1*1 and 1*1 x 1 would both be labelled 1*1*1

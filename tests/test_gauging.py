@@ -28,7 +28,7 @@ from modcat import (
 )
 import modcat.gauging as gauging_module
 import modcat.ring as ring_module
-from modcat.catalog import deligne_product, deligne_rules, ising_ring, so_n2_rules
+from modcat.catalog import build_so_n2, deligne_product, deligne_rules, ising_ring, so_n2_rules
 from modcat.gauging import assemble_ring, particle_hole_rules
 from modcat.metric import (
     enumerate_cyclic_metric_groups,
@@ -269,6 +269,66 @@ class TestAssemblyOracle:
         shuffle = np.random.default_rng(n).permutation(len(blocks)).tolist()
         ring = assemble_ring(labels, dims, [blocks[b] for b in shuffle])
         assert ring == oracles.assemble_ring_reference(labels, dims, blocks)
+
+
+def built_rings(n):
+    """(rules, ring) of SO(N)_2 and of the gauging of the standard form on
+    Z_N by every allowed alpha, each ring built by its public constructor."""
+    yield so_n2_rules(n), build_so_n2(n)
+    for alpha in (0, 1)[:2 - n % 2]:
+        datum = GaugingDatum(n, alpha=alpha)
+        yield particle_hole_rules(datum), gauge_particle_hole(standard_cyclic_metric_group(n), datum)
+
+
+class TestKeys:
+    """`keys[i]` is the key number object i had in its rules, for every ring
+    `assemble_ring` builds, and None for every other ring."""
+
+    def test_every_built_ring_keeps_the_key_of_each_object(self):
+        for n in range(2, 61):
+            for (labels, dims, blocks), ring in built_rings(n):
+                keys = ring.keys
+                assert keys.dtype == np.int64 and not keys.flags.writeable
+                assert sorted(keys.tolist()) == list(range(ring.rank))
+                assert tuple(labels[k] for k in keys) == ring.labels, n
+                assert tuple(dims[k] for k in keys) == ring.exact_dims, n
+                reference = oracles.assemble_ring_reference(labels, dims, blocks)
+                assert np.array_equal(reference.keys, keys), n
+
+    def test_defects_come_before_the_orbit_at_three(self):
+        # sqrt(3) < 2 puts s1 and s2 (keys 3 and 4) ahead of the orbit <1> (key 2)
+        for _, ring in built_rings(3):
+            assert ring.keys.tolist() == [0, 1, 3, 4, 2]
+            assert ring.labels[2:] in (("V+", "V-", "X1"), ("s1", "s2", "O1"))
+
+    def test_keys_are_not_part_of_the_value(self):
+        ring = build_so_n2(12)
+        again = FusionRing.loads(ring.dumps())
+        assert again.keys is None and again == ring and again.dumps() == ring.dumps()
+        assert repr(again) == repr(ring)
+        bare = FusionRing.from_nonzeros(ring.labels, ring.dual, ring.cells, ring.mults,
+                                        ring.exact_dims)
+        assert bare.keys is None and bare == ring
+        assert pointed_ribbon_data(standard_cyclic_metric_group(6)).ring.keys is None
+        assert FusionRing(ring.labels, ring.dual, ring.fusion, ring.exact_dims).keys is None
+
+    def test_from_nonzeros_keeps_a_read_only_copy(self):
+        ring = ising_ring()
+        given = np.array([0, 2, 1], dtype=np.int32)
+        keyed = FusionRing.from_nonzeros(ring.labels, ring.dual, ring.cells, ring.mults,
+                                         ring.exact_dims, given)
+        assert keyed.keys.tolist() == [0, 2, 1] and keyed.keys.dtype == np.int64
+        assert not keyed.keys.flags.writeable and given.flags.writeable
+
+    @pytest.mark.parametrize("keys", [
+        [0, 0, 1], [0, 1], [0, 1, 2, 3], [1, 2, 3], [-1, 0, 1], [[0, 1, 2]],
+        [0.0, 1.0, 2.0], [False, True, True], ["0", "1", "2"], [],
+    ])
+    def test_from_nonzeros_refuses_keys_that_are_not_a_permutation(self, keys):
+        ring = ising_ring()
+        with pytest.raises(MalformedInputError, match="keys must be a permutation"):
+            FusionRing.from_nonzeros(ring.labels, ring.dual, ring.cells, ring.mults,
+                                     ring.exact_dims, keys)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from functools import cache
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,6 +77,20 @@ class TestConstruction:
         for facs in ([ORDER_LIMIT + 1], [10**12], [1000, 1000, 2]):
             with pytest.raises(ResourceLimitError):
                 MetricGroup.from_json_dict({"group": facs, "q": []})
+
+    @pytest.mark.parametrize("value", [0.5, "1/2", True, np.int64(1), None])
+    def test_rejects_q_values_that_are_not_exact(self, value):
+        # unchecked, 0.5 and "1/2" were read as 1/2 and True built the zero form
+        assert MetricGroup((2,), [0, Fraction(1, 2)]) == MetricGroup((2,), [0, Fraction(5, 2)])
+        with pytest.raises(MalformedInputError, match="a q value must be an int or a Fraction"):
+            MetricGroup((2,), [0, value])
+
+    @pytest.mark.parametrize("coeff", [0.25, "1/4", True, np.int64(1), None])
+    def test_cyclic_coefficient_must_be_exact(self, coeff):
+        assert cyclic_metric_group(4, Fraction(1, 4)) == cyclic_metric_group(4, Fraction(5, 4))
+        assert cyclic_metric_group(4, 1).num.tolist() == [0, 0, 0, 0]
+        with pytest.raises(MalformedInputError, match="coeff must be an int or a Fraction"):
+            cyclic_metric_group(4, coeff)
 
     def test_json_round_trip(self):
         mg = cyclic_form(9, 2)
@@ -372,6 +387,19 @@ class TestPointedData:
         mg = cyclic_form(5, 2)
         rd = pointed_ribbon_data(mg)
         assert [t.r for t in rd.twists] == list(mg.q)
+
+    def test_refuses_past_the_nonzero_limit_before_any_array(self, monkeypatch):
+        # the ring has order^2 nonzeros: Z_6 passes a limit of 36 and is
+        # refused at 35, before any coordinate table is built
+        import modcat.gauging as gauging_module
+
+        mg = standard_cyclic_metric_group(6)
+        monkeypatch.setattr(gauging_module, "NONZERO_LIMIT", 36)
+        assert len(pointed_ribbon_data(mg).ring.cells) == 36
+        monkeypatch.setattr(gauging_module, "NONZERO_LIMIT", 35)
+        monkeypatch.setattr(metric_module, "_coords", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ResourceLimitError, match="order 6 passes 35 nonzeros"):
+            pointed_ribbon_data(mg)
 
 
 class TestAgainstOracles:

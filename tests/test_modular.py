@@ -1,5 +1,6 @@
 """Ribbon data, S-matrices, modularity, centralizers, boson/fermion tests."""
 
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -33,6 +34,7 @@ from modcat.modular import FLOAT_TOL, format_complex
 from modcat import catalog
 import modcat.modular as modular_module
 import modcat.ring as ring_module
+from modcat.ring import ONE
 
 import oracles
 from test_ring import pointed_z
@@ -69,6 +71,13 @@ class TestPhase:
         with pytest.raises(MalformedInputError, match="must be an int or a Fraction"):
             Phase(r)
 
+    @pytest.mark.parametrize("n", [True, Fraction(1, 2), 1.5, np.int64(2), "2"])
+    def test_power_takes_only_an_int(self, n):
+        # unchecked, True gave e(2pi/8), 1/2 picked the root e(2pi/16), and 1.5
+        # was refused as the product 0.1875 named "a phase"
+        with pytest.raises(MalformedInputError, match=re.escape(f"exponent must be an int, got {n!r}")):
+            Phase.of(1, 8) ** n
+
 
 class TestRibbonData:
     def test_validate_catches_unit_twist(self):
@@ -93,6 +102,23 @@ class TestRibbonData:
         )
         with pytest.raises(MalformedInputError):
             bad.validate()
+
+    def test_refuses_twists_that_are_not_phases(self):
+        # unchecked, these were built, and `validate` or `s_matrix` raised a
+        # bare AttributeError
+        ising = catalog.ising_ring()
+        for twists in [(Fraction(0), Fraction(1, 2), Fraction(1, 16)), (Phase.of(0), Phase.of(1, 2), 0)]:
+            with pytest.raises(MalformedInputError, match="twists must be Phase values"):
+                RibbonData(ising, ising.exact_dims, twists)
+
+    @pytest.mark.parametrize("dim", [1.0, True, "1", np.int64(1), None])
+    def test_refuses_dims_that_are_not_exact(self, dim):
+        # unchecked, 1.0 and "1" were converted and True read as 1
+        ring = pointed_z(2)
+        twists = (Phase.of(0), Phase.of(1, 2))
+        assert RibbonData(ring, (1, Fraction(1)), twists).dims == (ONE, ONE)
+        with pytest.raises(MalformedInputError, match="a dimension must be an int or a Fraction"):
+            RibbonData(ring, (ONE, dim), twists)
 
     def test_json_round_trip(self):
         rd = catalog.ising_squared_data(catalog.IsingParams(1, 7))
