@@ -31,13 +31,13 @@ DENSE_LIMIT = 2**30  # bytes: the largest dense fusion tensor built (rank 512)
 # elements a pass over the nonzeros takes at a time, so that its temporaries
 # stay small: the products of an associativity batch, the nonzeros of a
 # character block, the cells `assemble_ring` encodes at once, the values of
-# a piece of JSON rows.  Least ms of 3-7 fresh runs on 2 shared vCPUs, at
+# a piece of JSON rows.  Least ms of 3-14 fresh runs on 2 shared vCPUs, at
 # 2^13 / 2^14 / 2^15 / 2^16 / 2^17:
 #   first `structure_census` of SO(600)_2     4.1 / 4.0 / 4.2 / 5.3 / 8.4
 #   `build_so_n2(600)`, `build_so_n2(3000)`   4.4 / 4.0 / 3.9 / 3.9 / 4.1, 96 / 90 / 89 / 90 / 91
-#   full check of SO(117)_2 raised by one     60 / 62 / 66 / 72 / 79
+#   full check of SO(117)_2 raised by one     51 / 41 / 44 / 42 / 58
 #   `dumps` of SO(600)_2                      23 / 21 / 19 / 21 / 20
-#   verify of SO(1000)_2 (Light's test)       427 / 378 / 355 / 346 / 337
+#   verify of SO(1000)_2 (Light's test)       378 / 312 / 269 / 284 / 274
 CHUNK = 2**15
 
 
@@ -258,6 +258,10 @@ class FusionRing(_Wire):
             keys = keys.astype(np.int64)  # a copy, so that it can be made read-only
             keys.setflags(write=False)
         dual = tuple(dual)
+        if not set(map(type, dual)) <= {int}:  # a bool or an integral float passes the test below
+            for x in dual:
+                if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                    raise MalformedInputError(f"dual entry {x!r:.80} is not an integer")
         if len(dual) != r or sorted(dual) != list(range(r)):
             raise MalformedInputError("dual must be a permutation of the indices")
         if any(dual[dual[i]] != i for i in range(r)):
@@ -592,21 +596,33 @@ class AxiomReport:
 
 def _unbalanced(keys: np.ndarray, vals: np.ndarray, bound: int) -> np.ndarray:
     """The distinct keys, all in [0, bound), whose values do not sum to zero,
-    increasing: one sort and one `np.add.reduceat`, exact in the dtype of
-    `vals`.  When the positions fit under the keys in int64 they ride in the
-    low bits through `np.sort`, several times faster than `np.argsort`."""
-    n = len(keys)
-    if not n:
+    increasing: one sort and one `np.add.reduceat`, exact when the positive
+    and the negative values of each key each sum within the dtype of `vals`.
+    Integer values, shifted to start at 0, ride in the low bits of the keys
+    through one `np.sort`, several times faster than `np.argsort`: as 32-bit
+    words when they fit, else in int64.  Object values, or keys too wide to
+    carry them in int64, are argsorted."""
+    if not len(keys):
         return keys
-    bits = n.bit_length()
-    if bound << bits <= 2**63:
-        packed = np.sort(keys << bits | np.arange(n))
-        keys, order = packed >> bits, packed & ((1 << bits) - 1)
-    else:
+    wide = vals.dtype == object
+    if not wide:
+        low = int(vals.min())  # the range in Python ints: max - min may pass int64
+        bits = (int(vals.max()) - low).bit_length()
+        wide = bound << bits > 2**63
+    if wide:
         order = np.argsort(keys)
-        keys = keys[order]
+        keys, vals = keys[order], vals[order]
+    else:
+        word = np.uint32 if bound << bits <= 2**32 else np.int64
+        packed = keys.astype(word)
+        packed <<= bits
+        packed |= (vals - low).astype(word, copy=False)
+        packed.sort()
+        keys = packed >> bits
+        vals = (packed & ((1 << bits) - 1)).astype(np.int64, copy=False)
+        vals += low
     first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return keys[first[np.add.reduceat(vals[order], first) != 0]]
+    return keys[first[np.add.reduceat(vals, first) != 0]].astype(np.int64, copy=False)
 
 
 def _segments(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -629,8 +645,9 @@ def verify_axioms(ring: FusionRing) -> AxiomReport:
     are a certified generating set (`_generators`), a few r^2 products
     each: that is Light's test, and when it passes it decides.  Otherwise
     every object is a middle, about 8r^3 products on SO(N)_2, to list the
-    witnesses.  SO(3000)_2 (69 MB of nonzeros) verifies in about 4 s, and
-    the process peaks at 398-418 MB, against 106 MB after the build.
+    witnesses.  SO(3000)_2 (69 MB of nonzeros) verifies in 2.6-3.6 s on 2
+    shared vCPUs, and the process peaks at 397-418 MB, against 104-106 MB
+    after the build.
     """
     r, cells, mults = ring.rank, ring.cells, ring.mults
     dual = np.asarray(ring.dual)
@@ -728,6 +745,9 @@ def _associativity(ring: FusionRing, vals, block, i, j, k, jk, middle) -> list:
     by_last = np.flatnonzero(middle[i])  # the (j, k, m) with j in the middle, by m
     by_last = by_last[np.argsort(k[by_last], kind="stable")]
     last_first = k[by_last] * r + i[by_last]  # their (m, j), increasing
+    m0 = np.arange(r) * r  # the key (m, 0) of each m
+    m_first = np.searchsorted(last_first, m0)  # the (j, k, m) of m from m_first[m] on
+    m_stop = np.append(m_first[1:], len(last_first))
     ij_by_last, vals_by_last = cells[by_last] // r * r, vals[by_last]
     # batches: rows up to the first one past CHUNK products, those of
     # slice i taken as spread evenly over its rows (i, j) in the middle; keys
@@ -752,15 +772,23 @@ def _associativity(ring: FusionRing, vals, block, i, j, k, jk, middle) -> list:
         s = slice(*np.searchsorted(mid_ij, (p0, p1)))  # left: (i, j, m) in the rows
         left = block_len[mid_m[s]]
         u = _segments(block[mid_m[s]], left)
-        t = slice(block[p0 // r], block[-(-p1 // r)])  # right: (i, m, l) in their slices
-        first = np.searchsorted(last_first, j[t] * r + np.clip(p0 - i[t] * r, 0, r))
-        right = np.searchsorted(last_first, j[t] * r + np.clip(p1 - i[t] * r, 0, r)) - first
+        a0, a1 = p0 // r, -(-p1 // r)  # right: (i, m, l) in slices a0 to a1 - 1
+        t = slice(block[a0], block[a1])
+        m = j[t]
+        first, stop = m_first[m], m_stop[m]  # a whole slice: the (j, k, m) of every j
+        if p0 > a0 * r:  # slice a0 from row (a0, p0 - a0 r) on: bounds per m, gathered
+            head = block[a0 + 1] - block[a0]
+            first[:head] = np.searchsorted(last_first, m0 + (p0 - a0 * r))[m[:head]]
+        if p1 < a1 * r:  # slice a1 - 1 before row (a1 - 1, p1 - (a1 - 1) r)
+            tail = block[a1 - 1] - block[a0]
+            stop[tail:] = np.searchsorted(last_first, m0 + (p1 - (a1 - 1) * r))[m[tail:]]
+        right = stop - first
         v = _segments(first, right)
         keys = np.concatenate((
             np.repeat((mid_ij[s] - p0) * r * r, left) + jk[u],
             np.repeat((i[t] * r - p0) * r * r + k[t], right) + ij_by_last[v],
         ))
-        if same and _same(keys, len(u)):
+        if same and _same(keys, len(u), (p1 - p0) * r * r):
             continue
         sums = np.concatenate((np.repeat(mid_vals[s], left) * vals[u],
                                np.repeat(-vals[t], right) * vals_by_last[v]))
@@ -772,9 +800,15 @@ def _associativity(ring: FusionRing, vals, block, i, j, k, jk, middle) -> list:
     return found
 
 
-def _same(keys, n: int) -> bool:
-    """Whether the first n keys and the rest are one multiset."""
-    return 2 * n == len(keys) and np.array_equal(np.sort(keys[:n]), np.sort(keys[n:]))
+def _same(keys, n: int, bound: int) -> bool:
+    """Whether the first n keys and the rest, all in [0, bound), are one
+    multiset: each half sorted alone, as 32-bit words when the bound allows."""
+    if 2 * n != len(keys):
+        return False
+    keys = keys.astype(np.uint32 if bound <= 2**32 else np.int64)
+    keys[:n].sort()
+    keys[n:].sort()
+    return np.array_equal(keys[:n], keys[n:])
 
 
 def _same_nonzeros(cells, mults, ref_cells, ref_mults, bound: int) -> bool:

@@ -16,7 +16,8 @@ parametrization plus unit-permutation canonicalization, cyclic classes by
 the per-element CRT product of prime-power forms, and automorphisms and
 equivalences of metric groups by checking whole element maps in Fractions,
 ring assembly by stacking every block into (i, j, k) rows and sorting
-their cells whole, and Deligne products of ribbon data by matching labels.
+their cells whole, Deligne products of ribbon data by matching labels, and
+the sort kernels of the associativity join by Counters.
 """
 
 from __future__ import annotations
@@ -127,6 +128,23 @@ def verify_axioms_bruteforce(fusion, dual, quads=None):
         + [("frobenius_right", (i, j, k)) for i, j, k in cells if N[i][j][k] != N[k][dual[j]][i]]
         + [("associativity", w) for w in associativity_bruteforce(fusion, quads)]
     )
+
+
+def unbalanced_bruteforce(keys, vals, modulus=None) -> list[int]:
+    """The keys whose values do not sum to zero, increasing: one Counter of
+    Python ints, each sum taken modulo `modulus` when it is given."""
+    sums = Counter()
+    for key, val in zip(keys.tolist(), vals.tolist()):
+        sums[key] += val
+    if modulus:
+        sums = {key: total % modulus for key, total in sums.items()}
+    return sorted(key for key, total in sums.items() if total)
+
+
+def same_bruteforce(keys, n: int) -> bool:
+    """Whether the first n keys and the rest are one multiset, by Counters."""
+    keys = keys.tolist()
+    return Counter(keys[:n]) == Counter(keys[n:])
 
 
 # ---------------------------------------------------------------------------

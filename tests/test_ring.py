@@ -141,6 +141,22 @@ class TestConstruction:
         with pytest.raises(MalformedInputError):
             FusionRing(r.labels, (1, 2, 0), r.fusion)
 
+    @pytest.mark.parametrize("dual", [
+        (False, True, 2), (0, 1, np.True_), (0.0, 1.0, 2.0), (0, np.float64(1), 2), (0, 1, "2"),
+        (0, 1, None)])
+    def test_dual_entries_that_are_not_integers_are_refused(self, dual):
+        # unchecked, the bools were stored and the integral floats passed the
+        # permutation test and raised a bare TypeError at the involution test
+        ring = ising_ring()
+        with pytest.raises(MalformedInputError, match="dual entry"):
+            FusionRing.from_nonzeros(ring.labels, dual, ring.cells, ring.mults)
+
+    def test_numpy_integer_duals_are_taken(self):
+        ring = ising_ring()
+        for dual in (np.arange(3), (0, np.int32(1), np.uint8(2))):
+            assert FusionRing.from_nonzeros(ring.labels, dual, ring.cells, ring.mults) == \
+                FusionRing.from_nonzeros(ring.labels, (0, 1, 2), ring.cells, ring.mults)
+
     def test_wrong_dual_pairing_is_an_axiom_violation(self):
         r = pointed_z(3)
         bad = FusionRing(r.labels, (0, 1, 2), r.fusion)
@@ -665,6 +681,34 @@ def _near_commutative(draw):
     return fusion
 
 
+@st.composite
+def _keyed_values(draw):
+    """(keys, vals, bound) for `_unbalanced`: int64 values whose range takes
+    `bits` bits, from 0 to 64 (values of +-(2^63 - 1)), placed at zero, at
+    the bottom or the top of int64, or around zero, and a bound whose shift
+    by `bits` lies at or next to 2^32 or 2^63.  The keys come from a few
+    drawn keys, so that they repeat, and some values come with their
+    negation under the same key, so that some keys balance."""
+    bits = draw(st.integers(0, 64))
+    span = min(2**bits - 1, 2**64 - 2)  # the values lie in [low, low + span]
+    lows = (0, -(span // 2), -(2**63 - 1), 2**63 - 1 - span)
+    low = draw(st.sampled_from([x for x in lows if -(2**63 - 1) <= x and x + span < 2**63]))
+    bound = max(1, (2**draw(st.sampled_from((32, 63))) >> bits) + draw(st.integers(-1, 1)))
+    top = min(bound, 2**63) - 1
+    key = st.one_of(st.sampled_from((0, top)), st.integers(0, top))
+    pool = draw(st.lists(key, min_size=1, max_size=4))
+    value = st.one_of(st.sampled_from((low, low + span)), st.integers(low, low + span))
+    keys, vals = [], []
+    for key, x, mirrored in draw(st.lists(st.tuples(st.sampled_from(pool), value, st.booleans()),
+                                          max_size=30)):
+        keys.append(key)
+        vals.append(x)
+        if mirrored and low <= -x <= low + span:
+            keys.append(key)
+            vals.append(-x)
+    return np.array(keys, dtype=np.int64), np.array(vals, dtype=np.int64), bound
+
+
 def _from_products(labels, dual, products):
     """The commutative ring on `labels` whose products X Y, for the pairs
     listed, are the listed sums, a summand listed twice counted twice; X 1 = X."""
@@ -747,6 +791,9 @@ def _decisions(ring):
     return violations, calls
 
 
+_EMPTY_MIDDLE_SLICES = np.arange(64, dtype=np.int64).reshape(4, 4, 4) % 3
+_EMPTY_MIDDLE_SLICES[1:3] = 0
+
 # sha256 of the JSON of `verify_axioms(...).violations` for SO(N)_2 raised by
 # one at three distinct non-unit indices, the corruption of the axioms ladder
 _CORRUPTED_SO_N2_DIGESTS = {
@@ -816,6 +863,10 @@ class TestAxioms:
             )
         )
     )
+    # slices 1 and 2 hold no nonzero, next to batches that end part-way
+    # through a slice
+    @example((_EMPTY_MIDDLE_SLICES, [0, 1, 2, 3], 0, False, 1))
+    @example((_EMPTY_MIDDLE_SLICES, [0, 1, 2, 3], 0, False, 7))
     def test_every_violation_matches_bruteforce_oracle(self, case):
         # mostly non-commutative tensors; the dual swaps `swaps` pairs of a
         # random permutation, the unit among them at times.  Small batches cut
@@ -881,6 +932,44 @@ class TestAxioms:
         big = [key * 2**56 for key in want]
         assert ring_module._unbalanced(keys * 2**56, vals, 2**62).tolist() == big
 
+    @settings(max_examples=500, deadline=None)
+    @given(_keyed_values(), st.booleans())
+    @example((np.array([], dtype=np.int64), np.array([], dtype=np.int64), 1), False)
+    @example((np.array([0, 0, 5]), np.array([2**63 - 1, -(2**63 - 1), 2**63 - 1]), 8), False)
+    @example((np.array([2**32, 0]), np.array([1, 1]), 2**32 + 1), False)
+    @example((np.array([0, 0, 0]), np.array([0, 2**32 - 1, 5]), 1), False)
+    @example((np.array([2**31 - 1, 2**31 - 1, 0]), np.array([-1, 0, 1]), 2**31), False)
+    def test_unbalanced_matches_a_counter_oracle(self, case, as_object):
+        # int64 sums wrap modulo 2^64, Python ints do not; the argsort takes
+        # object values and keys whose bound, shifted by the width of the
+        # value range, passes 2^63
+        keys, vals, bound = case
+        want = oracles.unbalanced_bruteforce(keys, vals, None if as_object else 2**64)
+        width = (int(vals.max()) - int(vals.min())).bit_length() if len(vals) else 0
+        if as_object:
+            vals = vals.astype(object)
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+            assert ring_module._unbalanced(keys, vals, bound).tolist() == want
+        assert argsort.called == (len(keys) > 0 and (as_object or bound << width > 2**63))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_keyed_values())
+    @example((np.array([2**32 - 1, 0, 2**31]), np.zeros(3, dtype=np.int64), 2**32))
+    @example((np.array([2**32, 0, 1]), np.zeros(3, dtype=np.int64), 2**32 + 1))
+    def test_same_matches_a_counter_oracle(self, case):
+        # 32-bit halves up to a bound of 2^32, keys with the top bit set
+        # among them; past it, a key of 2^32 is not the key 0
+        keys, _, bound = case
+        n = len(keys)
+        pair = np.concatenate((keys, np.roll(keys[::-1], 1)))
+        cases = [(pair, n), (np.concatenate((keys, keys % 2**32)), n)]
+        if n:
+            moved = pair.copy()
+            moved[-1] = (int(moved[-1]) + 1) % min(bound, 2**63)
+            cases += [(moved, n), (pair, n - 1), (pair, n + 1)]
+        for halves, split in cases:
+            assert ring_module._same(halves, split, bound) == oracles.same_bruteforce(halves, split)
+
     def test_associativity_keys_past_int64(self):
         # at rank 60000, r^4 > 2^63: slices 0, b and a = r - 1 would share one
         # batch of keys (i, j, k, l) that overflow; X_a X_a = X_b and
@@ -891,6 +980,38 @@ class TestAxioms:
         ring = FusionRing.from_nonzeros(map(str, range(r)), range(r), cells, [1, 1, 1])
         witnesses = [w for kind, w in verify_axioms(ring).violations if kind == "associativity"]
         assert witnesses == [(b, b, a, a), (b, a, a, b), (a, b, a, b), (a, a, a, a)]
+
+    @pytest.mark.parametrize("r, wide", [(150, False), (200, True)])
+    def test_sparse_high_rank_witnesses_match_bruteforce_oracle(self, r, wide):
+        # the unit fails, so the full check takes every (i, j) in one batch
+        # of bound r^4; its products lie in [-2, 2], three bits under the
+        # keys.  At rank 150 the packed keys reach past 2^31 and stay below
+        # 2^32, the top bit of 32-bit words; at rank 200 they pass 2^32 and
+        # sort as int64.  The products lie among X_0 and the three last objects
+        at = np.array([0, r - 3, r - 2, r - 1])
+        small = np.zeros((4, 4, 4), dtype=np.int64)  # the products among X_at
+        small[0, 0, 0] = small[1, 1, 2] = small[2, 1, 1] = small[3, 3, 3] = small[1, 3, 2] = 1
+        small[2, 1, 1] += 1
+        i, j, k = np.nonzero(small)
+        cells = (at[i] * r + at[j]) * r + at[k]
+        order = np.argsort(cells)
+        ring = FusionRing.from_nonzeros(map(str, range(r)), range(r), cells[order],
+                                        small[i, j, k][order])
+        packed, real = [], ring_module._unbalanced
+
+        def spy(keys, vals, bound):
+            if len(vals):
+                packed.append(bound << (int(vals.max()) - int(vals.min())).bit_length())
+            return real(keys, vals, bound)
+
+        with mock.patch.object(ring_module, "_unbalanced", side_effect=spy):
+            violations = verify_axioms(ring).violations
+        assert packed[-1] > 2**32 if wide else 2**31 <= packed[-1] <= 2**32
+        witnesses = [w for kind, w in violations if kind == "associativity"]
+        # every witness lies among the objects with products: the oracle's
+        # witnesses on the small tensor, in the same order
+        assert witnesses and witnesses == [
+            tuple(int(at[x]) for x in w) for w in oracles.associativity_bruteforce(small)]
 
     def test_large_rank_passes(self):
         ring = build_so_n2(160)
@@ -999,9 +1120,9 @@ class TestAxioms:
             sizes.append(len(keys))
             return real(keys, vals, bound)
 
-        def spy_same(keys, n):
+        def spy_same(keys, n, bound):
             light.append(len(keys))
-            return same(keys, n)
+            return same(keys, n, bound)
 
         ring = build_so_n2(110)
         fusion = ring.fusion.copy()
