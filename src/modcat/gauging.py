@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import prod
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedInputError,
 )
-from .metric import MetricGroup
+from .metric import MetricGroup, _check_facs, _coords, _ravel
 from .ring import CHUNK, AlgebraicReal, FusionRing, _check_indices, _distinct, exact_dimensions
 
 # nonzeros of the largest metaplectic ring built: 1 GiB of int64 cells and
@@ -40,65 +39,43 @@ NONZERO_LIMIT = 2**26
 @dataclass(frozen=True)
 class Z2Module:
     """Coefficient module for Z2 cohomology: a finite abelian group given by
-    invariant factors with an involutive action, or the divisible group Q/Z
-    ("Q/Z") with the trivial action."""
+    invariant factors (d_i | d_{i+1}) with an involutive action, or the
+    divisible group Q/Z ("Q/Z") with the trivial action.  The action is
+    "trivial", "negation" or the index of each element's image, elements
+    indexed as in `MetricGroup` (the maps `form_preserving_autos` returns)."""
 
     facs: tuple[int, ...] | str
-    action: str | tuple = "trivial"
+    action: str | tuple[int, ...] = "trivial"
 
     def __post_init__(self):
         if self.facs == "Q/Z":
             if self.action != "trivial":
                 raise UnsupportedInputError("only the trivial action on Q/Z is supported")
             return
-        if isinstance(self.facs, str) or any(type(d) is not int for d in self.facs):
-            raise MalformedInputError(f"invariant factors must be ints, got {self.facs!r:.80}")
-        object.__setattr__(self, "facs", tuple(self.facs))
-        if any(d < 1 for d in self.facs):
-            raise MalformedInputError("invariant factors must be positive")
+        object.__setattr__(self, "facs", _check_facs(self.facs))
         if isinstance(self.action, str):
             if self.action not in ("trivial", "negation"):
                 raise MalformedInputError(f"unknown action {self.action!r}")
             return
-        # explicit involution given as image tuples per element
-        object.__setattr__(self, "action", tuple(tuple(a) for a in self.action))
-        elems = self.elements()
-        rho = dict(zip(elems, self.action))
-        if len(self.action) != len(elems):
+        action = tuple(self.action)
+        object.__setattr__(self, "action", action)
+        order = prod(self.facs)
+        if len(action) != order:
             raise MalformedInputError("action table length does not match group order")
-        images = set(self.action)
-        if not images <= set(elems) or any(type(x) is not int for a in images for x in a):
-            raise MalformedInputError("action images must be group elements, as tuples of ints")
+        if {*map(type, action)} - {int} or min(action) < 0 or max(action) >= order:
+            raise MalformedInputError("action images must be element indices, as ints")
+        rho = np.array(action, dtype=np.int64)
+        if not np.array_equal(rho[rho], np.arange(order)):
+            raise MalformedInputError("action is not an involution")
         # additive iff rho(a + e) = rho(a) + rho(e) for every a and every
-        # generator e (one coordinate 1, the rest 0), by induction on the
-        # length of a word in the generators
-        gens = [e for e in elems if sum(e) == 1]
-        for a in elems:
-            if rho[rho[a]] != a:
-                raise MalformedInputError("action is not an involution")
-            for e in gens:
-                if rho[self.add(a, e)] != self.add(rho[a], rho[e]):
-                    raise MalformedInputError("action is not additive")
-
-    def elements(self) -> list[tuple[int, ...]]:
-        return list(product(*(range(d) for d in self.facs)))
-
-    def add(self, a, b) -> tuple[int, ...]:
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.facs))
-
-    def neg(self, a) -> tuple[int, ...]:
-        return tuple((-x) % d for x, d in zip(a, self.facs))
-
-    def rho(self, a) -> tuple[int, ...]:
-        if self.action == "trivial":
-            return a
-        if self.action == "negation":
-            return self.neg(a)
-        # the position of a in `elements()`, read as a mixed-radix number
-        pos = 0
-        for x, d in zip(a, self.facs):
-            pos = pos * d + x % d
-        return self.action[pos]
+        # generator e, by induction on the length of a word in the generators
+        shape = self.facs or (1,)
+        x = _coords(shape)
+        image = x[:, rho]
+        for e in np.eye(len(shape), dtype=np.int64)[:, :, None]:
+            step = _ravel(x + e, shape)  # a + e; step[0] is e
+            if not np.array_equal(rho[step], _ravel(image + image[:, step[:1]], shape)):
+                raise MalformedInputError("action is not additive")
 
 
 def z2_cohomology(mod: Z2Module, n: int) -> tuple[int, ...]:
@@ -113,16 +90,17 @@ def z2_cohomology(mod: Z2Module, n: int) -> tuple[int, ...]:
         # Q/Z is divisible, so the norm map is onto in even degree; in odd
         # degree ker(2) = {0, 1/2} and im(0) = 0.
         return () if n % 2 == 0 else (2,)
-    elems = mod.elements()
-    if n % 2 == 0:
-        top = {a for a in elems if mod.rho(a) == a}
-        bottom = {mod.add(a, mod.rho(a)) for a in elems}
-    else:
-        top = {a for a in elems if not any(mod.add(a, mod.rho(a)))}
-        bottom = {mod.add(a, mod.neg(mod.rho(a))) for a in elems}
-    if not bottom <= top:
+    shape = mod.facs or (1,)
+    x = _coords(shape)
+    image = x if mod.action == "trivial" else -x if mod.action == "negation" else x[:, list(mod.action)]
+    # a + rho(a) and a - rho(a) per element index
+    plus, minus = _ravel(x + image, shape), _ravel(x - image, shape)
+    top, bottom = (minus == 0, plus) if n % 2 == 0 else (plus == 0, minus)
+    # np.unique would import numpy.ma on its first call
+    hit = np.bincount(bottom, minlength=len(top)) > 0
+    if (hit & ~top).any():
         raise MalformedInputError("boundary image escapes the cocycle group")
-    return (2,) * ((len(top) // len(bottom)).bit_length() - 1)
+    return (2,) * ((int(top.sum()) // int(hit.sum())).bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,9 @@ class Phase:
 
     @classmethod
     def of(cls, num: int, den: int = 1) -> "Phase":
+        if type(num) is not int or type(den) is not int or den == 0:
+            raise MalformedInputError(
+                f"a phase needs an int over a nonzero int, got {num!r:.40} / {den!r:.40}")
         return cls(Fraction(num, den))
 
     def __mul__(self, other: "Phase") -> "Phase":

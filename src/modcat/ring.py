@@ -73,7 +73,7 @@ class AlgebraicReal:
     def of(cls, x) -> "AlgebraicReal":
         if isinstance(x, AlgebraicReal):
             return x
-        return cls(Fraction(x))
+        return cls(_exact(x, "a value"))
 
     @classmethod
     def sqrt(cls, n: int) -> "AlgebraicReal":
@@ -126,7 +126,7 @@ class AlgebraicReal:
         if not isinstance(other, AlgebraicReal):
             try:
                 other = AlgebraicReal.of(other)
-            except (TypeError, ValueError):
+            except MalformedInputError:
                 return NotImplemented
         return (self.a, self.b, self.t) == (other.a, other.b, other.t)
 

@@ -11,7 +11,7 @@ hom-space dimensions by divide-and-conquer multiset expansion, gradings
 by every cell of the dense tensor, boson condensation by one fusion row
 at a time,
 Z2-cohomology by direct evaluation of the inhomogeneous cochain
-differential, quadratic-form classification on Z_N by exhaustive
+differential on coordinate tuples, quadratic-form classification on Z_N by exhaustive
 parametrization plus unit-permutation canonicalization, cyclic classes by
 the per-element CRT product of prime-power forms, and automorphisms and
 equivalences of metric groups by checking whole element maps in Fractions,
@@ -471,6 +471,32 @@ def _walk_bruteforce(ring, b, start, fixed_set, inv_pair_set):
 # Z2 cohomology by cochain enumeration
 
 
+class _TupleModule:
+    """The module's group as coordinate tuples in lexicographic order, which
+    is the element order of `MetricGroup`, with its own arithmetic; the
+    action is read from `mod.facs` and `mod.action` alone."""
+
+    def __init__(self, mod):
+        self.facs = mod.facs
+        self.elements = list(product(*(range(d) for d in mod.facs)))
+        if mod.action == "trivial":
+            images = self.elements
+        elif mod.action == "negation":
+            images = [self.neg(a) for a in self.elements]
+        else:
+            images = [self.elements[i] for i in mod.action]
+        self.image = dict(zip(self.elements, images))
+
+    def add(self, a, b):
+        return tuple((x + y) % d for x, y, d in zip(a, b, self.facs))
+
+    def neg(self, a):
+        return tuple((-x) % d for x, d in zip(a, self.facs))
+
+    def rho(self, a):
+        return self.image[a]
+
+
 def _coboundary(mod, n, f):
     """The inhomogeneous differential d: C^n(Z2, M) -> C^{n+1}(Z2, M).
 
@@ -499,13 +525,14 @@ def _normalized_cochains(mod, n):
     On Z2 such a cochain is determined by its value at (1, ..., 1)."""
     zero = tuple(0 for _ in mod.facs)
     ones = tuple(1 for _ in range(n))
-    for m in mod.elements():
+    for m in mod.elements:
         f = {args: (m if args == ones else zero) for args in product((0, 1), repeat=n)}
         yield m, f
 
 
 def cohomology_bruteforce(mod, n):
     """H^n(Z2, M) for finite M as invariant factors, via normalized cochains."""
+    mod = _TupleModule(mod)
     zero = tuple(0 for _ in mod.facs)
     ones = tuple(1 for _ in range(n))
     cocycles = set()

@@ -419,7 +419,10 @@ def test_gradings_and_isomorphism_load_no_masked_arrays():
     code = ("import sys; from modcat import *; from modcat.catalog import based_ring_isomorphism; "
             "r = build_so_n2(12); universal_grading(r); gn_grading(r); "
             "g = gauge_particle_hole(enumerate_cyclic_metric_groups(12)[0]); "
-            "assert based_ring_isomorphism(g, r) is not None; print('numpy.ma' in sys.modules)")
+            "assert based_ring_isomorphism(g, r) is not None; "
+            "z2_cohomology(Z2Module((2, 4), 'trivial'), 2); "
+            "z2_cohomology(Z2Module((2, 4), 'negation'), 3); "
+            "z2_cohomology(Z2Module((2, 2), (0, 2, 1, 3)), 2); print('numpy.ma' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)

@@ -33,6 +33,7 @@ from modcat.gauging import assemble_ring, particle_hole_rules
 from modcat.metric import (
     enumerate_cyclic_metric_groups,
     enumerate_forms,
+    form_preserving_autos,
     pointed_ribbon_data,
     standard_cyclic_metric_group,
 )
@@ -74,8 +75,8 @@ class TestCohomology:
 
     def test_explicit_swap_action(self):
         for d in (2, 3, 4):
-            elems = [(a, b) for a in range(d) for b in range(d)]
-            table = tuple((b, a) for a, b in elems)
+            # (a, b) -> (b, a), element (a, b) at index a d + b
+            table = tuple(b * d + a for a in range(d) for b in range(d))
             mod = Z2Module((d, d), table)
             for n in (2, 3):
                 assert z2_cohomology(mod, n) == oracles.cohomology_bruteforce(mod, n)
@@ -86,24 +87,20 @@ class TestCohomology:
             ((2, 2, 2), lambda a, b, c: (b, a, c)),
             ((2, 4), lambda a, b: (a, (b + 2 * a) % 4)),
             ((5,), lambda a: ((-a) % 5,)),
-            ((2, 3, 6), lambda a, b, c: (a, (-b) % 3, c)),
+            ((1, 3, 6), lambda a, b, c: (a, (-b) % 3, c)),
         ]
         for facs, f in cases:
-            elems = Z2Module(facs).elements()
-            table = tuple(f(*a) for a in elems)
+            elems = oracles._TupleModule(Z2Module(facs)).elements
+            table = tuple(elems.index(f(*a)) for a in elems)
             mod = Z2Module(facs, table)
-            lookup = dict(zip(elems, table))
-            assert [mod.rho(a) for a in elems] == [lookup[a] for a in elems], facs
-            # an unreduced representative acts as its residue, as in `add`
-            shifted = [tuple(x + d for x, d in zip(a, facs)) for a in elems]
-            assert [mod.rho(a) for a in shifted] == [lookup[a] for a in elems], facs
+            assert mod.action == table, facs
             for n in (2, 3):
                 assert z2_cohomology(mod, n) == oracles.cohomology_bruteforce(mod, n)
 
     def test_rejects_non_involutive_action(self):
         from modcat import MalformedInputError
 
-        table = tuple(((a + 1) % 3,) for a in range(3))
+        table = tuple((a + 1) % 3 for a in range(3))
         with pytest.raises(MalformedInputError):
             Z2Module((3,), table)
 
@@ -111,7 +108,7 @@ class TestCohomology:
         from modcat import MalformedInputError
 
         # 1 <-> 2 on Z_5 is an involution, but rho(1) + rho(1) = 4 != rho(2)
-        table = ((0,), (2,), (1,), (3,), (4,))
+        table = (0, 2, 1, 3, 4)
         with pytest.raises(MalformedInputError, match="not additive"):
             Z2Module((5,), table)
 
@@ -129,25 +126,48 @@ class TestCohomology:
                     rest = {x + (x >= m): y + (y >= m) for x, y in rest.items()}
                     yield {**rest, m: n - 1, n - 1: m}
 
-        for facs in [(2, 2), (6,), (2, 4), (1, 4), (2, 1, 3)]:
-            elems = Z2Module(facs).elements()
-            add = Z2Module(facs).add
+        for facs in [(2, 2), (6,), (2, 4), (1, 4), (1, 1, 6)]:
+            group = oracles._TupleModule(Z2Module(facs))
+            elems, add = group.elements, group.add
             for inv in involutions(len(elems)):
                 rho = {a: elems[inv[n]] for n, a in enumerate(elems)}
-                table = tuple(rho[a] for a in elems)
+                table = tuple(inv[n] for n in range(len(elems)))
                 if all(rho[add(a, b)] == add(rho[a], rho[b]) for a in elems for b in elems):
-                    assert Z2Module(facs, table).rho(elems[-1]) == rho[elems[-1]]
+                    assert Z2Module(facs, table).action == table
                 else:
                     with pytest.raises(MalformedInputError, match="not additive"):
                         Z2Module(facs, table)
 
     def test_swap_on_a_large_square_builds_fast(self):
         # additivity is checked against the generators, not on all pairs
-        elems = [(a, b) for a in range(30) for b in range(30)]
+        table = tuple(np.arange(900).reshape(30, 30).T.ravel().tolist())
         start = time.perf_counter()
-        mod = Z2Module((30, 30), tuple((b, a) for a, b in elems))
+        mod = Z2Module((30, 30), table)
         assert time.perf_counter() - start < 0.5
-        assert mod.rho((1, 2)) == (2, 1)
+        assert mod.action[1 * 30 + 2] == 2 * 30 + 1
+
+    @staticmethod
+    def check_form_preserving_involutions(forms):
+        # every phi with phi o phi = id is a module as it comes, and H^2 holds
+        # the gauging data; forms that share a phi are checked against the
+        # oracle once
+        modules = set()
+        for mg in forms:
+            involutions = [phi for phi in form_preserving_autos(mg)
+                           if [phi[i] for i in phi] == list(range(mg.order))]
+            assert involutions, mg
+            modules.update(Z2Module(mg.facs, phi) for phi in involutions)
+        for mod in modules:
+            for n in (2, 3):
+                assert z2_cohomology(mod, n) == oracles.cohomology_bruteforce(mod, n), mod
+
+    @pytest.mark.parametrize("facs", [(2, 2), (2, 4), (3, 3), (2, 2, 2)])
+    def test_form_preserving_involutions_of_every_form(self, facs):
+        self.check_form_preserving_involutions(enumerate_forms(facs, nondegenerate_only=False))
+
+    def test_form_preserving_involutions_of_every_cyclic_class(self):
+        for n in range(1, 61):
+            self.check_form_preserving_involutions(enumerate_cyclic_metric_groups(n))
 
     def test_rejects_nontrivial_action_on_q_mod_z(self):
         with pytest.raises(UnsupportedInputError):
@@ -171,13 +191,16 @@ class TestCohomology:
 
     @pytest.mark.parametrize(
         "args",
-        [((2.5,),), (("4",),), ((True, 2),), ((3,), ((0,), (2.0,), (1.0,))), ("Z2",),
-         ((3,), ((5,), (1,), (2,))), ((3,), ((0,), (2,), (1,), (0,)))],
+        [((2.5,),), (("4",),), ((True, 2),), ((3,), (0, 2.0, 1.0)), ("Z2",),
+         ((3,), (5, 1, 2)), ((3,), (0, -1, 1)), ((3,), (0, 2, 1, 0)), ((3,), (0, True, 2)),
+         ((3,), ((0,), (2,), (1,))), ((2, 3),), ((4, 2),), ((2, 1, 3),)],
         ids=["float_factor", "str_factor", "bool_factor", "float_images", "unknown_name",
-             "image_outside_group", "action_too_long"],
+             "image_outside_group", "negative_image", "action_too_long", "bool_image", "coordinate_images",
+             "coprime_factors", "falling_factors", "unit_inside_chain"],
     )
     def test_rejects_what_is_not_a_module(self, args):
-        # nothing is coerced: a float, string or bool is refused, not read as an int
+        # nothing is coerced: a float, string or bool is refused, not read as an
+        # int; an image is an element index, and the factors a divisor chain
         with pytest.raises(MalformedInputError):
             Z2Module(*args)
 

@@ -71,6 +71,14 @@ class TestPhase:
         with pytest.raises(MalformedInputError, match="must be an int or a Fraction"):
             Phase(r)
 
+    @pytest.mark.parametrize("args", [(True, 8), (1, 0), (1.5, 2), (1, True), (np.int64(1), 4),
+                                      (Fraction(1, 2), 3), (1, "8")])
+    def test_of_takes_an_int_over_a_nonzero_int(self, args):
+        # unchecked, of(True, 8) was e(2pi/8), of(1, 0) raised a bare
+        # ZeroDivisionError and of(1.5, 2) a bare TypeError
+        with pytest.raises(MalformedInputError, match="an int over a nonzero int"):
+            Phase.of(*args)
+
     @pytest.mark.parametrize("n", [True, Fraction(1, 2), 1.5, np.int64(2), "2"])
     def test_power_takes_only_an_int(self, n):
         # unchecked, True gave e(2pi/8), 1/2 picked the root e(2pi/16), and 1.5

@@ -118,7 +118,22 @@ class TestAlgebraicReal:
         assert type(x.a) is Fraction and type(x.b) is Fraction
         assert x.to_json() == [1, 1, -2, 1, 6]
         assert x == AlgebraicReal(Fraction(1), Fraction(-2), 6)
-        assert AlgebraicReal.of(0.5) == AlgebraicReal(Fraction(1, 2))
+        assert AlgebraicReal.of(Fraction(1, 2)) == AlgebraicReal(Fraction(1, 2))
+
+    @pytest.mark.parametrize("x", [0.5, "1/3", True, np.int64(2)])
+    def test_of_and_arithmetic_take_exact_values_only(self, x):
+        # unchecked, of(0.5) was 1/2, of("1/3") parsed the string and
+        # sqrt(2) * 0.1 carried the binary expansion of 0.1 exactly
+        with pytest.raises(MalformedInputError, match="must be an int or a Fraction"):
+            AlgebraicReal.of(x)
+        with pytest.raises(MalformedInputError):
+            AlgebraicReal.sqrt(2) * x
+
+    @pytest.mark.parametrize("x", [True, 1.0, "1"])
+    def test_equality_with_an_inexact_value_is_not_implemented(self, x):
+        # unchecked, AlgebraicReal(1) equalled True and 1.0
+        assert AlgebraicReal(1).__eq__(x) is NotImplemented
+        assert AlgebraicReal(1) != x
 
 
 # ---------------------------------------------------------------------------
