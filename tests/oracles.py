@@ -493,9 +493,6 @@ class _TupleModule:
     def neg(self, a):
         return tuple((-x) % d for x, d in zip(a, self.facs))
 
-    def rho(self, a):
-        return self.image[a]
-
 
 def _coboundary(mod, n, f):
     """The inhomogeneous differential d: C^n(Z2, M) -> C^{n+1}(Z2, M).
@@ -508,7 +505,7 @@ def _coboundary(mod, n, f):
     out = {}
     for args in product((0, 1), repeat=n + 1):
         head = f[args[1:]]
-        val = mod.rho(head) if args[0] else head
+        val = mod.image[head] if args[0] else head
         for i in range(1, n + 1):
             merged = args[: i - 1] + ((args[i - 1] + args[i]) % 2,) + args[i + 1 :]
             term = f[merged]
