@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -305,13 +306,21 @@ def deligne_product(r1: FusionRing, r2: FusionRing) -> FusionRing:
 
 
 def deligne_ribbon(rd1: RibbonData, rd2: RibbonData) -> RibbonData:
-    """The Deligne product of two ribbon data: dims and twists multiply, each
-    object of the product ring matched to its factors by its key."""
+    """The Deligne product of two ribbon data: dims multiply and twist
+    numerators add over the lcm of the two denominators, each object of the
+    product ring matched to its factors by its key.  `ResourceLimitError`
+    refuses an lcm past `TWIST_DEN_LIMIT` before any twist is made."""
+    from .modular import _twist_den  # rd1 is ribbon data, so modular is loaded
+
+    den = _twist_den(lcm(rd1.twist_den, rd2.twist_den))
     ring = deligne_product(rd1.ring, rd2.ring)
-    at = [divmod(key, rd2.ring.rank) for key in ring.keys.tolist()]  # (a, b) has key a r2 + b
-    made = {}  # one object per value, as the ring shares its dims
-    dims = tuple(made.setdefault(d, d) for d in (rd1.dims[x] * rd2.dims[y] for x, y in at))
-    return type(rd1)(ring, dims, tuple(rd1.twists[x] * rd2.twists[y] for x, y in at))
+    (v1, of1), (v2, of2) = _distinct(rd1.dims), _distinct(rd2.dims)
+    table = [[a * b for b in v2] for a in v1]  # one shared object per pair of values
+    by_key = [table[u][v] for u in of1 for v in of2]  # (a, b) has key a r2 + b
+    dims = tuple(map(by_key.__getitem__, ring.keys.tolist()))
+    x, y = np.divmod(ring.keys, rd2.ring.rank)
+    num = (rd1.twist_num[x] * (den // rd1.twist_den) + rd2.twist_num[y] * (den // rd2.twist_den)) % den
+    return type(rd1)._of(ring, dims, num, den)
 
 
 @dataclass(frozen=True)
@@ -330,12 +339,11 @@ class IsingParams:
 def ising_squared_data(p: IsingParams) -> RibbonData:
     """Ribbon data of Ising^{nu1} x Ising^{nu2}: the Deligne product of the
     Ising data with twists 1, -1 and e^{pi i nu / 8}."""
-    from .modular import Phase, RibbonData  # only the ribbon data loads modular
+    from .modular import RibbonData  # only the ribbon data loads modular
 
-    ising, unit, fermion = ising_ring(), Phase(Fraction(0)), Phase(Fraction(1, 2))
-    return deligne_ribbon(*(
-        RibbonData(ising, ising.exact_dims, (unit, fermion, Phase(Fraction(nu, 16))))
-        for nu in (p.nu1, p.nu2)))
+    ising = ising_ring()
+    return deligne_ribbon(*(RibbonData._of(ising, ising.exact_dims, (0, 8, nu), 16)
+                            for nu in (p.nu1, p.nu2)))
 
 
 def ising_squared_total_count() -> dict:

@@ -24,7 +24,7 @@ from .errors import (
     ResourceLimitError,
     UnsupportedInputError,
 )
-from .metric import MetricGroup, _check_facs, _coords, _ravel
+from .metric import ORDER_LIMIT, MetricGroup, _check_facs, _coords, _ravel
 from .ring import CHUNK, AlgebraicReal, FusionRing, _check_indices, _distinct, exact_dimensions
 
 # nonzeros of the largest metaplectic ring built: 1 GiB of int64 cells and
@@ -39,7 +39,8 @@ NONZERO_LIMIT = 2**26
 @dataclass(frozen=True)
 class Z2Module:
     """Coefficient module for Z2 cohomology: a finite abelian group given by
-    invariant factors (d_i | d_{i+1}) with an involutive action, or the
+    invariant factors (d_i | d_{i+1}), of order at most `ORDER_LIMIT` (else
+    `ResourceLimitError`), with an involutive action, or the
     divisible group Q/Z ("Q/Z") with the trivial action.  The action is
     "trivial", "negation" or the index of each element's image, elements
     indexed as in `MetricGroup` (the maps `form_preserving_autos` returns)."""
@@ -52,7 +53,7 @@ class Z2Module:
             if self.action != "trivial":
                 raise UnsupportedInputError("only the trivial action on Q/Z is supported")
             return
-        object.__setattr__(self, "facs", _check_facs(self.facs))
+        object.__setattr__(self, "facs", _check_facs(self.facs, ORDER_LIMIT))
         if isinstance(self.action, str):
             if self.action not in ("trivial", "negation"):
                 raise MalformedInputError(f"unknown action {self.action!r}")

@@ -410,12 +410,11 @@ def pointed_ribbon_data(mg: MetricGroup) -> RibbonData:
     if n * n > gauging.NONZERO_LIMIT:
         raise ResourceLimitError(f"a pointed ring of order {n} passes {gauging.NONZERO_LIMIT} nonzeros")
     width = len(str(n - 1))
-    labels = tuple(f"g{i:0{width}d}" for i in range(n))
+    labels = tuple(map(f"g{{:0{width}d}}".format, range(n)))
     a = _coords(shape)
     dual = _ravel(-a, shape).tolist()
     idx = np.arange(n, dtype=np.int64)
     cells = (idx[:, None] * n + idx[None, :]) * n + _ravel(a[:, :, None] + a[:, None, :], shape)
     dims = (AlgebraicReal(Fraction(1)),) * n
-    ring = FusionRing.from_nonzeros(labels, dual, cells.ravel(), np.ones(n * n), dims)
-    twists = tuple(modular.Phase(Fraction(x, mg.den)) for x in mg.num.tolist())
-    return modular.RibbonData(ring, ring.exact_dims, twists)
+    ring = FusionRing.from_nonzeros(labels, dual, cells.ravel(), np.ones(n * n, dtype=np.int64), dims)
+    return modular.RibbonData._of(ring, ring.exact_dims, mg.num, mg.den)

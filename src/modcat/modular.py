@@ -1,5 +1,6 @@
-"""Ribbon data on a fusion ring: twists as exact roots of unity, the
-S-matrix from the balancing relation, modularity and centralizers.
+"""Ribbon data on a fusion ring: twists as exact roots of unity, integer
+numerators over one denominator, the S-matrix from the balancing relation,
+modularity and centralizers.
 
 The only S-matrix definition in this package is the balancing relation
 
@@ -13,16 +14,18 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from math import gcd, lcm
 
 import numpy as np
 
-from .errors import MalformedInputError, PreconditionError
+from .errors import MalformedInputError, PreconditionError, ResourceLimitError, UnsupportedInputError
 from .ring import (
     ONE,
     AlgebraicReal,
     FusionRing,
     _check_indices,
+    _distinct,
+    _encode,
     _exact,
     _int_row,
     _is_character,
@@ -69,59 +72,138 @@ class Phase:
         return f"e(2pi*{self.r})"
 
 
-@dataclass(frozen=True)
-class RibbonData(_Wire):
-    """Twists and dims on a fusion ring.  Kept on first use, outside the value:
-    `_floats`, the read-only float dims and complex twists, and `_s_matrix`,
-    built once `validate()` has passed; a failed validation keeps nothing."""
+# the largest common denominator of the twists: two numerators below it, as
+# a product of ribbon data adds them, stay within int64
+TWIST_DEN_LIMIT = 2**62
 
-    ring: FusionRing
-    dims: tuple[AlgebraicReal, ...]
-    twists: tuple[Phase, ...]
+
+def _twist_den(den: int) -> int:
+    """`den`, or `ResourceLimitError` naming it when it passes TWIST_DEN_LIMIT."""
+    if den > TWIST_DEN_LIMIT:
+        raise ResourceLimitError(
+            f"the twists' common denominator {den} exceeds the limit {TWIST_DEN_LIMIT}")
+    return den
+
+
+def _numerators(pairs) -> tuple[list[int], int]:
+    """The fractions n / d of the int `pairs` (d != 0) mod 1, as numerators
+    over their least common denominator, and that denominator."""
+    reduced = [(n // g, d // g) for n, d in pairs for g in (gcd(n, d),)]
+    den = lcm(*(d for _, d in reduced))  # positive; n % d and den // d share the sign of d
+    return [n % d * (den // d) for n, d in reduced], den
+
+
+class RibbonData(_Wire):
+    """Twists and dims on a fusion ring.
+
+    The twist of object i is e^{2 pi i twist_num[i] / twist_den}: `twist_num`
+    is a read-only int64 vector in [0, twist_den) over the least common
+    denominator, at most TWIST_DEN_LIMIT.  `dims` are `AlgebraicReal`s, and
+    the constructor encodes them once, from their distinct values, as the
+    integer vectors that `validate` checks (`_encode`).  The constructor takes
+    `Phase` twists; `twists`, that tuple again, is built on first access.
+    Kept on first use, outside the value: the read-only float dims and
+    complex twists (`_floats`), and the S-matrix once `validate()` has passed;
+    a failed validation keeps nothing."""
+
+    __slots__ = ("ring", "dims", "twist_num", "twist_den", "_values", "_value_of", "_code",
+                 "_phases", "_float_pair", "_smatrix")
     _WIRE = ("ribbon data", "fusion", 4)
 
-    def __post_init__(self):
-        dims = (d if isinstance(d, AlgebraicReal) else AlgebraicReal(_exact(d, "a dimension"))
-                for d in self.dims)
-        object.__setattr__(self, "dims", tuple(dims))
-        object.__setattr__(self, "twists", tuple(self.twists))
-        if not all(isinstance(t, Phase) for t in self.twists):
-            raise MalformedInputError(f"twists must be Phase values, got {self.twists!r:.80}")
-        if not len(self.dims) == len(self.twists) == self.ring.rank:
+    def __init__(self, ring: FusionRing, dims, twists):
+        dims = tuple(d if isinstance(d, AlgebraicReal) else AlgebraicReal(_exact(d, "a dimension"))
+                     for d in dims)
+        twists = tuple(twists)
+        if not all(isinstance(t, Phase) for t in twists):
+            raise MalformedInputError(f"twists must be Phase values, got {twists!r:.80}")
+        self._set(ring, dims, *_numerators((t.r.numerator, t.r.denominator) for t in twists))
+
+    @classmethod
+    def _of(cls, ring: FusionRing, dims: tuple[AlgebraicReal, ...], num, den: int) -> "RibbonData":
+        """The data with twists num / den, num in [0, den) (reduced here)."""
+        rd = cls.__new__(cls)
+        rd._set(ring, dims, num, den)
+        return rd
+
+    def _set(self, ring, dims, num, den: int) -> None:
+        if not len(dims) == len(num) == ring.rank:
             raise MalformedInputError("dims/twists length does not match rank")
+        _twist_den(den)
+        num = np.asarray(num, dtype=np.int64)
+        g = gcd(den, int(np.gcd.reduce(num)))
+        if g > 1:
+            num, den = num // g, den // g
+        num.setflags(write=False)
+        values, of = _distinct(dims)
+        of = np.array(of, dtype=np.intp)
+        try:
+            code = _encode(ring, values, of)
+        except UnsupportedInputError:  # dims from two quadratic fields, which `validate` refuses
+            code = None
+        for name, value in zip(self.__slots__, (ring, dims, num, int(den), values, of, code,
+                                                None, None, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RibbonData is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RibbonData):
+            return NotImplemented
+        return (self.twist_den == other.twist_den and np.array_equal(self.twist_num, other.twist_num)
+                and self.dims == other.dims and self.ring == other.ring)
+
+    def __repr__(self) -> str:
+        return f"RibbonData(ring={self.ring!r}, dims={self.dims!r}, twists={self.twists!r})"
+
+    @property
+    def twists(self) -> tuple[Phase, ...]:
+        if self._phases is None:
+            den = self.twist_den
+            phases = tuple(Phase(Fraction(n, den)) for n in self.twist_num.tolist())
+            object.__setattr__(self, "_phases", phases)
+        return self._phases
 
     def validate(self) -> None:
         """Raise unless the ribbon invariants hold exactly."""
-        dual = self.ring.dual
-        if self.twists[0].r != 0:
+        num, of = self.twist_num, self._value_of
+        if num[0] != 0:
             raise MalformedInputError("twist of the unit must be 1")
-        for i in range(self.ring.rank):
-            if self.twists[dual[i]] != self.twists[i]:
-                raise MalformedInputError(f"twist of dual differs at index {i}")
-            if self.dims[dual[i]] != self.dims[i]:
-                raise MalformedInputError(f"dimension of dual differs at index {i}")
-        if not _is_character(self.ring, self.dims, positive=False):
+        dual = np.array(self.ring.dual, dtype=np.intp)
+        twist, dim = num[dual] != num, of[dual] != of
+        bad = twist | dim
+        if bad.any():
+            i = int(bad.argmax())
+            what = "twist" if twist[i] else "dimension"
+            raise MalformedInputError(f"{what} of dual differs at index {i}")
+        code = self._code or _encode(self.ring, self._values, of)  # raises when it is None
+        if not _is_character(self.ring, code, positive=False):
             raise MalformedInputError("dims do not satisfy the fusion homomorphism")
 
-    @cached_property
+    @property
     def _floats(self) -> tuple[np.ndarray, np.ndarray]:
-        d = np.array([float(x) for x in self.dims])
-        th = np.array([complex(t) for t in self.twists])
-        d.flags.writeable = th.flags.writeable = False
-        return d, th
+        if self._float_pair is None:
+            d = np.array([float(x) for x in self._values])[self._value_of]
+            th = np.exp(2j * np.pi * (self.twist_num / self.twist_den))
+            d.flags.writeable = th.flags.writeable = False
+            object.__setattr__(self, "_float_pair", (d, th))
+        return self._float_pair
 
-    @cached_property
+    @property
     def _s_matrix(self) -> SMatrix:
-        self.validate()
-        d, th = self._floats
-        # sum_k N[i, j, k] d_k theta_k from the nonzeros, then rows i*
-        r = self.ring.rank
-        ij, k = np.divmod(self.ring.cells, r)
-        w = self.ring.mults * (d * th)[k]
-        S = np.bincount(ij, w.real, r * r) + 1j * np.bincount(ij, w.imag, r * r)
-        S = S.reshape(r, r)[list(self.ring.dual)] / np.outer(th, th)
-        S.flags.writeable = False
-        return SMatrix(S)
+        if self._smatrix is None:
+            self.validate()
+            d, th = self._floats
+            # sum_k N[i, j, k] d_k theta_k from the nonzeros, then rows i*
+            r = self.ring.rank
+            ij, k = np.divmod(self.ring.cells, r)
+            w = self.ring.mults * (d * th)[k]
+            S = np.empty(r * r, dtype=complex)
+            S.real, S.imag = np.bincount(ij, w.real, r * r), np.bincount(ij, w.imag, r * r)
+            S = S.reshape(r, r)[np.array(self.ring.dual)] / (th[:, None] * th)
+            S.flags.writeable = False
+            object.__setattr__(self, "_smatrix", SMatrix(S))
+        return self._smatrix
 
     @property
     def global_dim(self) -> float:
@@ -130,10 +212,12 @@ class RibbonData(_Wire):
     # -- JSON: the ring format plus "dims" and "twists" rows --
 
     def _json(self) -> dict:
-        """`to_json_dict` with the fusion rows as an (n, 4) int64 array."""
+        """`to_json_dict` with the fusion rows as `_NonzeroRows` and the
+        reduced [num, den] twist rows as an (n, 2) int64 array."""
         out = self.ring._json()
         out["dims"] = [d.to_json() for d in self.dims]
-        out["twists"] = [[t.r.numerator, t.r.denominator] for t in self.twists]
+        g = np.gcd(self.twist_num, self.twist_den)
+        out["twists"] = np.stack([self.twist_num // g, self.twist_den // g], axis=1)
         return out
 
     @classmethod
@@ -147,7 +231,7 @@ class RibbonData(_Wire):
         rows = [_int_row(row, 2, "twists row") for row in rows]
         if any(den == 0 for _, den in rows):
             raise MalformedInputError("twists row has a zero denominator")
-        return cls(ring, ring.exact_dims, tuple(Phase(Fraction(*row)) for row in rows))
+        return cls._of(ring, ring.exact_dims, *_numerators(rows))
 
 
 @dataclass(frozen=True)
@@ -201,12 +285,13 @@ def classify_invertible(rd: RibbonData, i: int) -> tuple[str, Phase]:
     _check_indices(rd.ring, i)
     if rd.dims[i] != ONE:
         raise PreconditionError(f"object {rd.ring.labels[i]} is not invertible")
-    t = rd.twists[i]
+    num, den = int(rd.twist_num[i]), rd.twist_den
+    t = Phase(Fraction(num, den))
     ks, ms = rd.ring.row(i, i)
     if ms[ks == 0].tolist() == [1]:
-        if t.r == 0:
+        if num == 0:
             return ("boson", t)
-        if t.r == Fraction(1, 2):
+        if 2 * num == den:
             return ("fermion", t)
     return ("not-order-2", t)
 

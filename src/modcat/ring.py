@@ -131,7 +131,8 @@ class AlgebraicReal:
         return (self.a, self.b, self.t) == (other.a, other.b, other.t)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.t))
+        # a rational value hashes as the int or Fraction it equals
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.t))
 
     def squared(self) -> "AlgebraicReal":
         return self * self
@@ -172,14 +173,15 @@ ONE = AlgebraicReal(Fraction(1))
 
 class _Wire:
     """The JSON wire form of rings, metric groups and ribbon data.  A subclass
-    gives `_json()`, its `to_json_dict` with one block of integer rows as an
-    (n, width) int64 array, a strict `from_json_dict`, and `_WIRE = (what,
-    key, width)`: its name in messages, the key of the rows and their width."""
+    gives `_json()`, its `to_json_dict` with its blocks of integer rows as
+    (n, width) int64 arrays or `_NonzeroRows`, a strict `from_json_dict`, and
+    `_WIRE = (what, key, width)`: its name in messages, the key of the rows
+    that `loads` reads in bulk and their width."""
 
     __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+        return {key: value.tolist() if isinstance(value, _ROWS) else value
                 for key, value in self._json().items()}
 
     def dumps(self) -> str:
@@ -190,7 +192,7 @@ class _Wire:
         for key in sorted(data):
             value = data[key]
             parts += (", " if len(parts) > 1 else "", json.dumps(key), ": ")
-            if isinstance(value, np.ndarray):
+            if isinstance(value, _ROWS):
                 parts += _row_pieces(value)
             else:
                 parts.append(json.dumps(value, sort_keys=True))
@@ -340,12 +342,8 @@ class FusionRing(_Wire):
     # -- JSON wire format: only nonzero entries are listed --
 
     def _json(self) -> dict:
-        """`to_json_dict` with the fusion rows as an (n, 4) int64 array."""
-        out = {
-            "labels": list(self.labels),
-            "dual": list(self.dual),
-            "fusion": np.stack([*self.nonzero(), self.mults], axis=1),
-        }
+        """`to_json_dict` with the fusion rows as `_NonzeroRows`."""
+        out = {"labels": list(self.labels), "dual": list(self.dual), "fusion": _NonzeroRows(self)}
         if self.exact_dims is not None:
             out["dims"] = [d.to_json() for d in self.exact_dims]
         return out
@@ -391,6 +389,38 @@ class FusionRing(_Wire):
         return cls.from_nonzeros(labels, dual, cells, mult[order], dims)
 
 
+class _NonzeroRows:
+    """The fusion rows [i, j, k, N] of a ring's nonzeros, as far as `_row_pieces`
+    reads an (n, 4) array: each slice is made from its own slice of `cells`
+    when it is taken, so a writer holds one piece of rows at a time."""
+
+    __slots__ = ("ring",)
+
+    def __init__(self, ring: FusionRing):
+        self.ring = ring
+
+    def __len__(self) -> int:
+        return len(self.ring.cells)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self), 4
+
+    def __getitem__(self, part: slice) -> np.ndarray:
+        cells, r = self.ring.cells[part], self.ring.rank
+        rows, ij = np.empty((len(cells), 4), dtype=np.int64), np.empty(len(cells), dtype=np.int64)
+        np.divmod(cells, r, out=(ij, rows[:, 2]))  # into the columns: three times faster than a stack
+        np.divmod(ij, r, out=(rows[:, 0], rows[:, 1]))
+        rows[:, 3] = self.ring.mults[part]
+        return rows
+
+    def tolist(self) -> list:
+        return self[:].tolist()
+
+
+_ROWS = (np.ndarray, _NonzeroRows)
+
+
 def _check_indices(ring: FusionRing, *indices) -> None:
     """`MalformedInputError` naming the first of `indices` not an integer in [0, rank), or a bool."""
     for x in indices:
@@ -415,9 +445,9 @@ _READ_BYTES = 2**20
 _DIGITS = b"0123456789"
 
 
-def _row_pieces(rows: np.ndarray) -> list[str]:
-    """`json.dumps(rows.tolist())` of an (n, width) int64 array, as pieces
-    to join, one per CHUNK // width rows."""
+def _row_pieces(rows) -> list[str]:
+    """`json.dumps(rows.tolist())` of an (n, width) int64 array or of
+    `_NonzeroRows`, as pieces to join, one per CHUNK // width rows."""
     step = max(1, CHUNK // rows.shape[1])
     pieces = ["[", *(_row_text(rows[top:top + step]) for top in range(0, len(rows), step))]
     pieces[-1] = pieces[-1].removesuffix(", ")
@@ -851,35 +881,39 @@ def _sum_matrix(ring: FusionRing) -> np.ndarray:
     return M
 
 
-def _encode(dims, m: int):
-    """dims as (A + B sqrt(t)) / D with integer vectors A, B and D > 0.
+def _encode(ring: FusionRing, values, of):
+    """The dims of `ring`'s objects, given as their distinct `values` and the
+    position `of` each object's value among them (`_distinct`), as
+    (A + B sqrt(t)) / D with integer vectors A, B and D > 0.
 
     The exact checks multiply A and B by each other and sum them against
     multiplicities in [0, m]; every such value and partial sum is at most
     r * max|A, B| * (D m + (1 + t) max|A, B|).  Below 2**53 A and B are
     float64, exact in those sums, and Python ints otherwise.
     """
-    t = max(d.t for d in dims)
-    if any(d.t not in (1, t) for d in dims):
+    t = max(d.t for d in values)
+    if any(d.t not in (1, t) for d in values):
         raise UnsupportedInputError("dimensions leave one quadratic field")
-    D = lcm(*(x.denominator for d in dims for x in (d.a, d.b)))
-    A = [d.a.numerator * (D // d.a.denominator) for d in dims]
-    B = [d.b.numerator * (D // d.b.denominator) for d in dims]
-    top = max(map(abs, A + B))
-    dtype = np.float64 if len(dims) * top * (D * m + (1 + t) * top) < 2**53 else object
-    return np.array(A, dtype=dtype), np.array(B, dtype=dtype), D, t
+    D = lcm(*(x.denominator for d in values for x in (d.a, d.b)))
+    A = [d.a.numerator * (D // d.a.denominator) for d in values]
+    B = [d.b.numerator * (D // d.b.denominator) for d in values]
+    top, m = max(map(abs, A + B)), int(ring.mults.max(initial=0))
+    dtype = np.float64 if len(of) * top * (D * m + (1 + t) * top) < 2**53 else object
+    return np.array(A, dtype=dtype)[of], np.array(B, dtype=dtype)[of], D, t
 
 
-def _is_character(ring: FusionRing, dims, positive: bool = True) -> bool:
-    """Exactly: d_i d_j = sum_k N[i, j, k] d_k for every i, j and, when
-    `positive`, d_0 = 1 and every d_i > 0.  A positive character of a fusion
-    ring is its Frobenius-Perron dimension (EGNO, Tensor Categories, Prop.
-    3.3.6); ribbon dims may be Galois conjugates and skip that part."""
+def _is_character(ring: FusionRing, code, positive: bool = True) -> bool:
+    """Exactly: the dims encoded as `code` (`_encode`) have d_i d_j =
+    sum_k N[i, j, k] d_k for every i, j and, when `positive`, d_0 = 1 and
+    every d_i > 0.  A positive character of a fusion ring is its
+    Frobenius-Perron dimension (EGNO, Tensor Categories, Prop. 3.3.6);
+    ribbon dims may be Galois conjugates and skip that part."""
     r, cells = ring.rank, ring.cells
-    A, B, D, t = _encode(dims, int(ring.mults.max(initial=0)))
+    A, B, D, t = code
     # A + B sqrt(t) takes the sign of whichever of A^2, t B^2 is larger
-    if positive and not (dims[0] == ONE and np.where(A * A > t * B * B, A > 0, B > 0).all()):
+    if positive and not (A[0] == D and B[0] == 0 and np.where(A * A > t * B * B, A > 0, B > 0).all()):
         return False
+    irrational = bool(B.any())  # else every sqrt(t) part reads 0 = 0
     # blocks of first index, each ending at the last i that keeps it within
     # CHUNK nonzeros, or after one index
     starts = np.searchsorted(cells, np.arange(r + 1) * r * r).tolist()
@@ -899,9 +933,10 @@ def _is_character(ring: FusionRing, dims, positive: bool = True) -> bool:
             np.add.at(out, ij, mults.astype(object) * x[k])
             return out
 
-        a, b = A[i0:i1], B[i0:i1]
-        if not (np.array_equal(D * contract(A), (np.outer(a, A) + t * np.outer(b, B)).ravel())
-                and np.array_equal(D * contract(B), (np.outer(a, B) + np.outer(b, A)).ravel())):
+        a, b = A[i0:i1, None], B[i0:i1, None]
+        if not np.array_equal(D * contract(A), (a * A + t * b * B if irrational else a * A).ravel()):
+            return False
+        if irrational and not np.array_equal(D * contract(B), (a * B + b * A).ravel()):
             return False
     return True
 
@@ -929,11 +964,11 @@ def exact_dimensions(ring: FusionRing) -> tuple[AlgebraicReal, ...]:
     if ring._checked_dims is None:
         if ring.exact_dims is not None:
             dims = ring.exact_dims
-            if not _is_character(ring, dims):
+            if not _is_character(ring, _encode(ring, *_distinct(dims))):
                 raise InternalConsistencyError("exact dimensions are not a positive character")
         else:
             dims = tuple(AlgebraicReal.sqrt(round(x * x)) for x in _eigh_dims(_sum_matrix(ring)))
-            if not _is_character(ring, dims):
+            if not _is_character(ring, _encode(ring, *_distinct(dims))):
                 raise UnsupportedInputError("ring is not weakly integral")
         object.__setattr__(ring, "_checked_dims", dims)
     return ring._checked_dims
@@ -944,12 +979,10 @@ def _distinct(dims) -> tuple[list, list[int]]:
     for each entry the position of its value there.  An object that several
     entries share is hashed once, so the dims of a built ring, which share
     one object per value, cost a few hashes."""
-    objects = {}
-    for d in dims:
-        objects.setdefault(id(d), d)
+    ids = list(map(id, dims))
     values = {}
-    position = {at: values.setdefault(d, len(values)) for at, d in objects.items()}
-    return list(values), [position[id(d)] for d in dims]
+    position = {at: values.setdefault(d, len(values)) for at, d in dict(zip(ids, dims)).items()}
+    return list(values), list(map(position.__getitem__, ids))
 
 
 def hom_space_dim(ring: FusionRing, word: list[int], target: int) -> int:

@@ -16,12 +16,14 @@ parametrization plus unit-permutation canonicalization, cyclic classes by
 the per-element CRT product of prime-power forms, and automorphisms and
 equivalences of metric groups by checking whole element maps in Fractions,
 ring assembly by stacking every block into (i, j, k) rows and sorting
-their cells whole, Deligne products of ribbon data by matching labels, and
-the sort kernels of the associativity join by Counters.
+their cells whole, Deligne products of ribbon data by matching labels,
+ribbon validation on `Phase` twists one object at a time and ribbon JSON by
+`json.dumps`, and the sort kernels of the associativity join by Counters.
 """
 
 from __future__ import annotations
 
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
@@ -69,9 +71,11 @@ def assemble_ring_reference(labels, dims, blocks):
                                     cells, mult, tuple(dims[key] for key in order), order)
 
 
-def deligne_ribbon_reference(rd1, rd2):
-    """`deligne_ribbon` by labels: each object `a*b` of the product ring is
-    matched to its factors through a dict of every formatted pair."""
+def deligne_parts(rd1, rd2, twists1, twists2):
+    """(ring, dims, twists) of `deligne_ribbon` by labels: each object `a*b`
+    of the product ring is matched to its factors through a dict of every
+    formatted pair, and its twist is the product of the factors' `Phase`s in
+    `twists1` and `twists2`."""
     from modcat.catalog import deligne_product
 
     ring = deligne_product(rd1.ring, rd2.ring)
@@ -80,7 +84,41 @@ def deligne_ribbon_reference(rd1, rd2):
     at = [pairs[label] for label in ring.labels]
     made = {}  # one object per value, as the ring shares its dims
     dims = tuple(made.setdefault(d, d) for d in (rd1.dims[x] * rd2.dims[y] for x, y in at))
-    return type(rd1)(ring, dims, tuple(rd1.twists[x] * rd2.twists[y] for x, y in at))
+    return ring, dims, tuple(twists1[x] * twists2[y] for x, y in at)
+
+
+def deligne_ribbon_reference(rd1, rd2):
+    """`deligne_ribbon` by labels (`deligne_parts`)."""
+    return type(rd1)(*deligne_parts(rd1, rd2, rd1.twists, rd2.twists))
+
+
+def ribbon_validate_reference(ring, dims, twists) -> None:
+    """`RibbonData.validate` on `Phase` twists, one object at a time: the
+    unit twist, then index by index the twist and the dim of the dual, then
+    the character check of `character_bruteforce` on a dense tensor filled
+    here."""
+    from modcat import MalformedInputError
+
+    if twists[0].r != 0:
+        raise MalformedInputError("twist of the unit must be 1")
+    for i in range(ring.rank):
+        if twists[ring.dual[i]] != twists[i]:
+            raise MalformedInputError(f"twist of dual differs at index {i}")
+        if dims[ring.dual[i]] != dims[i]:
+            raise MalformedInputError(f"dimension of dual differs at index {i}")
+    r = ring.rank
+    dense = np.zeros(r**3, dtype=np.int64)
+    dense[ring.cells] = ring.mults
+    if not character_bruteforce(dense.reshape(r, r, r), dims):
+        raise MalformedInputError("dims do not satisfy the fusion homomorphism")
+
+
+def ribbon_json_reference(ring, dims, twists) -> str:
+    """The JSON text of ribbon data by `json.dumps` of the ring's dict, the
+    dims' rows and one [numerator, denominator] row per `Phase`."""
+    data = {**ring.to_json_dict(), "dims": [d.to_json() for d in dims],
+            "twists": [[t.r.numerator, t.r.denominator] for t in twists]}
+    return json.dumps(data, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

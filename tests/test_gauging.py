@@ -4,6 +4,7 @@ import dataclasses
 import json
 import time
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ class TestCohomology:
             mod = Z2Module((n,), "negation")
             expected = (2,) if n % 2 == 0 else ()
             assert z2_cohomology(mod, 2) == expected
+
+    def test_order_limit(self):
+        # unchecked, Z_(10^8) asked for some 4 GB before answering
+        assert z2_cohomology(Z2Module((10**6,), "negation"), 2) == (2,)
+        assert z2_cohomology(Z2Module((1000, 1000), "negation"), 3) == (2, 2)
+        for facs, action in [((10**6 + 1,), "trivial"), ((10**8,), "negation"),
+                             ((2, 500_002), "trivial"), ((10**6 + 1,), (0,))]:
+            # refused from the factors, before the action is read
+            with pytest.raises(ResourceLimitError, match=f"group order {prod(facs)} exceeds the limit 1000000"):
+                Z2Module(facs, action)
 
     def test_q_mod_z(self):
         qz = Z2Module("Q/Z")

@@ -161,6 +161,162 @@ class TestRibbonData:
             RibbonData.loads('{"labels": ["1"], "dual": [0')
 
 
+def ising_phases(nu):
+    return (Phase.of(0), Phase.of(1, 2), Phase.of(nu, 16))
+
+
+def ising_factor(nu):
+    ising = catalog.ising_ring()
+    return RibbonData(ising, ising.exact_dims, ising_phases(nu))
+
+
+def array_path_cases():
+    """(label, data made on the twist arrays, ring, dims, the twists as a
+    `Phase` tuple made apart from them): every form on Z_n for n <= 30,
+    degenerate ones included, from its q table; every Ising x Ising datum
+    and Ising x pointed products both ways, by labels from `Phase` products."""
+    for n in range(1, 31):
+        for k, mg in enumerate(enumerate_forms((n,), nondegenerate_only=False)):
+            rd = pointed_ribbon_data(mg)
+            yield f"Z{n} form {k}", rd, rd.ring, rd.dims, tuple(map(Phase, mg.q))
+    for nu1 in range(1, 16, 2):
+        for nu2 in range(1, 16, 2):
+            parts = oracles.deligne_parts(ising_factor(nu1), ising_factor(nu2),
+                                          ising_phases(nu1), ising_phases(nu2))
+            yield f"Ising {nu1} {nu2}", catalog.ising_squared_data(catalog.IsingParams(nu1, nu2)), *parts
+    for n in (1, 2, 3, 4, 6):
+        for k, mg in enumerate(enumerate_forms((n,), nondegenerate_only=False)):
+            pointed, phases = pointed_ribbon_data(mg), tuple(map(Phase, mg.q))
+            for nu in (1, 7):
+                ising = ising_factor(nu)
+                parts = oracles.deligne_parts(ising, pointed, ising_phases(nu), phases)
+                yield f"Ising {nu} x Z{n} form {k}", catalog.deligne_ribbon(ising, pointed), *parts
+                parts = oracles.deligne_parts(pointed, ising, phases, ising_phases(nu))
+                yield f"Z{n} form {k} x Ising {nu}", catalog.deligne_ribbon(pointed, ising), *parts
+
+
+def invalid_variants(ring, dims, twists):
+    """Edits of valid data that `validate` must refuse, by name."""
+    out = {"unit_twist": (dims, (Phase.of(1, 4),) + twists[1:])}
+    two = AlgebraicReal.of(2)
+    out["not_a_character"] = (tuple(two * d for d in dims), twists)
+    moved = [i for i in range(ring.rank) if ring.dual[i] != i]
+    if moved:
+        i = moved[0]
+        out["dual_twist"] = (dims, twists[:i] + (twists[i] * Phase.of(1, 3),) + twists[i + 1:])
+        out["dual_dim"] = (dims[:i] + (two * dims[i],) + dims[i + 1:], twists)
+        out["twist_and_dim"] = (out["dual_dim"][0], out["dual_twist"][1])  # the twist is named
+        # the first index at fault decides the message: j and its dual come after i
+        later = [j for j in moved if j not in (i, ring.dual[i])]
+        if later:
+            j = later[0]
+            late_twist = twists[:j] + (twists[j] * Phase.of(1, 5),) + twists[j + 1:]
+            out["dim_before_twist"] = (out["dual_dim"][0], late_twist)
+            late_dim = dims[:j] + (two * dims[j],) + dims[j + 1:]
+            out["twist_before_dim"] = (late_dim, out["dual_twist"][1])
+    return out
+
+
+def outcome(check, *args):
+    try:
+        check(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestTwistArrays:
+    """The twist arrays against the `Phase` path they replace."""
+
+    def test_twists_s_gauss_sums_and_bytes_match_the_phase_path(self):
+        count = 0
+        for label, rd, ring, dims, phases in array_path_cases():
+            assert rd.ring == ring and rd.dims == dims, label
+            assert rd.twists == phases, label
+            reference = RibbonData(ring, dims, phases)
+            assert rd == reference, label
+            by_phase = mock.Mock(ring=ring, dims=dims, twists=phases)  # the oracles read these alone
+            S = s_matrix(rd).entries
+            assert np.max(np.abs(S - oracles.s_matrix_dense(by_phase))) < FLOAT_TOL, label
+            for got, want in zip(gauss_sums(rd), oracles.gauss_sums_bruteforce(by_phase)):
+                assert abs(got - want) < FLOAT_TOL, label
+            text = oracles.ribbon_json_reference(ring, dims, phases)
+            assert rd.dumps() == reference.dumps() == text, label
+            assert RibbonData.loads(text) == rd, label
+            count += 1
+        forms = {n: len(enumerate_forms((n,), nondegenerate_only=False)) for n in range(1, 31)}
+        assert count == sum(forms.values()) + 64 + 4 * sum(forms[n] for n in (1, 2, 3, 4, 6)) == 881
+
+    def test_validate_refuses_as_the_phase_path_does(self):
+        seen = set()
+        for label, rd, ring, dims, phases in array_path_cases():
+            if ring.rank > 9:  # the character oracle is cubic in Python
+                continue
+            assert outcome(rd.validate) is None is outcome(oracles.ribbon_validate_reference, ring, dims, phases)
+            for kind, (bad_dims, bad_twists) in invalid_variants(ring, dims, phases).items():
+                want = outcome(oracles.ribbon_validate_reference, ring, bad_dims, bad_twists)
+                assert want is not None, (label, kind)
+                bad = RibbonData(ring, bad_dims, bad_twists)
+                assert outcome(bad.validate) == want, (label, kind)
+                assert outcome(RibbonData.loads(bad.dumps()).validate) == want, (label, kind)
+                seen.add((kind, want[1].split(" at index")[0]))
+        assert seen == {
+            ("unit_twist", "twist of the unit must be 1"),
+            ("not_a_character", "dims do not satisfy the fusion homomorphism"),
+            ("dual_twist", "twist of dual differs"), ("twist_before_dim", "twist of dual differs"),
+            ("twist_and_dim", "twist of dual differs"),
+            ("dual_dim", "dimension of dual differs"), ("dim_before_twist", "dimension of dual differs"),
+        }
+
+    @pytest.mark.parametrize("rows", [[[0, 1], [1, 2], [1, 16]], [[0, 5], [3, -2], [-1, 16]],
+                                      [[-4, -2], [2**70 + 1, 2], [15, -16]], [[7, 7], [0, -3], [48, 32]]])
+    def test_loader_reads_each_row_as_a_fraction(self, rows):
+        # as `Phase(Fraction(num, den))` of each row did
+        data = {**catalog.ising_ring().to_json_dict(), "twists": rows}
+        rd = RibbonData.from_json_dict(data)
+        assert rd.twists == tuple(Phase(Fraction(*row)) for row in rows)
+        assert rd.dumps() == oracles.ribbon_json_reference(rd.ring, rd.dims, rd.twists)
+
+    def test_a_common_denominator_past_2_62_is_refused(self):
+        ring, dims = pointed_z(2), (ONE, ONE)
+        top = modular_module.TWIST_DEN_LIMIT
+        assert top == 2**62
+        assert RibbonData(ring, dims, (Phase.of(0), Phase.of(1, top))).twist_den == top
+        p, q = 2**31 - 1, 2**61 - 1  # primes, so their lcm is their product
+        for twists, den in [((Phase.of(0), Phase.of(1, top + 2)), top + 2),
+                            ((Phase.of(1, p), Phase.of(1, q)), p * q)]:
+            with pytest.raises(ResourceLimitError, match=f"common denominator {den} exceeds the limit {top}$"):
+                RibbonData(ring, dims, twists)
+            data = {**ring.to_json_dict(), "dims": [[1, 1, 0, 1, 1]] * 2,
+                    "twists": [[t.r.numerator, t.r.denominator] for t in twists]}
+            with pytest.raises(ResourceLimitError, match=f"common denominator {den} "):
+                RibbonData.from_json_dict(data)
+        # a product adds numerators over the lcm: at the limit they stay exact
+        left = RibbonData(ring, dims, (Phase.of(0), Phase.of(top - 1, top)))
+        right = RibbonData(ring, dims, (Phase.of(0), Phase.of(2**31 - 1, 2**31)))
+        product = catalog.deligne_ribbon(left, right)
+        assert product.twist_den == top
+        assert product == oracles.deligne_ribbon_reference(left, right)
+        with pytest.raises(ResourceLimitError, match=f"common denominator {p * q} exceeds"):
+            catalog.deligne_ribbon(RibbonData(ring, dims, (Phase.of(0), Phase.of(1, p))),
+                                   RibbonData(ring, dims, (Phase.of(0), Phase.of(1, q))))
+
+    def test_storage(self):
+        rd = catalog.ising_squared_data(catalog.IsingParams(3, 5))
+        assert rd.twist_num.dtype == np.int64 and rd.twist_den == 16
+        with pytest.raises(ValueError):
+            rd.twist_num[0] = 1
+        with pytest.raises(AttributeError):
+            rd.twist_den = 8
+        assert rd._phases is None  # built on first access, then kept
+        assert rd.twists is rd.twists
+        with pytest.raises(TypeError):
+            hash(rd)
+        # numerators are reduced to the least common denominator
+        ring = pointed_z(2)
+        assert RibbonData._of(ring, (ONE, ONE), (0, 4), 8) == RibbonData(ring, (ONE, ONE), (Phase.of(0), Phase.of(1, 2)))
+
+
 class TestSMatrix:
     def test_row_zero_is_the_dim_vector(self):
         for rd in (

@@ -54,7 +54,7 @@ import modcat.ring as ring_module
 from modcat._abelian import decompose
 from modcat.catalog import fibonacci_ring, ising_ring
 from modcat.modular import FLOAT_TOL
-from modcat.ring import ONE, _is_character, _sum_matrix, is_commutative
+from modcat.ring import ONE, _distinct, _encode, _is_character, _sum_matrix, is_commutative
 
 import oracles
 
@@ -134,6 +134,16 @@ class TestAlgebraicReal:
         # unchecked, AlgebraicReal(1) equalled True and 1.0
         assert AlgebraicReal(1).__eq__(x) is NotImplemented
         assert AlgebraicReal(1) != x
+
+    @pytest.mark.parametrize("x", [0, 1, -3, 2**70, Fraction(1, 2), Fraction(-7, 3)])
+    def test_a_rational_value_hashes_as_the_number_it_equals(self, x):
+        # unchecked, AlgebraicReal(1) == 1 held but 1 in {AlgebraicReal(1)} did not
+        a = AlgebraicReal.of(x)
+        assert a == x and hash(a) == hash(x)
+        assert x in {a} and a in {x} and {a: "a"}[x] == "a" and {x: "x"}[a] == "x"
+        assert len({a, x, AlgebraicReal(Fraction(x))}) == 1
+        root = AlgebraicReal(Fraction(x), Fraction(1), 2)  # irrational: equal to no rational
+        assert root not in {x} and x not in {root}
 
 
 # ---------------------------------------------------------------------------
@@ -1270,11 +1280,12 @@ class TestDimensions:
                     ribbon.validate()
             return
         positive = hom and dims[0] == ONE and all(float(d) > 0 for d in dims)
-        assert _is_character(ring, dims) == positive
-        assert _is_character(ring, dims, positive=False) == hom
+        code = _encode(ring, *_distinct(dims))
+        assert _is_character(ring, code) == positive
+        assert _is_character(ring, code, positive=False) == hom
         with mock.patch.object(ring_module, "CHUNK", 1):  # a block per first index
-            assert _is_character(ring, dims) == positive
-            assert _is_character(ring, dims, positive=False) == hom
+            assert _is_character(ring, code) == positive
+            assert _is_character(ring, code, positive=False) == hom
         if positive:
             assert exact_dimensions(ring) == dims
             assert fp_dimensions(ring).tolist() == [float(d) for d in dims]
@@ -1349,12 +1360,12 @@ class TestDimensions:
         # row (i, j), which only the block of first index i contracts
         monkeypatch.setattr(ring_module, "CHUNK", 64)
         ring = build_so_n2(30)
-        assert _is_character(ring, ring.exact_dims)
+        assert _is_character(ring, _encode(ring, *_distinct(ring.exact_dims)))
         for at in (0, len(ring.cells) // 2, len(ring.cells) - 1):
             mults = ring.mults.copy()
             mults[at] += 1
             raised = FusionRing.from_nonzeros(ring.labels, ring.dual, ring.cells, mults)
-            assert not _is_character(raised, ring.exact_dims, positive=False)
+            assert not _is_character(raised, _encode(raised, *_distinct(ring.exact_dims)), positive=False)
 
     def test_fibonacci_dim(self, fibonacci):
         d = fp_dimensions(fibonacci)
